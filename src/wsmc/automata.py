@@ -2,13 +2,14 @@
 
 This is the word-level region algebra: NFAs with epsilon transitions,
 the usual boolean and rational operations, subword closures/kernels,
-and a canonical minimal-DFA form with structural equality.
+and a canonical minimal-DFA form with structural equality, memoized so
+that each distinct NFA is minimized once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 Word = Tuple[str, ...]
 
@@ -425,7 +426,11 @@ def equal(a: Nfa, b: Nfa) -> bool:
 
 
 def subset(a: Nfa, b: Nfa) -> bool:
-    return is_empty(difference(a, b))
+    key = (canonicalize(a), canonicalize(b))
+    result = _SUBSET.get(key)
+    if result is None:
+        result = _SUBSET[key] = is_empty(difference(a, b))
+    return result
 
 
 def decide(query: str, a: Nfa, arg=None) -> bool:
@@ -508,7 +513,41 @@ def _determinize(a: Nfa):
     return table, accepting
 
 
+# Per-process intern tables.  They hold one entry per distinct input
+# NFA, language, or pair of languages seen, and are never evicted.
+_CANONICAL: Dict[Nfa, CanonicalDfa] = {}
+_INTERNED: Dict[CanonicalDfa, Nfa] = {}
+_SUBSET: Dict[Tuple[CanonicalDfa, CanonicalDfa], bool] = {}
+
+
 def canonicalize(a: Nfa) -> CanonicalDfa:
+    """Canonical minimal DFA of a, memoized on the (structural) value of a.
+
+    Each language gets one CanonicalDfa object and one interned Nfa
+    (see canonical_nfa), so later lookups keyed on either hit by
+    identity.
+    """
+    dfa = _CANONICAL.get(a)
+    if dfa is None:
+        dfa = _canonicalize(a)
+        nfa = _INTERNED.get(dfa)
+        if nfa is None:
+            nfa = _INTERNED[dfa] = dfa.to_nfa()
+            _CANONICAL[nfa] = dfa
+        else:
+            dfa = _CANONICAL[nfa]
+        _CANONICAL[a] = dfa
+    return dfa
+
+
+def canonical_nfa(a: Nfa) -> Nfa:
+    """Minimal complete DFA of a, as the one interned Nfa of its language."""
+    return _INTERNED[canonicalize(a)]
+
+
+def _canonicalize(a: Nfa) -> CanonicalDfa:
+    """The uncached construction: subset construction, Moore
+    refinement, breadth-first renumbering."""
     table, accepting = _determinize(a)
     n = len(table)
     k = len(a.alphabet.symbols)
@@ -550,8 +589,3 @@ def canonicalize(a: Nfa) -> CanonicalDfa:
     final_table = tuple(tuple(renum[t] for t in min_table[b]) for b in order)
     final_accepting = tuple(sorted(renum[b] for b in min_accepting if b in renum))
     return CanonicalDfa(a.alphabet, len(order), final_table, final_accepting)
-
-
-def canonical_nfa(a: Nfa) -> Nfa:
-    """Minimal complete DFA of a, as an Nfa value."""
-    return canonicalize(a).to_nfa()

@@ -13,10 +13,12 @@ import json
 import sys
 
 from . import compilers, engine, oracle, terms
+from .automata import AutomatonError
 from .compilers import CompileError, NonEffectiveGoalError
 from .engine import EvaluationError, IterationCapError, Limits, UnguardedTermError
 from .model import ModelError, load_model, parse_config, parse_region_text, region_to_text
 from .regexes import RegexError
+from .regions import RegionError
 from .terms import TermError
 
 
@@ -226,8 +228,9 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (CliError, CompileError, NonEffectiveGoalError, ModelError,
-            RegexError, TermError, EvaluationError, UnguardedTermError,
-            IterationCapError, OSError) as exc:
+            AutomatonError, RegionError, RegexError, TermError,
+            EvaluationError, UnguardedTermError, IterationCapError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -129,10 +129,11 @@ class GlcsModel:
         return result
 
     def pre_perf(self, region: Region) -> Region:
-        result = self.space.empty()
+        """Union over all rules, normalized once."""
+        summands = []
         for rule in self.rules:
-            result = self.space.union(result, self.pre_perf_rule(rule, region))
-        return result
+            summands.extend(self.pre_perf_rule(rule, region).summands)
+        return self.space.normalize(Region(tuple(summands)))
 
     def pre(self, region: Region, mode: str = LOSSY) -> Region:
         if mode == LOSSY:
@@ -163,10 +164,11 @@ class GlcsModel:
         return self.space.normalize(Region(tuple(out)))
 
     def post_perf(self, region: Region) -> Region:
-        result = self.space.empty()
+        """Union over all rules, normalized once."""
+        summands = []
         for rule in self.rules:
-            result = self.space.union(result, self.post_perf_rule(rule, region))
-        return result
+            summands.extend(self.post_perf_rule(rule, region).summands)
+        return self.space.normalize(Region(tuple(summands)))
 
     def post(self, region: Region, mode: str = LOSSY) -> Region:
         if mode == LOSSY:
@@ -418,21 +420,29 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                 alphabet = Alphabet(tuple(line[len("alphabet:"):].split()))
             elif line.startswith("channels:"):
                 channels = tuple(line[len("channels:"):].split())
+                for i, chan in enumerate(channels):
+                    if chan in channels[:i]:
+                        raise ModelError("duplicate channel %r" % (chan,))
                 saw_channels = True
             elif line.startswith("locations:"):
                 for item in line[len("locations:"):].split():
+                    loc, owner = item, None
                     if item.endswith("]") and "[" in item:
                         loc, _, owner = item[:-1].partition("[")
                         if owner not in ("A", "B"):
                             raise ModelError("owner must be A or B, got %r" % owner)
-                        locations.append(loc)
-                        owners[loc] = owner
-                    else:
-                        locations.append(item)
-                        owners[item] = None
+                    if loc in owners:
+                        raise ModelError("duplicate location %r" % (loc,))
+                    locations.append(loc)
+                    owners[loc] = owner
             elif line.startswith("region "):
                 name_part, _, expr = line[len("region "):].partition("=")
-                pending_regions.append((lineno, name_part.strip(), expr.strip()))
+                rname = name_part.strip()
+                for first, earlier, _ in pending_regions:
+                    if earlier == rname:
+                        raise ModelError("duplicate region %r (first declared on "
+                                         "line %d)" % (rname, first))
+                pending_regions.append((lineno, rname, expr.strip()))
             elif line.startswith("rule "):
                 pending_rules.append((lineno, line[len("rule "):]))
             else:

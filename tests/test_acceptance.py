@@ -4,6 +4,7 @@ Each test prints a single pass line; comparisons are symbolic equalities
 with no tolerances.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ from wsmc.terms import (
 from conftest import (
     FIXTURE_COMMANDS, fixture_argv, model_path, random_model, random_nfa,
     random_region_for)
+from record_fixture_goldens import GOLDENS, run_fixture
 from test_compilers import all_compiled, ctl_explicit
 from test_engine import closing_example
 
@@ -290,3 +292,23 @@ def test_criterion_9_fixture_determinism(command):
 
 def test_criterion_9_summary():
     passed(9, "deterministic fixture outputs")
+
+
+# -- byte-for-byte goldens, next to criterion 9 ---------------------------
+
+def load_fixture_goldens():
+    with open(GOLDENS, encoding="utf-8") as handle:
+        return {tuple(entry["command"]): entry for entry in json.load(handle)}
+
+
+def test_fixture_goldens_cover_fixture_commands():
+    assert sorted(load_fixture_goldens()) == sorted(tuple(c) for c in FIXTURE_COMMANDS)
+
+
+@pytest.mark.parametrize("command", FIXTURE_COMMANDS,
+                         ids=lambda c: " ".join(c)[:50])
+def test_fixture_outputs_match_goldens(command):
+    golden = load_fixture_goldens()[tuple(command)]
+    proc = run_fixture(command)
+    assert proc.returncode == golden["exit"]
+    assert proc.stdout == golden["stdout"].encode("utf-8")

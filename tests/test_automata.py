@@ -166,3 +166,57 @@ def test_decision_dispatchers(ab):
     assert automata.equal(automata.residual("left", Nfa.word(ab, w("a")),
                                             compile_regex("a b*", ab)),
                           compile_regex("b*", ab))
+
+
+# -- interning: the memo tables against the uncached construction ------------
+
+def same_language_rewrites(a, ab):
+    """Structurally different NFAs with the language of a."""
+    return [automata.union(a, a),
+            automata.reverse(automata.reverse(a)),
+            automata.concat(a, Nfa.epsilon(ab)),
+            automata.intersection(a, Nfa.universal(ab))]
+
+
+def test_memoized_canonicalize_equals_uncached(ab, rng):
+    for _ in range(60):
+        a = random_nfa(rng, ab)
+        dfa = automata.canonicalize(a)
+        assert dfa == automata._canonicalize(a)
+        assert automata.canonicalize(a) is dfa
+        interned = automata.canonical_nfa(a)
+        assert automata._canonicalize(interned) == dfa
+        assert automata.canonicalize(interned) is dfa
+
+
+def test_canonical_nfa_is_identical_iff_languages_equal(ab, rng):
+    equal_pairs = 0
+    for _ in range(60):
+        a = random_nfa(rng, ab)
+        others = same_language_rewrites(a, ab) + [random_nfa(rng, ab)]
+        for b in others:
+            same = automata._canonicalize(a) == automata._canonicalize(b)
+            assert (automata.canonical_nfa(a) is automata.canonical_nfa(b)) == same
+            assert (automata.canonicalize(a) is automata.canonicalize(b)) == same
+            if same:
+                equal_pairs += 1
+                assert lang(a, 5) == lang(b, 5)
+    assert equal_pairs >= 4 * 60
+    one = Alphabet(("a",))
+    assert automata.canonical_nfa(Nfa.universal(one)).alphabet == one
+    assert automata.canonical_nfa(Nfa.universal(ab)).alphabet == ab
+
+
+def test_memoized_subset_agrees_with_difference(ab, rng):
+    holds = 0
+    for _ in range(60):
+        a, b = random_nfa(rng, ab), random_nfa(rng, ab)
+        for x, y in ((a, b), (b, a), (a, automata.union(a, b)),
+                     (automata.intersection(a, b), b)):
+            want = automata.is_empty(automata.difference(x, y))
+            assert automata.subset(x, y) == want
+            assert automata.subset(x, y) == want  # second call hits the memo
+            assert automata.subset(automata.canonical_nfa(x),
+                                   automata.canonical_nfa(y)) == want
+            holds += want
+    assert holds >= 2 * 60

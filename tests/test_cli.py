@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from wsmc import cli
+from wsmc.regions import RegionError
 
 from conftest import FIXTURE_COMMANDS, fixture_argv, model_path
 
@@ -37,6 +38,25 @@ def test_validate_malformed_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "bad.lcs:2" in err
+
+
+def test_duplicate_alphabet_symbol_exits_2_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.lcs"
+    bad.write_text("alphabet: a a\nchannels: c\nlocations: p\n"
+                   "rule p -> p : nop\n")
+    code = cli.main(["validate", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: alphabet symbols must be distinct\n"
+
+
+def test_region_error_exits_2(monkeypatch, capsys):
+    def fail(path):
+        raise RegionError("broken %s" % path)
+    monkeypatch.setattr(cli, "load_model", fail)
+    code = cli.main(["validate", "m.lcs"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: broken m.lcs\n"
 
 
 def test_eval_unguarded_exits_2(capsys):

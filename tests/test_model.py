@@ -54,6 +54,19 @@ def test_parse_model_errors_carry_line_numbers():
         parse_model("alphabet: a\nlocations: p[C]")
 
 
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["channels: c c"], 2, "duplicate channel 'c'"),
+    (["channels: c", "locations: q[A] p"], 4, "duplicate location 'p'"),
+    (["channels: c", "region R = (p; a)", "region S = (p; ())",
+      "region R = (p; ())"], 6, "duplicate region 'R' (first declared on line 4)"),
+])
+def test_parse_model_rejects_duplicate_declarations(lines, lineno, message):
+    text = "\n".join(["alphabet: a"] + lines[:1] + ["locations: p"] + lines[1:])
+    with pytest.raises(ModelError) as info:
+        parse_model(text, name="m.lcs")
+    assert str(info.value) == "m.lcs:%d: %s" % (lineno, message)
+
+
 def test_parse_word_and_config():
     model = tiny_model([Rule("p", "q", SEND, "c", "a")])
     assert parse_word("ab a", AB) == ("a", "b", "a")
@@ -230,3 +243,28 @@ def test_step_operators_monotone(rng):
                                       model.post(big, mode))
             assert model.space.subset(model.wpre(small, mode),
                                       model.wpre(big, mode))
+
+
+def per_rule_union_fold(model, region, rule_step):
+    result = model.space.empty()
+    for rule in model.rules:
+        result = model.space.union(result, rule_step(rule, region))
+    return result
+
+
+def test_batched_step_operators_equal_per_rule_fold(rng):
+    guarded = 0
+    for _ in range(40):
+        model = random_model(rng)
+        guarded += any(rule.guard is not None for rule in model.rules)
+        space = model.space
+        region = random_region_for(rng, model, n_summands=3)
+        pre_fold = per_rule_union_fold(model, region, model.pre_perf_rule)
+        lossy_pre_fold = per_rule_union_fold(model, space.up_closure(region),
+                                             model.pre_perf_rule)
+        post_fold = per_rule_union_fold(model, region, model.post_perf_rule)
+        assert space.equal(model.pre(region, PERFECT), pre_fold)
+        assert space.equal(model.pre(region, LOSSY), lossy_pre_fold)
+        assert space.equal(model.post(region, PERFECT), post_fold)
+        assert space.equal(model.post(region, LOSSY), space.down_closure(post_fold))
+    assert guarded >= 10
