@@ -391,14 +391,6 @@ def down_kernel(a: Nfa) -> Nfa:
     return complement(up_closure(complement(a)))
 
 
-def kernel(direction: str, a: Nfa) -> Nfa:
-    if direction == "up":
-        return up_kernel(a)
-    if direction == "down":
-        return down_kernel(a)
-    raise AutomatonError("unknown kernel direction %r" % (direction,))
-
-
 # -- decisions ---------------------------------------------------------
 
 def is_empty(a: Nfa) -> bool:
@@ -433,54 +425,6 @@ def subset(a: Nfa, b: Nfa) -> bool:
     return result
 
 
-def decide(query: str, a: Nfa, arg=None) -> bool:
-    """Dispatcher for the language decision procedures."""
-    if query == "empty":
-        return is_empty(a)
-    if query == "universal":
-        return is_universal(a)
-    if query == "member":
-        return a.accepts(arg)
-    if query == "equal":
-        return equal(a, arg)
-    if query == "subset":
-        return subset(a, arg)
-    raise AutomatonError("unknown query %r" % (query,))
-
-
-def boolean(op: str, a: Nfa, b: Optional[Nfa] = None) -> Nfa:
-    ops = {"union": union, "intersection": intersection, "difference": difference}
-    if op == "complement":
-        if b is not None:
-            raise AutomatonError("complement is unary")
-        return complement(a)
-    if op not in ops:
-        raise AutomatonError("unknown boolean op %r" % (op,))
-    if b is None:
-        raise AutomatonError("%s is binary" % op)
-    return ops[op](a, b)
-
-
-def rational(op: str, a: Nfa, b: Optional[Nfa] = None) -> Nfa:
-    if op == "concat":
-        return concat(a, b)
-    if op == "shuffle":
-        return shuffle(a, b)
-    if op == "star":
-        return star(a)
-    if op == "reverse":
-        return reverse(a)
-    raise AutomatonError("unknown rational op %r" % (op,))
-
-
-def residual(side: str, a: Nfa, b: Nfa) -> Nfa:
-    if side == "left":
-        return left_residual(a, b)
-    if side == "right":
-        return right_residual(a, b)
-    raise AutomatonError("unknown residual side %r" % (side,))
-
-
 # -- determinization, minimization, canonical form ---------------------
 
 def _determinize(a: Nfa):
@@ -488,10 +432,32 @@ def _determinize(a: Nfa):
 
     The result is complete (the empty subset is the dead state) and its
     state order follows breadth-first discovery in alphabet order, which
-    keeps everything downstream deterministic.
+    keeps everything downstream deterministic.  The epsilon closure of
+    every single-state move is computed once, before the construction.
     """
     syms = a.alphabet.symbols
-    start = a.eps_closure(a.initial)
+    index = {sym: i for i, sym in enumerate(syms)}
+    eps = [[] for _ in range(a.n_states)]
+    succ = [[[] for _ in syms] for _ in range(a.n_states)]
+    for (p, x, q) in a.transitions:
+        if x is EPSILON:
+            eps[p].append(q)
+        else:
+            succ[p][index[x]].append(q)
+    closure = []
+    for q in range(a.n_states):
+        seen = {q}
+        stack = [q]
+        while stack:
+            for r in eps[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        closure.append(frozenset(seen))
+    moves = [[frozenset().union(*[closure[r] for r in targets]) for targets in row]
+             for row in succ]
+
+    start = frozenset().union(*[closure[q] for q in a.initial])
     ids = {start: 0}
     order = [start]
     table = []
@@ -502,8 +468,9 @@ def _determinize(a: Nfa):
         if subset_state & a.accepting:
             accepting.add(i)
         row = []
-        for sym in syms:
-            tgt = a.step(subset_state, sym)
+        members = [moves[q] for q in subset_state]
+        for k in range(len(syms)):
+            tgt = frozenset().union(*[m[k] for m in members])
             if tgt not in ids:
                 ids[tgt] = len(order)
                 order.append(tgt)
@@ -529,15 +496,18 @@ def canonicalize(a: Nfa) -> CanonicalDfa:
     """
     dfa = _CANONICAL.get(a)
     if dfa is None:
-        dfa = _canonicalize(a)
-        nfa = _INTERNED.get(dfa)
-        if nfa is None:
-            nfa = _INTERNED[dfa] = dfa.to_nfa()
-            _CANONICAL[nfa] = dfa
-        else:
-            dfa = _CANONICAL[nfa]
-        _CANONICAL[a] = dfa
+        dfa = _CANONICAL[a] = _CANONICAL[intern(minimize(a))]
     return dfa
+
+
+def intern(dfa: CanonicalDfa) -> Nfa:
+    """The one interned Nfa of the language of dfa, without memoizing
+    the NFA that dfa was built from."""
+    nfa = _INTERNED.get(dfa)
+    if nfa is None:
+        nfa = _INTERNED[dfa] = dfa.to_nfa()
+        _CANONICAL[nfa] = dfa
+    return nfa
 
 
 def canonical_nfa(a: Nfa) -> Nfa:
@@ -545,12 +515,20 @@ def canonical_nfa(a: Nfa) -> Nfa:
     return _INTERNED[canonicalize(a)]
 
 
-def _canonicalize(a: Nfa) -> CanonicalDfa:
-    """The uncached construction: subset construction, Moore
-    refinement, breadth-first renumbering."""
+def minimize(a: Nfa) -> CanonicalDfa:
+    """Canonical minimal DFA of a, uncached: subset construction, then
+    minimal_dfa."""
     table, accepting = _determinize(a)
+    return minimal_dfa(a.alphabet, table, accepting)
+
+
+def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],
+                accepting) -> CanonicalDfa:
+    """Canonical minimal DFA of the complete DFA with initial state 0 and
+    table[state][symbol index] -> state: Moore refinement, breadth-first
+    renumbering."""
     n = len(table)
-    k = len(a.alphabet.symbols)
+    k = len(alphabet.symbols)
 
     # Moore partition refinement with deterministic block numbering.
     block = [1 if q in accepting else 0 for q in range(n)]
@@ -558,7 +536,7 @@ def _canonicalize(a: Nfa) -> CanonicalDfa:
         signatures = {}
         new_block = [0] * n
         for q in range(n):
-            sig = (block[q],) + tuple(block[table[q][i]] for i in range(k))
+            sig = (block[q],) + tuple([block[t] for t in table[q]])
             if sig not in signatures:
                 signatures[sig] = len(signatures)
             new_block[q] = signatures[sig]
@@ -588,4 +566,4 @@ def _canonicalize(a: Nfa) -> CanonicalDfa:
         i += 1
     final_table = tuple(tuple(renum[t] for t in min_table[b]) for b in order)
     final_accepting = tuple(sorted(renum[b] for b in min_accepting if b in renum))
-    return CanonicalDfa(a.alphabet, len(order), final_table, final_accepting)
+    return CanonicalDfa(alphabet, len(order), final_table, final_accepting)

@@ -227,17 +227,3 @@ def _fixpoint(t, env, algebra, limits, stats):
             stats.record(t.var, count)
             raise IterationCapError(t.var, limits.max_iter, stats)
 
-
-def decide_query(query: str, t: Term, algebra: AlgebraBinding,
-                 limits: Optional[Limits] = None, element=None) -> bool:
-    """Evaluate a closed term and answer a membership/vacuity question."""
-    if terms.free_vars(t):
-        raise EvaluationError("term is not closed")
-    value, _ = evaluate(t, {}, algebra, limits)
-    if query == "member":
-        return algebra.member(element, value)
-    if query == "satisfiable":
-        return not algebra.is_empty(value)
-    if query == "universal":
-        return algebra.is_universal(value)
-    raise EvaluationError("unknown query %r" % (query,))

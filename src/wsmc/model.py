@@ -12,13 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import automata, regexes
-from .automata import Alphabet, Nfa, Word
+from . import automata, regexes, terms
+from .automata import Alphabet, AutomatonError, Nfa, Word
 from .engine import AlgebraBinding
 from .regions import Config, Product, Region, RegionSpace, Signature
 
 SEND, RECV, INTERNAL = "send", "recv", "internal"
 PERFECT, LOSSY = "perfect", "lossy"
+
+# names a formula already gives a meaning to, so no region may take them
+RESERVED_NAMES = terms.KEYWORDS | {"pre", "wpre", "post", "prep", "wprep", "postp",
+                                   "confA", "confB"}
 
 
 class ModelError(Exception):
@@ -109,7 +113,7 @@ class GlcsModel:
     # -- symbolic step operators ----------------------------------------
 
     def pre_perf_rule(self, rule: Rule, region: Region) -> Region:
-        """Weakest perfect-step predecessor through one rule."""
+        """Weakest perfect-step predecessor through one rule, not normalized."""
         out = []
         for p in region.summands:
             if p.location != rule.target:
@@ -123,9 +127,9 @@ class GlcsModel:
                 else:
                     langs[i] = automata.right_residual(langs[i], m)
             out.append(Product(rule.source, tuple(langs)))
-        result = self.space.normalize(Region(tuple(out)))
+        result = Region(tuple(out))
         if rule.guard is not None:
-            result = self.space.intersection(rule.guard, result)
+            result = self.space.meet(rule.guard, result)
         return result
 
     def pre_perf(self, region: Region) -> Region:
@@ -146,8 +150,9 @@ class GlcsModel:
         return self.space.complement(self.pre(self.space.complement(region), mode))
 
     def post_perf_rule(self, rule: Rule, region: Region) -> Region:
+        """Strongest perfect-step successor through one rule, not normalized."""
         if rule.guard is not None:
-            region = self.space.intersection(rule.guard, region)
+            region = self.space.meet(rule.guard, region)
         out = []
         for p in region.summands:
             if p.location != rule.source:
@@ -161,7 +166,7 @@ class GlcsModel:
                 else:
                     langs[i] = automata.left_residual(m, langs[i])
             out.append(Product(rule.target, tuple(langs)))
-        return self.space.normalize(Region(tuple(out)))
+        return Region(tuple(out))
 
     def post_perf(self, region: Region) -> Region:
         """Union over all rules, normalized once."""
@@ -177,78 +182,10 @@ class GlcsModel:
             return self.post_perf(region)
         raise ModelError("unknown step mode %r" % (mode,))
 
-    # -- explicit steps --------------------------------------------------
-
-    def perfect_successors(self, config: Config) -> List[Config]:
-        out = []
-        for rule in self.rules:
-            if rule.source != config.location:
-                continue
-            if rule.guard is not None and not self.space.member(config, rule.guard):
-                continue
-            contents = list(config.contents)
-            if rule.kind == SEND:
-                i = self.channels.index(rule.channel)
-                contents[i] = contents[i] + (rule.symbol,)
-            elif rule.kind == RECV:
-                i = self.channels.index(rule.channel)
-                if not contents[i] or contents[i][0] != rule.symbol:
-                    continue
-                contents[i] = contents[i][1:]
-            out.append(Config(rule.target, tuple(contents)))
-        return _dedup(out)
-
-    def step_configs(self, config: Config, mode: str = LOSSY) -> List[Config]:
-        perfect = self.perfect_successors(config)
-        if mode == PERFECT:
-            return perfect
-        if mode != LOSSY:
-            raise ModelError("unknown step mode %r" % (mode,))
-        out = []
-        for succ in perfect:
-            for contents in _subword_tuples(succ.contents):
-                out.append(Config(succ.location, contents))
-        return _dedup(out)
-
     # -- the configuration algebra for the fixpoint engine ---------------
 
     def algebra(self) -> "ConfigAlgebra":
         return ConfigAlgebra(self)
-
-
-def _dedup(configs: List[Config]) -> List[Config]:
-    seen = set()
-    out = []
-    for c in configs:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
-
-
-def _subwords(w: Word) -> List[Word]:
-    out = [()]
-    for sym in w:
-        out = out + [prefix + (sym,) for prefix in out]
-    return _dedup_words(out)
-
-
-def _dedup_words(words):
-    seen = set()
-    out = []
-    for w in words:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
-
-
-def _subword_tuples(contents: Tuple[Word, ...]) -> List[Tuple[Word, ...]]:
-    tuples = [()]
-    for w in contents:
-        subs = _subwords(w)
-        tuples = [t + (s,) for t in tuples for s in subs]
-    return tuples
 
 
 class ConfigAlgebra(AlgebraBinding):
@@ -342,10 +279,10 @@ def parse_region_text(text: str, model: GlcsModel) -> Region:
     text = text.strip()
     if text == "{}":
         return model.space.empty()
-    result = model.space.empty()
+    summands = []
     for atom in _split_region_atoms(text):
-        result = model.space.union(result, _parse_region_atom(atom, model))
-    return result
+        summands.extend(_parse_region_atom(atom, model).summands)
+    return model.space.normalize(Region(tuple(summands)))
 
 
 def _split_region_atoms(text: str) -> List[str]:
@@ -438,6 +375,8 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
             elif line.startswith("region "):
                 name_part, _, expr = line[len("region "):].partition("=")
                 rname = name_part.strip()
+                if rname in RESERVED_NAMES:
+                    raise ModelError("region name %r is reserved" % (rname,))
                 for first, earlier, _ in pending_regions:
                     if earlier == rname:
                         raise ModelError("duplicate region %r (first declared on "
@@ -447,7 +386,7 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                 pending_rules.append((lineno, line[len("rule "):]))
             else:
                 raise ModelError("unrecognized line")
-        except ModelError as exc:
+        except (ModelError, AutomatonError) as exc:
             raise ModelError("%s:%d: %s" % (name, lineno, exc))
 
     if alphabet is None:

@@ -223,7 +223,7 @@ def region_member(region: Region, config: Config) -> bool:
 
 # -- explicit steps ------------------------------------------------------
 
-def _perfect_successors(model: GlcsModel, config: Config) -> List[Config]:
+def perfect_successors(model: GlcsModel, config: Config) -> List[Config]:
     out = []
     for rule in model.rules:
         if rule.source != config.location:
@@ -245,7 +245,7 @@ def _perfect_successors(model: GlcsModel, config: Config) -> List[Config]:
 
 def lossy_successors(model: GlcsModel, config: Config) -> Set[Config]:
     out = set()
-    for succ in _perfect_successors(model, config):
+    for succ in perfect_successors(model, config):
         channel_subs = [sorted(subwords(w)) for w in succ.contents]
         for combo in itertools.product(*channel_subs) if channel_subs else [()]:
             out.add(Config(succ.location, tuple(combo)))

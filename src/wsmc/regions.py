@@ -1,14 +1,15 @@
 """Regions: finite sums of location-tagged products of channel languages.
 
 A region denotes a subset of Conf = locations x (words)^channels.  All
-operations are pure; normalization keeps component automata minimal and
-the summand list deterministic so equal computations print identically.
+operations are pure and return regions in a normal form that depends
+only on the denoted set, so equal regions print identically.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import automata
 from .automata import Alphabet, CanonicalDfa, Nfa, Word
@@ -39,6 +40,9 @@ class Product:
     channel_langs: Tuple[Nfa, ...]
 
 
+Row = Tuple[Nfa, ...]  # one language per channel
+
+
 @dataclass(frozen=True)
 class Region:
     summands: Tuple[Product, ...]
@@ -53,12 +57,18 @@ class Config:
 
 
 class RegionSpace:
-    """The effective region algebra for one model signature."""
+    """The effective region algebra for one model signature.
+
+    Every result is in normal form (see normalize).  Normal forms are
+    memoized per space, keyed on each location's set of rows of interned
+    channel languages; the memo is never evicted.
+    """
 
     def __init__(self, signature: Signature):
         self.signature = signature
-        self._sigma_star = Nfa.universal(signature.alphabet)
+        self._sigma_star = automata.canonical_nfa(Nfa.universal(signature.alphabet))
         self._ext_alphabet = signature.alphabet.extend(SEPARATOR)
+        self._normal: Dict[Tuple[str, FrozenSet[Row]], Tuple[Row, ...]] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -101,65 +111,36 @@ class RegionSpace:
         self._check(b)
         return self.normalize(Region(a.summands + b.summands))
 
-    def intersection(self, a: Region, b: Region) -> Region:
+    def meet(self, a: Region, b: Region) -> Region:
+        """The intersection of a and b, summand by summand, not normalized."""
         self._check(a)
         self._check(b)
-        out = []
-        for p in a.summands:
-            for q in b.summands:
-                if p.location != q.location:
-                    continue
-                langs = tuple(automata.intersection(x, y)
-                              for x, y in zip(p.channel_langs, q.channel_langs))
-                out.append(Product(p.location, langs))
-        return self.normalize(Region(tuple(out)))
+        return Region(tuple(
+            Product(p.location, tuple(automata.intersection(x, y)
+                                      for x, y in zip(p.channel_langs, q.channel_langs)))
+            for p in a.summands for q in b.summands if p.location == q.location))
+
+    def intersection(self, a: Region, b: Region) -> Region:
+        return self.normalize(self.meet(a, b))
 
     def complement(self, a: Region) -> Region:
-        """Per location: intersect the product complements of the summands.
-
-        The complement of one product is the union, over channels, of
-        the product with that channel complemented and the others full.
-        """
+        """Per location: flip the accepting states of the encoding DFA and
+        decompose; a location without summands becomes a full product."""
         self._check(a)
+        rows = self._rows_by_location(a)
         out = []
         for loc in self.signature.locations:
-            slice_products = [p for p in a.summands if p.location == loc]
-            acc = [self._full_product(loc)]
-            for p in slice_products:
-                comp_terms = []
-                for i, lang in enumerate(p.channel_langs):
-                    langs = list(self._full_product(loc).channel_langs)
-                    langs[i] = automata.complement(lang)
-                    comp_terms.append(Product(loc, tuple(langs)))
-                new_acc = []
-                for t in acc:
-                    for c in comp_terms:
-                        langs = tuple(automata.intersection(x, y)
-                                      for x, y in zip(t.channel_langs, c.channel_langs))
-                        prod = Product(loc, langs)
-                        if not self._product_empty(prod):
-                            new_acc.append(prod)
-                acc = new_acc
-                if not acc:
-                    break
-            out.extend(acc)
-        return self.normalize(Region(tuple(out)))
+            if loc not in rows:
+                out.append(self._full_product(loc))
+                continue
+            dfa = self._encoding(rows[loc])
+            flipped = set(range(dfa.n_states)).difference(dfa.accepting)
+            out.extend(Product(loc, row)
+                       for row in self._remember(loc, self._decompose(dfa, flipped)))
+        return Region(tuple(out))
 
     def difference(self, a: Region, b: Region) -> Region:
         return self.intersection(a, self.complement(b))
-
-    def boolean(self, op: str, a: Region, b: Optional[Region] = None) -> Region:
-        if op == "union":
-            return self.union(a, b)
-        if op == "intersection":
-            return self.intersection(a, b)
-        if op == "difference":
-            return self.difference(a, b)
-        if op == "complement":
-            if b is not None:
-                raise RegionError("complement is unary")
-            return self.complement(a)
-        raise RegionError("unknown boolean op %r" % (op,))
 
     # -- closures and kernels -------------------------------------------
 
@@ -180,24 +161,12 @@ class RegionSpace:
     def down_kernel(self, a: Region) -> Region:
         return self.complement(self.up_closure(self.complement(a)))
 
-    def closure(self, direction: str, mode: str, a: Region) -> Region:
-        table = {("up", "closure"): self.up_closure,
-                 ("down", "closure"): self.down_closure,
-                 ("up", "kernel"): self.up_kernel,
-                 ("down", "kernel"): self.down_kernel}
-        try:
-            return table[(direction, mode)](a)
-        except KeyError:
-            raise RegionError("unknown closure %r/%r" % (direction, mode))
-
     # -- decisions ------------------------------------------------------
-
-    def _product_empty(self, p: Product) -> bool:
-        return any(automata.is_empty(lang) for lang in p.channel_langs)
 
     def is_empty(self, a: Region) -> bool:
         self._check(a)
-        return all(self._product_empty(p) for p in a.summands)
+        return all(any(automata.is_empty(lang) for lang in p.channel_langs)
+                   for p in a.summands)
 
     def member(self, config: Config, a: Region) -> bool:
         self._check(a)
@@ -210,137 +179,139 @@ class RegionSpace:
                 return True
         return False
 
-    def _location_encoding(self, a: Region) -> Dict[str, CanonicalDfa]:
-        """Canonical per-location DFA over the separator-extended alphabet.
-
-        A summand (q, L1, ..., Lc) encodes to L1 # L2 # ... # Lc; the
-        channel languages never contain the separator, so the encoding
-        is unambiguous and gives regions a unique normal form.
-        """
-        sep = Nfa.symbol(self._ext_alphabet, SEPARATOR)
-        out = {}
-        for p in a.summands:
-            langs = [self._lift(lang) for lang in p.channel_langs]
-            if langs:
-                enc = langs[0]
-                for lang in langs[1:]:
-                    enc = automata.concat(enc, automata.concat(sep, lang))
-            else:
-                enc = Nfa.epsilon(self._ext_alphabet)
-            if p.location in out:
-                out[p.location] = automata.union(out[p.location], enc)
-            else:
-                out[p.location] = enc
-        return {loc: automata.canonicalize(enc) for loc, enc in out.items()
-                if not automata.is_empty(enc)}
-
-    def _lift(self, lang: Nfa) -> Nfa:
-        return Nfa(self._ext_alphabet, lang.n_states, lang.initial,
-                   lang.accepting, lang.transitions)
-
     def equal(self, a: Region, b: Region) -> bool:
-        self._check(a)
-        self._check(b)
-        return self._location_encoding(a) == self._location_encoding(b)
+        return self.normalize(a) == self.normalize(b)
 
     def subset(self, a: Region, b: Region) -> bool:
-        return self.is_empty(self.difference(a, b))
+        return self.union(a, b) == self.normalize(b)
 
     def is_universal(self, a: Region) -> bool:
         return self.equal(a, self.full())
 
-    def decide(self, query: str, a: Region, arg=None) -> bool:
-        if query == "empty":
-            return self.is_empty(a)
-        if query == "universal":
-            return self.is_universal(a)
-        if query == "member":
-            return self.member(arg, a)
-        if query == "equal":
-            return self.equal(a, arg)
-        if query == "subset":
-            return self.subset(a, arg)
-        raise RegionError("unknown query %r" % (query,))
-
-    # -- normalization --------------------------------------------------
+    # -- normal form ----------------------------------------------------
 
     def normalize(self, a: Region) -> Region:
-        """Drop empty summands, canonicalize components, merge where sound.
+        """The normal form of a: equal regions normalize to equal values.
 
-        Summands at the same location merge when they agree on all but
-        one channel (union on that channel); with at most one channel
-        this collapses each location to a single summand.
+        Per location, the summands are the Myhill-Nerode decomposition
+        (see _decompose) of the minimal DFA of the location's encoding,
+        with components interned and summands in a fixed order.
         """
         self._check(a)
-        products = []
+        rows = self._rows_by_location(a)
+        return Region(tuple(Product(loc, row)
+                            for loc in self.signature.locations if loc in rows
+                            for row in self._normal_rows(loc, rows[loc])))
+
+    def _rows_by_location(self, a: Region) -> Dict[str, List[Row]]:
+        rows: Dict[str, List[Row]] = {}
         for p in a.summands:
-            if self._product_empty(p):
-                continue
-            langs = tuple(automata.canonical_nfa(lang) for lang in p.channel_langs)
-            products.append(Product(p.location, langs))
-        products = self._merge(self._absorb(products))
-        keyed = [(self._sort_key(p), p) for p in products]
-        seen = set()
-        out = []
-        for key, p in sorted(keyed, key=lambda kp: kp[0]):
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-        return Region(tuple(out))
+            rows.setdefault(p.location, []).append(p.channel_langs)
+        return rows
 
-    def _absorb(self, products):
-        """Drop summands componentwise contained in another summand."""
-        kept = []
-        for i, p in enumerate(products):
-            absorbed = False
-            for j, q in enumerate(products):
-                if i == j or p.location != q.location:
-                    continue
-                if all(automata.subset(x, y)
-                       for x, y in zip(p.channel_langs, q.channel_langs)):
-                    # break ties so mutually-containing pairs keep one copy
-                    if not (j > i and all(
-                            automata.subset(y, x)
-                            for x, y in zip(p.channel_langs, q.channel_langs))):
-                        absorbed = True
-                        break
-            if not absorbed:
-                kept.append(p)
-        return kept
+    def _normal_rows(self, loc: str, rows: List[Row]) -> Tuple[Row, ...]:
+        normal = self._normal.get((loc, frozenset(rows)))
+        if normal is None:
+            key = (loc, frozenset(tuple(automata.canonical_nfa(lang) for lang in row)
+                                  for row in rows))
+            normal = self._normal.get(key)
+            if normal is None:
+                dfa = self._encoding(key[1])
+                normal = self._normal[key] = self._remember(
+                    loc, self._decompose(dfa, dfa.accepting))
+        return normal
 
-    def _merge(self, products):
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(products)):
-                for j in range(i + 1, len(products)):
-                    p, q = products[i], products[j]
-                    if p.location != q.location:
-                        continue
-                    merged = self._try_merge(p, q)
-                    if merged is not None:
-                        products[i] = merged
-                        del products[j]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return products
+    def _remember(self, loc: str, rows: List[Row]) -> Tuple[Row, ...]:
+        """Order normal-form rows and memoize them as their own normal form."""
+        rows = tuple(sorted(rows, key=_row_order))
+        return self._normal.setdefault((loc, frozenset(rows)), rows)
 
-    def _try_merge(self, p: Product, q: Product):
-        differing = [i for i, (x, y) in enumerate(zip(p.channel_langs, q.channel_langs))
-                     if automata.canonicalize(x) != automata.canonicalize(y)]
-        if len(differing) > 1:
-            return None
-        if not differing:
-            return p
-        i = differing[0]
-        langs = list(p.channel_langs)
-        langs[i] = automata.canonical_nfa(
-            automata.union(p.channel_langs[i], q.channel_langs[i]))
-        return Product(p.location, tuple(langs))
+    def _encoding(self, rows) -> CanonicalDfa:
+        """Minimal DFA, over the separator-extended alphabet, of the union
+        of L1 # L2 # ... # Lc over the rows (L1, ..., Lc).
 
-    def _sort_key(self, p: Product):
-        dfas = tuple(automata.canonicalize(lang) for lang in p.channel_langs)
-        return (self.signature.locations.index(p.location),
-                tuple((d.n_states, d.transitions, d.accepting) for d in dfas))
+        The channel languages never contain the separator, so a word
+        with exactly c - 1 separators encodes one configuration.
+        """
+        n = 0
+        initial, accepting, trans = [], [], []
+        for row in rows:
+            ends = None
+            for lang in row:
+                starts = [q + n for q in lang.initial]
+                if ends is None:
+                    initial.extend(starts)
+                else:
+                    trans.extend((p, SEPARATOR, q) for p in ends for q in starts)
+                # states that can only loop without accepting are dead
+                moving = {p for (p, _, q) in lang.transitions if p != q}
+                trans.extend((p + n, x, q + n) for (p, x, q) in lang.transitions
+                             if q in moving or q in lang.accepting)
+                ends = [q + n for q in lang.accepting]
+                n += lang.n_states
+            if ends is None:  # no channels: the encoding is the empty word
+                initial.append(n)
+                ends = [n]
+                n += 1
+            accepting.extend(ends)
+        return automata.minimize(Nfa(self._ext_alphabet, n, frozenset(initial),
+                                     frozenset(accepting), tuple(trans)))
+
+    def _decompose(self, dfa: CanonicalDfa, accepting) -> List[Row]:
+        """Rows of the products whose encodings dfa accepts with the given
+        accepting states.
+
+        From a state s where channel i's block starts, every state t
+        entered by a separator gives the rows ({u : s -u#-> t}, *rest)
+        for each row rest decomposed at t; the last channel's language
+        is {u : s -u-> accepting}.  On a minimal DFA distinct states have
+        distinct residuals, so the products are determined by the
+        language alone.  Only words with exactly c - 1 separators are
+        read, so a DFA whose accepting states were flipped decomposes
+        into the complement.
+        """
+        table = dfa.transitions
+        sep = len(self.signature.alphabet.symbols)
+        last = len(self.signature.channels) - 1
+
+        def reach(s):
+            seen = {s}
+            stack = [s]
+            while stack:
+                for t in table[stack.pop()][:sep]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            return seen
+
+        def channel(s, states, final):
+            order = [s] + sorted(states - {s})
+            ids = {q: i for i, q in enumerate(order)}
+            sub = [[ids[t] for t in table[q][:sep]] for q in order]
+            return automata.intern(automata.minimal_dfa(
+                self.signature.alphabet, sub, {ids[q] for q in final}))
+
+        @functools.cache
+        def rows_from(s, i):
+            states = reach(s)
+            if i == last:
+                final = states.intersection(accepting)
+                return [(channel(s, states, final),)] if final else []
+            out = []
+            for t in sorted({table[q][sep] for q in states}):
+                rest = rows_from(t, i + 1)
+                if rest:
+                    head = channel(s, states, [q for q in states if table[q][sep] == t])
+                    out.extend((head,) + row for row in rest)
+            return out
+
+        if last < 0:
+            return [()] if 0 in accepting else []
+        return rows_from(0, 0)
+
+
+def _row_order(row: Row):
+    """A total order on rows of interned languages that depends only on
+    the languages."""
+    return tuple((d.n_states, d.transitions, d.accepting)
+                 for d in map(automata.canonicalize, row))

@@ -254,7 +254,7 @@ def is_guarded(t: Term) -> bool:
 
 # -- concrete syntax ---------------------------------------------------
 
-_KEYWORDS = {"mu", "nu", "up", "down", "kup", "kdown", "empty", "all"}
+KEYWORDS = {"mu", "nu", "up", "down", "kup", "kdown", "empty", "all"}
 
 
 def _tokenize(text: str):
@@ -336,7 +336,7 @@ class _Parser:
         if kind == "ident" and value in ("mu", "nu"):
             self.pos += 1
             var = self.expect("ident")[1]
-            if var in _KEYWORDS:
+            if var in KEYWORDS:
                 raise TermError("%r cannot be a variable name" % (var,))
             self.expect(".")
             body = self.alternation(scope | {var})

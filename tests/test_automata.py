@@ -91,9 +91,9 @@ def test_up_closure_of_word(ab):
 
 def test_up_kernel_examples(ab):
     ends_a = compile_regex(".* a", ab)
-    assert automata.is_empty(automata.kernel("up", ends_a))
+    assert automata.is_empty(automata.up_kernel(ends_a))
     closed = automata.up_closure(compile_regex("a b | b", ab))
-    assert automata.equal(automata.kernel("up", closed), closed)
+    assert automata.equal(automata.up_kernel(closed), closed)
 
 
 def test_kernel_duality(ab, rng):
@@ -157,14 +157,14 @@ def test_canonicalization_identifies_languages(ab, rng):
 
 def test_decision_dispatchers(ab):
     a = compile_regex("a*", ab)
-    assert automata.decide("empty", automata.difference(a, a))
-    assert automata.decide("subset", a, compile_regex(". | ()", ab)) is False
-    assert automata.decide("equal", a, compile_regex("() | a a*", ab))
-    assert automata.decide("member", a, w("aa"))
-    assert lang(automata.boolean("union", a, Nfa.empty(ab))) == lang(a)
-    assert automata.equal(automata.rational("reverse", a), a)
-    assert automata.equal(automata.residual("left", Nfa.word(ab, w("a")),
-                                            compile_regex("a b*", ab)),
+    assert automata.is_empty(automata.difference(a, a))
+    assert automata.subset(a, compile_regex(". | ()", ab)) is False
+    assert automata.equal(a, compile_regex("() | a a*", ab))
+    assert a.accepts(w("aa"))
+    assert lang(automata.union(a, Nfa.empty(ab))) == lang(a)
+    assert automata.equal(automata.reverse(a), a)
+    assert automata.equal(automata.left_residual(Nfa.word(ab, w("a")),
+                                                 compile_regex("a b*", ab)),
                           compile_regex("b*", ab))
 
 
@@ -182,10 +182,10 @@ def test_memoized_canonicalize_equals_uncached(ab, rng):
     for _ in range(60):
         a = random_nfa(rng, ab)
         dfa = automata.canonicalize(a)
-        assert dfa == automata._canonicalize(a)
+        assert dfa == automata.minimize(a)
         assert automata.canonicalize(a) is dfa
         interned = automata.canonical_nfa(a)
-        assert automata._canonicalize(interned) == dfa
+        assert automata.minimize(interned) == dfa
         assert automata.canonicalize(interned) is dfa
 
 
@@ -195,7 +195,7 @@ def test_canonical_nfa_is_identical_iff_languages_equal(ab, rng):
         a = random_nfa(rng, ab)
         others = same_language_rewrites(a, ab) + [random_nfa(rng, ab)]
         for b in others:
-            same = automata._canonicalize(a) == automata._canonicalize(b)
+            same = automata.minimize(a) == automata.minimize(b)
             assert (automata.canonical_nfa(a) is automata.canonical_nfa(b)) == same
             assert (automata.canonicalize(a) is automata.canonicalize(b)) == same
             if same:

@@ -47,7 +47,18 @@ def test_duplicate_alphabet_symbol_exits_2_with_one_line(tmp_path, capsys):
     code = cli.main(["validate", str(bad)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: alphabet symbols must be distinct\n"
+    assert captured.err == "error: %s:1: alphabet symbols must be distinct\n" % bad
+
+
+@pytest.mark.parametrize("name", ["all", "pre"])
+def test_region_named_after_an_operator_exits_2(tmp_path, capsys, name):
+    bad = tmp_path / "bad.lcs"
+    bad.write_text("alphabet: a b\nchannels: c\nlocations: p q\n"
+                   "region %s = (p; a)\nrule p -> q : nop\n" % name)
+    code = cli.main(["eval", str(bad), "-f", "all"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s:4: region name %r is reserved\n" % (bad, name)
 
 
 def test_region_error_exits_2(monkeypatch, capsys):

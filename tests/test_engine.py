@@ -1,6 +1,6 @@
 import pytest
 
-from wsmc import automata, engine, terms
+from wsmc import automata, terms
 from wsmc.automata import Alphabet, Nfa
 from wsmc.engine import (
     EvaluationError, IterationCapError, Limits, UnguardedTermError,
@@ -118,9 +118,9 @@ def test_unfolding_preserves_value():
 
 def test_decide_query():
     alg = word_algebra(V="a")
-    t = parse_term("mu X. V | up(X)", alg)
-    assert engine.decide_query("member", t, alg, element=("b", "a"))
-    assert engine.decide_query("satisfiable", t, alg)
-    assert not engine.decide_query("universal", t, alg)
+    value, _ = evaluate(parse_term("mu X. V | up(X)", alg), {}, alg)
+    assert alg.member(("b", "a"), value)
+    assert not alg.is_empty(value)
+    assert not alg.is_universal(value)
     with pytest.raises(EvaluationError):
-        engine.decide_query("member", parse_term("up(Z)", alg, free_ok=True), alg)
+        evaluate(parse_term("up(Z)", alg, free_ok=True), {}, alg)

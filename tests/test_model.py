@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wsmc import automata
+from wsmc import automata, oracle
 from wsmc.automata import Alphabet, Nfa
 from wsmc.model import (
     LOSSY, PERFECT, GlcsModel, ModelError, Rule, SEND, RECV, INTERNAL,
@@ -65,6 +65,16 @@ def test_parse_model_rejects_duplicate_declarations(lines, lineno, message):
     with pytest.raises(ModelError) as info:
         parse_model(text, name="m.lcs")
     assert str(info.value) == "m.lcs:%d: %s" % (lineno, message)
+
+
+@pytest.mark.parametrize("name", [
+    "empty", "all", "pre", "wpre", "post", "prep", "wprep", "postp",
+    "confA", "confB", "mu", "nu", "up", "down", "kup", "kdown"])
+def test_parse_model_rejects_reserved_region_names(name):
+    text = "alphabet: a\nchannels: c\nlocations: p\nregion %s = (p; a)" % name
+    with pytest.raises(ModelError) as info:
+        parse_model(text, name="m.lcs")
+    assert str(info.value) == "m.lcs:4: region name %r is reserved" % (name,)
 
 
 def test_parse_word_and_config():
@@ -147,19 +157,19 @@ def test_post_examples():
 def test_step_configs():
     model = tiny_model([Rule("p", "q", SEND, "c", "a")])
     sigma = Config("p", ((),))
-    assert model.step_configs(sigma, PERFECT) == [Config("q", (("a",),))]
-    assert set(model.step_configs(sigma, LOSSY)) == {
+    assert oracle.perfect_successors(model, sigma) == [Config("q", (("a",),))]
+    assert oracle.lossy_successors(model, sigma) == {
         Config("q", (("a",),)), Config("q", ((),))}
     blocked = tiny_model([Rule("p", "q", RECV, "c", "a")])
-    assert blocked.step_configs(Config("p", ((),)), PERFECT) == []
+    assert oracle.perfect_successors(blocked, Config("p", ((),))) == []
 
 
 def test_guard_blocks_step():
     guard_model = tiny_model([Rule("p", "q", SEND, "c", "a")])
     guard = atom(guard_model, "p", "b .*")
     model = tiny_model([Rule("p", "q", SEND, "c", "a", guard)])
-    assert model.step_configs(Config("p", ((),)), PERFECT) == []
-    assert model.step_configs(Config("p", (("b",),)), PERFECT) == \
+    assert oracle.perfect_successors(model, Config("p", ((),))) == []
+    assert oracle.perfect_successors(model, Config("p", (("b",),))) == \
         [Config("q", (("b", "a"),))]
 
 
@@ -196,7 +206,9 @@ def test_pre_post_galois_on_explicit_states(rng):
         sample = list(enum_configs(model, 2))
         for mode in (PERFECT, LOSSY):
             for sigma in sample:
-                successors = set(model.step_configs(sigma, mode))
+                successors = (set(oracle.perfect_successors(model, sigma))
+                              if mode == PERFECT
+                              else oracle.lossy_successors(model, sigma))
                 post_sigma = model.post(model.space.config_region(sigma), mode)
                 for rho in sample:
                     fwd = rho in successors

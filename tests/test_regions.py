@@ -8,7 +8,7 @@ from wsmc.automata import Alphabet, Nfa
 from wsmc.regexes import compile_regex
 from wsmc.regions import Config, Region, RegionSpace, Signature
 
-from conftest import random_nfa
+from conftest import random_model, random_nfa, random_region_for
 
 AB = Alphabet(("a", "b"))
 SIG = Signature(AB, ("c", "d"), ("p", "q"))
@@ -53,7 +53,7 @@ def test_full_empty_universal(space):
     assert space.is_empty(space.empty())
     assert space.is_universal(space.full())
     assert not space.is_universal(space.location_region(["p"]))
-    assert space.decide("universal", space.union(
+    assert space.is_universal(space.union(
         space.location_region(["p"]), space.location_region(["q"])))
 
 
@@ -122,9 +122,8 @@ def test_kernel_duality_regions(space, rng):
                            space.down_closure(space.complement(x)))
         assert space.equal(space.complement(space.down_kernel(x)),
                            space.up_closure(space.complement(x)))
-        assert space.equal(space.closure("up", "kernel", x), space.up_kernel(x))
-        assert space.equal(space.closure("down", "closure", x),
-                           space.down_closure(x))
+        assert space.subset(space.up_kernel(x), x)
+        assert space.subset(x, space.down_closure(x))
 
 
 def test_unary_star_upward_closed():
@@ -179,3 +178,63 @@ def test_normalize_is_canonical_on_equal_regions(space, rng):
         x = random_region(rng, space, n_summands=3)
         y = space.union(x, x)
         assert space.normalize(x) == space.normalize(y)
+
+
+def test_equal_regions_have_one_normal_form(space):
+    def region(*atoms):
+        out = space.empty()
+        for patterns in atoms:
+            langs = tuple(compile_regex(p, AB) for p in patterns)
+            out = space.union(out, space.atom("q", langs))
+        return out
+    one = region(("a", "a|b"), ("b", "a"))
+    other = region(("a|b", "a"), ("a", "b"))
+    assert space.normalize(one).summands == space.normalize(other).summands
+
+
+def test_row_and_column_covers_normalize_identically(rng):
+    # R x S + R x ~S + ~R x S, covered by rows and by columns; the other
+    # channels carry one shared language T
+    models = 0
+    while models < 40:
+        model = random_model(rng, max_channels=3)
+        if len(model.channels) < 2:
+            continue
+        models += 1
+        space = model.space
+        sigma = Nfa.universal(model.alphabet)
+        r, s = (random_nfa(rng, model.alphabet, 3) for _ in range(2))
+        not_r, not_s = automata.complement(r), automata.complement(s)
+        rest = tuple(random_nfa(rng, model.alphabet, 3)
+                     for _ in model.channels[2:])
+        loc = rng.choice(model.locations)
+
+        def cover(*rows):
+            out = space.empty()
+            for row in rows:
+                out = space.union(out, space.atom(loc, row + rest))
+            return out
+        by_rows = cover((r, sigma), (not_r, s))
+        by_columns = cover((sigma, s), (r, not_s))
+        x = random_region_for(rng, model)
+        assert space.union(x, by_rows) == space.union(x, by_columns)
+        assert space.equal(by_rows, by_columns)
+
+
+@pytest.mark.parametrize("n_channels", [0, 1, 3])
+def test_complement_is_pointwise_and_normal(rng, n_channels):
+    sig = Signature(AB, tuple("c%d" % i for i in range(n_channels)), ("p", "q"))
+    sp = RegionSpace(sig)
+    ws = words(1)
+    sample = [Config(loc, contents) for loc in sig.locations
+              for contents in itertools.product(ws, repeat=n_channels)]
+    for _ in range(15):
+        x = sp.empty()
+        for _ in range(rng.randint(0, 3)):
+            langs = tuple(random_nfa(rng, AB, 3) for _ in range(n_channels))
+            x = Region(x.summands + sp.atom(rng.choice(sig.locations), langs).summands)
+        comp = sp.complement(x)
+        assert comp == sp.normalize(comp) == RegionSpace(sig).normalize(comp)
+        assert sp.complement(comp) == sp.normalize(x)
+        for sigma in sample:
+            assert sp.member(sigma, comp) != sp.member(sigma, x)
