@@ -7,6 +7,7 @@ qualitative-probabilistic goals into such terms.
 
 from .automata import Alphabet, Nfa, canonical_nfa
 from .engine import AlgebraBinding, EvalStats, Limits, WordAlgebra, evaluate
+from .errors import WsmcError
 from .model import GlcsModel, load_model, parse_model, parse_region_text, region_to_text
 from .regexes import compile_regex, nfa_to_regex
 from .regions import Config, Product, Region, RegionSpace, Signature
@@ -15,6 +16,7 @@ from .terms import parse_term, term_to_text
 __all__ = [
     "Alphabet", "Nfa", "canonical_nfa",
     "AlgebraBinding", "EvalStats", "Limits", "WordAlgebra", "evaluate",
+    "WsmcError",
     "GlcsModel", "load_model", "parse_model", "parse_region_text", "region_to_text",
     "compile_regex", "nfa_to_regex",
     "Config", "Product", "Region", "RegionSpace", "Signature",

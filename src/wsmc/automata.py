@@ -9,14 +9,17 @@ that each distinct NFA is minimized once per process.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
+
+from .errors import WsmcError
 
 Word = Tuple[str, ...]
 
 EPSILON = None  # transition label for epsilon moves
 
 
-class AutomatonError(Exception):
+class AutomatonError(WsmcError):
     pass
 
 
@@ -65,6 +68,15 @@ class Nfa:
                 raise AutomatonError("transition symbol %r not in alphabet" % (a,))
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise AutomatonError("transition endpoint out of range")
+
+    # Intern-table keys are hashed on every lookup: hash the fields once.
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alphabet, self.n_states, self.initial, self.accepting,
+                     self.transitions))
 
     # -- convenience constructors -------------------------------------
 
@@ -150,6 +162,13 @@ class CanonicalDfa:
     n_states: int
     transitions: Tuple[Tuple[int, ...], ...]  # [state][symbol index] -> state
     accepting: Tuple[int, ...]
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alphabet, self.n_states, self.transitions, self.accepting))
 
     def accepts(self, w: Sequence[str]) -> bool:
         state = 0

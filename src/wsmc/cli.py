@@ -13,16 +13,12 @@ import json
 import sys
 
 from . import compilers, engine, oracle, terms
-from .automata import AutomatonError
-from .compilers import CompileError, NonEffectiveGoalError
-from .engine import EvaluationError, IterationCapError, Limits, UnguardedTermError
-from .model import ModelError, load_model, parse_config, parse_region_text, region_to_text
-from .regexes import RegexError
-from .regions import RegionError
-from .terms import TermError
+from .engine import Limits
+from .errors import WsmcError
+from .model import load_model, parse_config, parse_region_text, region_to_text
 
 
-class CliError(Exception):
+class CliError(WsmcError):
     pass
 
 
@@ -227,10 +223,7 @@ def main(argv=None) -> int:
                 "check": _cmd_check, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
-    except (CliError, CompileError, NonEffectiveGoalError, ModelError,
-            AutomatonError, RegionError, RegexError, TermError,
-            EvaluationError, UnguardedTermError, IterationCapError,
-            OSError) as exc:
+    except (WsmcError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -15,12 +15,13 @@ from typing import Optional
 
 from . import terms
 from .engine import Limits, evaluate
+from .errors import WsmcError
 from .model import ConfigAlgebra, GlcsModel
 from .regions import Region
 from .terms import Intersection, Kdown, Mu, Not, Nu, OpApp, Term, Union, Up, Var
 
 
-class CompileError(Exception):
+class CompileError(WsmcError):
     pass
 
 

@@ -16,10 +16,11 @@ from typing import Dict, List, Optional
 
 from . import automata, terms
 from .automata import Alphabet, Nfa
+from .errors import WsmcError
 from .terms import Term
 
 
-class EvaluationError(Exception):
+class EvaluationError(WsmcError):
     pass
 
 

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from . import automata, regexes, terms
 from .automata import Alphabet, AutomatonError, Nfa, Word
 from .engine import AlgebraBinding
+from .errors import WsmcError
 from .regions import Config, Product, Region, RegionSpace, Signature
 
 SEND, RECV, INTERNAL = "send", "recv", "internal"
@@ -25,7 +26,7 @@ RESERVED_NAMES = terms.KEYWORDS | {"pre", "wpre", "post", "prep", "wprep", "post
                                    "confA", "confB"}
 
 
-class ModelError(Exception):
+class ModelError(WsmcError):
     pass
 
 
@@ -56,17 +57,23 @@ class GlcsModel:
         self.signature = Signature(alphabet, channels, locations)
         self.space = RegionSpace(self.signature)
         self.owners = dict(owners)
-        self.rules = tuple(rules)
         self.named_regions = dict(named_regions or {})
-        for rule in self.rules:
+        self._set_rules(rules)
+
+    def _set_rules(self, rules: Tuple[Rule, ...]):
+        """Check and install the rules; this empties the step memo, which
+        maps (operator, mode, normal region) to the operator's result."""
+        for rule in rules:
             for loc in (rule.source, rule.target):
-                if loc not in locations:
+                if loc not in self.locations:
                     raise ModelError("rule endpoint %r is not a location" % (loc,))
             if rule.kind in (SEND, RECV):
-                if rule.channel not in channels:
+                if rule.channel not in self.channels:
                     raise ModelError("rule channel %r not declared" % (rule.channel,))
-                if rule.symbol not in alphabet:
+                if rule.symbol not in self.alphabet:
                     raise ModelError("rule symbol %r not in alphabet" % (rule.symbol,))
+        self.rules = tuple(rules)
+        self._steps: Dict[Tuple[str, str, Region], Region] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -140,11 +147,17 @@ class GlcsModel:
         return self.space.normalize(Region(tuple(summands)))
 
     def pre(self, region: Region, mode: str = LOSSY) -> Region:
-        if mode == LOSSY:
-            return self.pre_perf(self.space.up_closure(region))
-        if mode == PERFECT:
-            return self.pre_perf(region)
-        raise ModelError("unknown step mode %r" % (mode,))
+        """Predecessors, memoized per (mode, normal form of region)."""
+        region = self.space.normalize(region)
+        key = ("pre", mode, region)
+        if key not in self._steps:
+            if mode == LOSSY:
+                self._steps[key] = self.pre_perf(self.space.up_closure(region))
+            elif mode == PERFECT:
+                self._steps[key] = self.pre_perf(region)
+            else:
+                raise ModelError("unknown step mode %r" % (mode,))
+        return self._steps[key]
 
     def wpre(self, region: Region, mode: str = LOSSY) -> Region:
         return self.space.complement(self.pre(self.space.complement(region), mode))
@@ -176,11 +189,17 @@ class GlcsModel:
         return self.space.normalize(Region(tuple(summands)))
 
     def post(self, region: Region, mode: str = LOSSY) -> Region:
-        if mode == LOSSY:
-            return self.space.down_closure(self.post_perf(region))
-        if mode == PERFECT:
-            return self.post_perf(region)
-        raise ModelError("unknown step mode %r" % (mode,))
+        """Successors, memoized per (mode, normal form of region)."""
+        region = self.space.normalize(region)
+        key = ("post", mode, region)
+        if key not in self._steps:
+            if mode == LOSSY:
+                self._steps[key] = self.space.down_closure(self.post_perf(region))
+            elif mode == PERFECT:
+                self._steps[key] = self.post_perf(region)
+            else:
+                raise ModelError("unknown step mode %r" % (mode,))
+        return self._steps[key]
 
     # -- the configuration algebra for the fixpoint engine ---------------
 
@@ -408,8 +427,9 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
             rules.append(_parse_rule(body, model))
         except (ModelError, regexes.RegexError) as exc:
             raise ModelError("%s:%d: %s" % (name, lineno, exc))
-    return GlcsModel(alphabet, channels, tuple(locations), owners,
-                     tuple(rules), model.named_regions)
+    # one model, so the regions normalized while parsing stay in its memo
+    model._set_rules(tuple(rules))
+    return model
 
 
 def _parse_rule(body: str, model: GlcsModel) -> Rule:

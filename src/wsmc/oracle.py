@@ -11,6 +11,7 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .automata import EPSILON, Alphabet, Nfa, Word
+from .errors import WsmcError
 from .model import GlcsModel, INTERNAL, RECV, SEND
 from .regions import Config, Region
 from . import terms
@@ -18,7 +19,7 @@ from . import terms
 MAX_LEN_CAP = 8
 
 
-class OracleError(Exception):
+class OracleError(WsmcError):
     pass
 
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from . import automata
 from .automata import Alphabet, Nfa
+from .errors import WsmcError
 
 
-class RegexError(Exception):
+class RegexError(WsmcError):
     def __init__(self, message, position=None):
         if position is not None:
             message = "%s (at position %d)" % (message, position)

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import automata
 from .automata import Alphabet, CanonicalDfa, Nfa, Word
+from .errors import WsmcError
 
 SEPARATOR = "#"  # fresh symbol for the per-location equality encoding
 
 
-class RegionError(Exception):
+class RegionError(WsmcError):
     pass
 
 
@@ -56,19 +57,35 @@ class Config:
     contents: Tuple[Word, ...]
 
 
+class _RowSet:
+    """The normal form of one location's set of rows: the rows in order,
+    the minimal encoding DFA of their union (None for a set first met as
+    a complement, whose own complement is known), and the complement's
+    _RowSet once asked for."""
+
+    __slots__ = ("rows", "dfa", "complement")
+
+    def __init__(self, rows: Tuple[Row, ...], dfa: Optional[CanonicalDfa]):
+        self.rows = rows
+        self.dfa = dfa
+        self.complement: Optional[_RowSet] = None
+
+
 class RegionSpace:
     """The effective region algebra for one model signature.
 
     Every result is in normal form (see normalize).  Normal forms are
-    memoized per space, keyed on each location's set of rows of interned
-    channel languages; the memo is never evicted.
+    memoized per space, keyed on a location's set of rows of channel
+    languages; the key leaves out the location, since the normal rows do
+    not depend on it.  Each entry keeps its encoding DFA and complement.
+    The memo is never evicted.
     """
 
     def __init__(self, signature: Signature):
         self.signature = signature
         self._sigma_star = automata.canonical_nfa(Nfa.universal(signature.alphabet))
         self._ext_alphabet = signature.alphabet.extend(SEPARATOR)
-        self._normal: Dict[Tuple[str, FrozenSet[Row]], Tuple[Row, ...]] = {}
+        self._normal: Dict[FrozenSet[Row], _RowSet] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -125,19 +142,21 @@ class RegionSpace:
 
     def complement(self, a: Region) -> Region:
         """Per location: flip the accepting states of the encoding DFA and
-        decompose; a location without summands becomes a full product."""
+        decompose (a location without summands has an empty encoding, so
+        it becomes a full product).  Memoized both ways per row set."""
         self._check(a)
         rows = self._rows_by_location(a)
-        out = []
-        for loc in self.signature.locations:
-            if loc not in rows:
-                out.append(self._full_product(loc))
-                continue
-            dfa = self._encoding(rows[loc])
+        return Region(tuple(
+            Product(loc, row) for loc in self.signature.locations
+            for row in self._complement(self._row_set(rows.get(loc, ()))).rows))
+
+    def _complement(self, entry: _RowSet) -> _RowSet:
+        if entry.complement is None:
+            dfa = entry.dfa
             flipped = set(range(dfa.n_states)).difference(dfa.accepting)
-            out.extend(Product(loc, row)
-                       for row in self._remember(loc, self._decompose(dfa, flipped)))
-        return Region(tuple(out))
+            other = self._remember(self._decompose(dfa, flipped), None)
+            entry.complement, other.complement = other, entry
+        return entry.complement
 
     def difference(self, a: Region, b: Region) -> Region:
         return self.intersection(a, self.complement(b))
@@ -201,7 +220,7 @@ class RegionSpace:
         rows = self._rows_by_location(a)
         return Region(tuple(Product(loc, row)
                             for loc in self.signature.locations if loc in rows
-                            for row in self._normal_rows(loc, rows[loc])))
+                            for row in self._row_set(rows[loc]).rows))
 
     def _rows_by_location(self, a: Region) -> Dict[str, List[Row]]:
         rows: Dict[str, List[Row]] = {}
@@ -209,22 +228,23 @@ class RegionSpace:
             rows.setdefault(p.location, []).append(p.channel_langs)
         return rows
 
-    def _normal_rows(self, loc: str, rows: List[Row]) -> Tuple[Row, ...]:
-        normal = self._normal.get((loc, frozenset(rows)))
-        if normal is None:
-            key = (loc, frozenset(tuple(automata.canonical_nfa(lang) for lang in row)
-                                  for row in rows))
-            normal = self._normal.get(key)
-            if normal is None:
-                dfa = self._encoding(key[1])
-                normal = self._normal[key] = self._remember(
-                    loc, self._decompose(dfa, dfa.accepting))
-        return normal
+    def _row_set(self, rows) -> _RowSet:
+        """The memo entry of the normal form of a set of rows."""
+        entry = self._normal.get(frozenset(rows))
+        if entry is None:
+            key = frozenset(tuple(automata.canonical_nfa(lang) for lang in row)
+                            for row in rows)
+            entry = self._normal.get(key)
+            if entry is None:
+                dfa = self._encoding(key)
+                entry = self._normal[key] = self._remember(
+                    self._decompose(dfa, dfa.accepting), dfa)
+        return entry
 
-    def _remember(self, loc: str, rows: List[Row]) -> Tuple[Row, ...]:
+    def _remember(self, rows: List[Row], dfa: Optional[CanonicalDfa]) -> _RowSet:
         """Order normal-form rows and memoize them as their own normal form."""
         rows = tuple(sorted(rows, key=_row_order))
-        return self._normal.setdefault((loc, frozenset(rows)), rows)
+        return self._normal.setdefault(frozenset(rows), _RowSet(rows, dfa))
 
     def _encoding(self, rows) -> CanonicalDfa:
         """Minimal DFA, over the separator-extended alphabet, of the union

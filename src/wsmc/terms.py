@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from .errors import WsmcError
 
-class TermError(Exception):
+
+class TermError(WsmcError):
     pass
 
 

@@ -220,3 +220,35 @@ def test_memoized_subset_agrees_with_difference(ab, rng):
                                    automata.canonical_nfa(y)) == want
             holds += want
     assert holds >= 2 * 60
+
+
+class CountingTuple(tuple):
+    """A tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountingTuple.hashes += 1
+        return tuple.__hash__(self)
+
+
+def test_hash_is_structural_and_computed_once(ab, rng):
+    for _ in range(30):
+        a = random_nfa(rng, ab)
+        copy = Nfa(a.alphabet, a.n_states, frozenset(a.initial), frozenset(a.accepting),
+                   tuple(list(a.transitions)))
+        assert copy == a and copy is not a
+        assert hash(copy) == hash(a) == hash(
+            (a.alphabet, a.n_states, a.initial, a.accepting, a.transitions))
+        d, e = automata.minimize(a), automata.minimize(copy)
+        assert d == e and d is not e
+        assert hash(d) == hash(e) == hash((d.alphabet, d.n_states, d.transitions, d.accepting))
+
+    nfa = Nfa(ab, 2, frozenset([0]), frozenset([1]), CountingTuple(((0, "a", 1),)))
+    dfa = automata.CanonicalDfa(ab, 1, CountingTuple(((0, 0),)), ())
+    CountingTuple.hashes = 0
+    for _ in range(5):
+        hash(nfa)
+        hash(dfa)
+        automata.canonicalize(nfa)
+    assert CountingTuple.hashes == 2

@@ -1,11 +1,16 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import wsmc
 from wsmc import cli
+from wsmc.oracle import OracleError
 from wsmc.regions import RegionError
 
 from conftest import FIXTURE_COMMANDS, fixture_argv, model_path
@@ -68,6 +73,29 @@ def test_region_error_exits_2(monkeypatch, capsys):
     code = cli.main(["validate", "m.lcs"])
     assert code == 2
     assert capsys.readouterr().err == "error: broken m.lcs\n"
+
+
+def test_every_error_class_is_a_wsmc_error():
+    errors = {}
+    for info in pkgutil.iter_modules(wsmc.__path__):
+        module = importlib.import_module("wsmc." + info.name)
+        for name, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, Exception) and obj.__module__.startswith("wsmc."):
+                errors[name] = obj
+    assert {"AutomatonError", "RegexError", "RegionError", "ModelError", "TermError",
+            "CompileError", "EvaluationError", "OracleError", "CliError"} <= set(errors)
+    for name, cls in errors.items():
+        assert issubclass(cls, wsmc.WsmcError), name
+
+
+def test_oracle_error_exits_2(monkeypatch, capsys):
+    def fail(*args):
+        raise OracleError("cap exceeded")
+    monkeypatch.setattr(cli.oracle, "bounded_reach", fail)
+    code = cli.main(["oracle", "reach", model_path("token_game.lcs"),
+                     "--from", "a0 : ", "--target", "GOAL"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cap exceeded\n"
 
 
 def test_eval_unguarded_exits_2(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,9 +9,9 @@ from wsmc.model import (
     LOSSY, PERFECT, GlcsModel, ModelError, Rule, SEND, RECV, INTERNAL,
     parse_config, parse_model, parse_region_text, parse_word, region_to_text)
 from wsmc.regexes import compile_regex
-from wsmc.regions import Config
+from wsmc.regions import Config, RegionSpace
 
-from conftest import random_model, random_region_for
+from conftest import model_path, random_model, random_region_for
 
 AB = Alphabet(("a", "b"))
 
@@ -280,3 +281,43 @@ def test_batched_step_operators_equal_per_rule_fold(rng):
         assert space.equal(model.post(region, PERFECT), post_fold)
         assert space.equal(model.post(region, LOSSY), space.down_closure(post_fold))
     assert guarded >= 10
+
+
+@pytest.mark.parametrize("max_channels", [0, 1, 2, 3])
+def test_memoized_step_operators_equal_fresh_model(max_channels):
+    rng = random.Random(5500 + max_channels)
+    calls = [(op, mode) for op in ("pre", "wpre", "post") for mode in (LOSSY, PERFECT)]
+    for _ in range(8):
+        model = random_model(rng, max_channels=max_channels)
+        regions = [random_region_for(rng, model, 3) for _ in range(3)]
+        for r in regions:  # warm the step memo
+            for op, mode in calls:
+                getattr(model, op)(r, mode)
+        for r in regions:
+            for op, mode in calls:
+                fresh = GlcsModel(model.alphabet, model.channels, model.locations,
+                                  model.owners, model.rules)
+                assert getattr(model, op)(r, mode) == getattr(fresh, op)(r, mode)
+
+
+def test_unknown_step_mode_is_an_error():
+    model = tiny_model([Rule("p", "q", INTERNAL)])
+    for op in (model.pre, model.wpre, model.post):
+        with pytest.raises(ModelError, match="unknown step mode"):
+            op(model.space.full(), "sloppy")
+
+
+def test_parse_model_builds_one_region_space(monkeypatch):
+    signatures = []
+    init = RegionSpace.__init__
+
+    def counting(self, signature):
+        signatures.append(signature)
+        init(self, signature)
+
+    monkeypatch.setattr(RegionSpace, "__init__", counting)
+    for name in ("abp.lcs", "token_game.lcs", "flags.lcs"):
+        signatures.clear()
+        with open(model_path(name), encoding="utf-8") as handle:
+            parse_model(handle.read(), name)
+        assert len(signatures) == 1

@@ -6,7 +6,7 @@ import pytest
 from wsmc import automata, oracle
 from wsmc.automata import Alphabet, Nfa
 from wsmc.regexes import compile_regex
-from wsmc.regions import Config, Region, RegionSpace, Signature
+from wsmc.regions import Config, Product, Region, RegionSpace, Signature
 
 from conftest import random_model, random_nfa, random_region_for
 
@@ -238,3 +238,41 @@ def test_complement_is_pointwise_and_normal(rng, n_channels):
         assert sp.complement(comp) == sp.normalize(x)
         for sigma in sample:
             assert sp.member(sigma, comp) != sp.member(sigma, x)
+
+
+@pytest.mark.parametrize("max_channels", [0, 1, 2, 3])
+def test_memoized_region_operations_equal_fresh_space(max_channels):
+    rng = random.Random(4400 + max_channels)
+    ops = ("complement", "up_kernel", "down_kernel")
+    for _ in range(8):
+        model = random_model(rng, max_channels=max_channels)
+        space = model.space
+        regions = [random_region_for(rng, model, 3) for _ in range(4)]
+        for r in regions:  # warm the memo, complements included
+            for op in ops:
+                getattr(space, op)(getattr(space, op)(r))
+        for r in regions:
+            for op in ops:
+                fresh = RegionSpace(model.signature)
+                assert getattr(space, op)(r) == getattr(fresh, op)(r)
+            assert space.complement(space.complement(r)) == space.normalize(r)
+            fresh = RegionSpace(model.signature)
+            assert fresh.complement(fresh.complement(r)) == fresh.normalize(r)
+
+
+def test_one_row_set_costs_one_minimization(monkeypatch, space):
+    rows = [tuple(automata.canonical_nfa(compile_regex(p, AB)) for p in pair)
+            for pair in (("a*", "b"), ("a*b", "(ab)*"), ("b", "a|b"))]
+    space.complement(space.empty())  # encodes the empty row set
+    minimized = []
+    real = automata.minimize
+    monkeypatch.setattr(automata, "minimize", lambda a: minimized.append(a) or real(a))
+    at = {loc: space.normalize(Region(tuple(Product(loc, row) for row in rows)))
+          for loc in SIG.locations}
+    assert len(minimized) == 1
+    assert ([p.channel_langs for p in at["p"].summands]
+            == [q.channel_langs for q in at["q"].summands])
+    for _ in range(2):  # complement reads the stored encoding, both ways
+        for r in at.values():
+            assert space.complement(space.complement(r)) == r
+    assert len(minimized) == 1
