@@ -316,7 +316,7 @@ def shuffle(a: Nfa, b: Nfa) -> Nfa:
     return Nfa(a.alphabet, a.n_states * nb, initial, accepting, tuple(trans))
 
 
-def _product_pairs(a: Nfa, b: Nfa, forward: bool):
+def _product_pairs(a: Nfa, b: Nfa):
     """Edges of the synchronized product graph of a and b.
 
     Nodes are state pairs; symbol moves are synchronized, epsilon moves
@@ -359,7 +359,7 @@ def _reachable(adj, sources):
 def left_residual(a: Nfa, b: Nfa) -> Nfa:
     """{v | exists u in L(a), uv in L(b)}."""
     _check_same_alphabet(a, b)
-    adj = _product_pairs(a, b, forward=True)
+    adj = _product_pairs(a, b)
     start = [(p, q) for p in a.initial for q in b.initial]
     reach = _reachable(adj, start)
     new_initial = frozenset(q for (p, q) in reach if p in a.accepting)
@@ -371,7 +371,7 @@ def left_residual(a: Nfa, b: Nfa) -> Nfa:
 def right_residual(a: Nfa, b: Nfa) -> Nfa:
     """{u | exists v in L(b), uv in L(a)}."""
     _check_same_alphabet(a, b)
-    adj = _product_pairs(a, b, forward=True)
+    adj = _product_pairs(a, b)
     # co-reachability to accepting pairs: reverse the product graph
     radj = {}
     for src, dsts in adj.items():
@@ -437,11 +437,7 @@ def equal(a: Nfa, b: Nfa) -> bool:
 
 
 def subset(a: Nfa, b: Nfa) -> bool:
-    key = (canonicalize(a), canonicalize(b))
-    result = _SUBSET.get(key)
-    if result is None:
-        result = _SUBSET[key] = is_empty(difference(a, b))
-    return result
+    return is_empty(difference(a, b))
 
 
 # -- determinization, minimization, canonical form ---------------------
@@ -500,10 +496,9 @@ def _determinize(a: Nfa):
 
 
 # Per-process intern tables.  They hold one entry per distinct input
-# NFA, language, or pair of languages seen, and are never evicted.
+# NFA or language seen, and are never evicted.
 _CANONICAL: Dict[Nfa, CanonicalDfa] = {}
 _INTERNED: Dict[CanonicalDfa, Nfa] = {}
-_SUBSET: Dict[Tuple[CanonicalDfa, CanonicalDfa], bool] = {}
 
 
 def canonicalize(a: Nfa) -> CanonicalDfa:

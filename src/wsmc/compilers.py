@@ -64,7 +64,7 @@ class CompiledProperty:
     def run(self, limits: Optional[Limits] = None):
         value, stats = evaluate(self.term, {}, self.algebra, limits)
         if self.negate:
-            value = self.algebra.complement(value)
+            value = self.algebra.space.complement(value)
         return value, stats
 
 
@@ -256,7 +256,7 @@ def compile_game_invariant(model: GlcsModel, player: str, target: Region,
     _require_game(model)
     algebra = algebra or model.algebra()
     dual = compile_game_reach(model, _other(player),
-                              algebra.complement(target), algebra)
+                              algebra.space.complement(target), algebra)
     return CompiledProperty("game-inv", dual.term, algebra, negate=True)
 
 
@@ -287,7 +287,7 @@ def compile_game_persistence(model: GlcsModel, player: str, target: Region,
     _require_game(model)
     algebra = algebra or model.algebra()
     dual = compile_game_buchi(model, _other(player),
-                              algebra.complement(target), algebra)
+                              algebra.space.complement(target), algebra)
     return CompiledProperty("game-persist", dual.term, algebra, negate=True)
 
 
@@ -321,7 +321,7 @@ def compile_asym_invariant_a(model: GlcsModel, target: Region,
                              algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
     _require_game(model)
     algebra = algebra or model.algebra()
-    dual = compile_asym_reach_b(model, algebra.complement(target), algebra)
+    dual = compile_asym_reach_b(model, algebra.space.complement(target), algebra)
     return CompiledProperty("asym-inv-A", dual.term, algebra, negate=True)
 
 
@@ -379,10 +379,10 @@ def compile_prob_game(goal: str, model: GlcsModel, player: str,
                                 algebra)
     if goal == "reach_pos":
         dual = compile_prob_game("invariant_eq1", model, _other(player),
-                                 algebra.complement(target), algebra)
+                                 algebra.space.complement(target), algebra)
         return CompiledProperty("prob-reach-pos", dual.term, algebra, negate=True)
     if goal == "invariant_pos":
         dual = compile_prob_game("reach_eq1", model, _other(player),
-                                 algebra.complement(target), algebra)
+                                 algebra.space.complement(target), algebra)
         return CompiledProperty("prob-inv-pos", dual.term, algebra, negate=True)
     raise CompileError("unknown probabilistic goal %r" % (goal,))

@@ -1,8 +1,10 @@
 """Approximant iteration for guarded fixpoint terms.
 
-The evaluator is generic over an "algebra binding": any value domain
-with boolean operations, the four closure/kernel operators, decidable
-equality, and a table of extra named monotonic operators.  Least
+The evaluator is generic over an "algebra binding": a value space with
+boolean operations, the four closure/kernel operators and decidable
+inclusion and equality, plus a table of named monotonic operators.  Term
+nodes apply the space's operations directly; only named operators, the
+chain and convergence checks and value sizes go through the binding.  Least
 fixpoints iterate upward from the empty value until two successive
 approximants are equal; greatest fixpoints iterate downward from the
 full value.  On guarded terms this always terminates.
@@ -40,17 +42,18 @@ class IterationCapError(EvaluationError):
 
 
 class AlgebraBinding:
-    """Value domain plus named operators; subclasses fill in the methods.
+    """A value space plus named operators, as the engine sees them.
 
-    `operators` maps a name to an (arity, implementation) pair and must
-    contain the nullary "empty" and "all".
+    `space` supplies the values and the lattice operations: `empty`,
+    `full`, `union`, `intersection`, `complement`, `up_closure`,
+    `down_closure`, `up_kernel`, `down_kernel`, `normalize`, `subset`
+    and `equal`.  `operators` maps a name to an (arity, implementation)
+    pair; it starts with the nullary "empty" and "all".
     """
 
-    def __init__(self):
-        self.operators = {
-            "empty": (0, lambda: self.bottom()),
-            "all": (0, lambda: self.top()),
-        }
+    def __init__(self, space):
+        self.space = space
+        self.operators = {"empty": (0, space.empty), "all": (0, space.full)}
 
     def add_operator(self, name, arity, fn):
         self.operators[name] = (arity, fn)
@@ -67,23 +70,35 @@ class AlgebraBinding:
                                   % (name, arity, len(args)))
         return fn(*args)
 
-    # value-domain interface
-    def bottom(self): raise NotImplementedError
-    def top(self): raise NotImplementedError
-    def union(self, a, b): raise NotImplementedError
-    def intersection(self, a, b): raise NotImplementedError
-    def complement(self, a): raise NotImplementedError
-    def up_closure(self, a): raise NotImplementedError
-    def down_closure(self, a): raise NotImplementedError
-    def up_kernel(self, a): raise NotImplementedError
-    def down_kernel(self, a): raise NotImplementedError
-    def equal(self, a, b) -> bool: raise NotImplementedError
-    def subset(self, a, b) -> bool: raise NotImplementedError
-    def is_empty(self, a) -> bool: raise NotImplementedError
-    def is_universal(self, a) -> bool: raise NotImplementedError
-    def member(self, element, a) -> bool: raise NotImplementedError
-    def normalize(self, a): return a
-    def size(self, a) -> int: return 0
+    # the engine's two checks: the monotone chain and convergence
+    def subset(self, a, b) -> bool:
+        return self.space.subset(a, b)
+
+    def equal(self, a, b) -> bool:
+        return self.space.equal(a, b)
+
+    def size(self, a) -> int:
+        return 0
+
+
+class LanguageSpace:
+    """The regular languages over one alphabet, as a value space."""
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+
+    def empty(self): return Nfa.empty(self.alphabet)
+    def full(self): return Nfa.universal(self.alphabet)
+    union = staticmethod(automata.union)
+    intersection = staticmethod(automata.intersection)
+    complement = staticmethod(automata.complement)
+    up_closure = staticmethod(automata.up_closure)
+    down_closure = staticmethod(automata.down_closure)
+    up_kernel = staticmethod(automata.up_kernel)
+    down_kernel = staticmethod(automata.down_kernel)
+    normalize = staticmethod(automata.canonical_nfa)
+    subset = staticmethod(automata.subset)
+    equal = staticmethod(automata.equal)
 
 
 class WordAlgebra(AlgebraBinding):
@@ -94,8 +109,7 @@ class WordAlgebra(AlgebraBinding):
     """
 
     def __init__(self, alphabet: Alphabet, constants: Optional[Dict[str, Nfa]] = None):
-        super().__init__()
-        self.alphabet = alphabet
+        super().__init__(LanguageSpace(alphabet))
         self.add_operator("concat", 2, automata.concat)
         self.add_operator("star", 1, automata.star)
         self.add_operator("reverse", 1, automata.reverse)
@@ -105,21 +119,6 @@ class WordAlgebra(AlgebraBinding):
         for name, lang in (constants or {}).items():
             self.add_operator(name, 0, lambda lang=lang: lang)
 
-    def bottom(self): return Nfa.empty(self.alphabet)
-    def top(self): return Nfa.universal(self.alphabet)
-    def union(self, a, b): return automata.union(a, b)
-    def intersection(self, a, b): return automata.intersection(a, b)
-    def complement(self, a): return automata.complement(a)
-    def up_closure(self, a): return automata.up_closure(a)
-    def down_closure(self, a): return automata.down_closure(a)
-    def up_kernel(self, a): return automata.up_kernel(a)
-    def down_kernel(self, a): return automata.down_kernel(a)
-    def equal(self, a, b): return automata.equal(a, b)
-    def subset(self, a, b): return automata.subset(a, b)
-    def is_empty(self, a): return automata.is_empty(a)
-    def is_universal(self, a): return automata.is_universal(a)
-    def member(self, element, a): return a.accepts(element)
-    def normalize(self, a): return automata.canonical_nfa(a)
     def size(self, a): return a.n_states
 
 
@@ -129,12 +128,11 @@ class Limits:
 
     Without `max_iter`, unguarded terms are refused up front (set
     `require_guarded=False` to run them anyway, e.g. on finite domains).
-    `check_chain` asserts the monotone approximant chain each step.
+    Every step checks that the approximant chain is monotone.
     """
 
     max_iter: Optional[int] = None
     require_guarded: bool = True
-    check_chain: bool = True
 
 
 @dataclass
@@ -164,62 +162,48 @@ def evaluate(t: Term, env, algebra: AlgebraBinding, limits: Optional[Limits] = N
     return value, stats
 
 
+# term node -> the value-space method applied to its children's values
+_SPACE_METHODS = {
+    terms.Union: "union", terms.Intersection: "intersection",
+    terms.Not: "complement", terms.Up: "up_closure", terms.Down: "down_closure",
+    terms.Kup: "up_kernel", terms.Kdown: "down_kernel",
+}
+
+
 def _eval(t, env, algebra, limits, stats):
     if isinstance(t, terms.Var):
         if t.name not in env:
             raise EvaluationError("unknown free variable %r" % (t.name,))
         return env[t.name]
-    if isinstance(t, terms.OpApp):
-        args = [_eval(a, env, algebra, limits, stats) for a in t.args]
-        return _note(algebra.apply(t.op, args), algebra, stats)
-    if isinstance(t, terms.Union):
-        return _note(algebra.union(_eval(t.left, env, algebra, limits, stats),
-                                   _eval(t.right, env, algebra, limits, stats)),
-                     algebra, stats)
-    if isinstance(t, terms.Intersection):
-        return _note(algebra.intersection(_eval(t.left, env, algebra, limits, stats),
-                                          _eval(t.right, env, algebra, limits, stats)),
-                     algebra, stats)
-    if isinstance(t, terms.Not):
-        return _note(algebra.complement(_eval(t.child, env, algebra, limits, stats)),
-                     algebra, stats)
-    if isinstance(t, terms.Up):
-        return _note(algebra.up_closure(_eval(t.child, env, algebra, limits, stats)),
-                     algebra, stats)
-    if isinstance(t, terms.Down):
-        return _note(algebra.down_closure(_eval(t.child, env, algebra, limits, stats)),
-                     algebra, stats)
-    if isinstance(t, terms.Kup):
-        return _note(algebra.up_kernel(_eval(t.child, env, algebra, limits, stats)),
-                     algebra, stats)
-    if isinstance(t, terms.Kdown):
-        return _note(algebra.down_kernel(_eval(t.child, env, algebra, limits, stats)),
-                     algebra, stats)
     if isinstance(t, (terms.Mu, terms.Nu)):
         return _fixpoint(t, env, algebra, limits, stats)
-    raise EvaluationError("unknown term node %r" % (t,))
+    # terms.children rejects any node type it does not know
+    args = [_eval(child, env, algebra, limits, stats) for child in terms.children(t)]
+    if isinstance(t, terms.OpApp):
+        return _note(algebra.apply(t.op, args), algebra, stats)
+    return _note(getattr(algebra.space, _SPACE_METHODS[type(t)])(*args), algebra, stats)
 
 
 def _note(value, algebra, stats):
-    value = algebra.normalize(value)
+    value = algebra.space.normalize(value)
     stats.observe(algebra.size(value))
     return value
 
 
 def _fixpoint(t, env, algebra, limits, stats):
     ascending = isinstance(t, terms.Mu)
-    value = algebra.normalize(algebra.bottom() if ascending else algebra.top())
+    space = algebra.space
+    value = space.normalize(space.empty() if ascending else space.full())
     count = 0
     inner = dict(env)
     while True:
         inner[t.var] = value
         nxt = _eval(t.body, inner, algebra, limits, stats)
         count += 1
-        if limits.check_chain:
-            lo, hi = (value, nxt) if ascending else (nxt, value)
-            if not algebra.subset(lo, hi):
-                raise EvaluationError(
-                    "approximant chain for %r is not monotone" % (t.var,))
+        lo, hi = (value, nxt) if ascending else (nxt, value)
+        if not algebra.subset(lo, hi):
+            raise EvaluationError(
+                "approximant chain for %r is not monotone" % (t.var,))
         if algebra.equal(nxt, value):
             stats.record(t.var, count)
             return value
@@ -227,4 +211,3 @@ def _fixpoint(t, env, algebra, limits, stats):
         if limits.max_iter is not None and count >= limits.max_iter:
             stats.record(t.var, count)
             raise IterationCapError(t.var, limits.max_iter, stats)
-

@@ -9,6 +9,7 @@ contents to arbitrary subwords after each perfect step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -21,9 +22,22 @@ from .regions import Config, Product, Region, RegionSpace, Signature
 SEND, RECV, INTERNAL = "send", "recv", "internal"
 PERFECT, LOSSY = "perfect", "lossy"
 
+# the built-in operators of a model's algebra: name -> (arity, function
+# of the model and the arguments); pre/wpre/post step lossily, their
+# "p" forms perfectly, and confA/confB are the owners' locations
+STEP_OPERATORS = {
+    "pre": (1, lambda m, r: m.pre(r, LOSSY)),
+    "prep": (1, lambda m, r: m.pre(r, PERFECT)),
+    "wpre": (1, lambda m, r: m.wpre(r, LOSSY)),
+    "wprep": (1, lambda m, r: m.wpre(r, PERFECT)),
+    "post": (1, lambda m, r: m.post(r, LOSSY)),
+    "postp": (1, lambda m, r: m.post(r, PERFECT)),
+    "confA": (0, lambda m: m.space.location_region(m.player_locations("A"))),
+    "confB": (0, lambda m: m.space.location_region(m.player_locations("B"))),
+}
+
 # names a formula already gives a meaning to, so no region may take them
-RESERVED_NAMES = terms.KEYWORDS | {"pre", "wpre", "post", "prep", "wprep", "postp",
-                                   "confA", "confB"}
+RESERVED_NAMES = terms.KEYWORDS | set(STEP_OPERATORS)
 
 
 class ModelError(WsmcError):
@@ -208,27 +222,17 @@ class GlcsModel:
 
 
 class ConfigAlgebra(AlgebraBinding):
-    """Region algebra of one model, with the step operators bound.
+    """Region algebra of one model: the operator table over `model.space`.
 
-    Operator names: pre/wpre/post (lossy), prep/wprep/postp (perfect),
-    confA/confB (owner slices), plus the model's named regions and any
-    constants bound by a compiler.
+    Operator names: those of STEP_OPERATORS, plus the model's named
+    regions and any constants bound by a compiler.
     """
 
     def __init__(self, model: GlcsModel):
-        super().__init__()
+        super().__init__(model.space)
         self.model = model
-        self.space = model.space
-        self.add_operator("pre", 1, lambda r: model.pre(r, LOSSY))
-        self.add_operator("prep", 1, lambda r: model.pre(r, PERFECT))
-        self.add_operator("wpre", 1, lambda r: model.wpre(r, LOSSY))
-        self.add_operator("wprep", 1, lambda r: model.wpre(r, PERFECT))
-        self.add_operator("post", 1, lambda r: model.post(r, LOSSY))
-        self.add_operator("postp", 1, lambda r: model.post(r, PERFECT))
-        conf_a = model.space.location_region(model.player_locations("A"))
-        conf_b = model.space.location_region(model.player_locations("B"))
-        self.add_operator("confA", 0, lambda: conf_a)
-        self.add_operator("confB", 0, lambda: conf_b)
+        for name, (arity, fn) in STEP_OPERATORS.items():
+            self.add_operator(name, arity, functools.partial(fn, model))
         for name, region in model.named_regions.items():
             self.add_operator(name, 0, lambda region=region: region)
         self._fresh = 0
@@ -240,22 +244,6 @@ class ConfigAlgebra(AlgebraBinding):
         self.add_operator(name, 0, lambda region=region: region)
         self.constants[name] = region
         return name
-
-    def bottom(self): return self.space.empty()
-    def top(self): return self.space.full()
-    def union(self, a, b): return self.space.union(a, b)
-    def intersection(self, a, b): return self.space.intersection(a, b)
-    def complement(self, a): return self.space.complement(a)
-    def up_closure(self, a): return self.space.up_closure(a)
-    def down_closure(self, a): return self.space.down_closure(a)
-    def up_kernel(self, a): return self.space.up_kernel(a)
-    def down_kernel(self, a): return self.space.down_kernel(a)
-    def equal(self, a, b): return self.space.equal(a, b)
-    def subset(self, a, b): return self.space.subset(a, b)
-    def is_empty(self, a): return self.space.is_empty(a)
-    def is_universal(self, a): return self.space.is_universal(a)
-    def member(self, element, a): return self.space.member(element, a)
-    def normalize(self, a): return self.space.normalize(a)
 
     def size(self, a):
         return sum(lang.n_states for p in a.summands for lang in p.channel_langs)

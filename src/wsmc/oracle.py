@@ -17,6 +17,7 @@ from .regions import Config, Region
 from . import terms
 
 MAX_LEN_CAP = 8
+MAX_LOSSY_SYMBOLS = 16
 
 
 class OracleError(WsmcError):
@@ -245,17 +246,31 @@ def perfect_successors(model: GlcsModel, config: Config) -> List[Config]:
 
 
 def lossy_successors(model: GlcsModel, config: Config) -> Set[Config]:
+    """Every subword combination of every perfect successor; refused when
+    a successor's channels hold more than MAX_LOSSY_SYMBOLS symbols, since
+    a word's distinct subwords grow exponentially with its length."""
     out = set()
     for succ in perfect_successors(model, config):
+        total = sum(len(w) for w in succ.contents)
+        if total > MAX_LOSSY_SYMBOLS:
+            raise OracleError("a successor of %s holds %d channel symbols, over "
+                              "the cap of %d" % (config.location, total,
+                                                 MAX_LOSSY_SYMBOLS))
         channel_subs = [sorted(subwords(w)) for w in succ.contents]
         for combo in itertools.product(*channel_subs) if channel_subs else [()]:
             out.add(Config(succ.location, tuple(combo)))
     return out
 
 
+def _check_depth(depth: int):
+    if depth < 0:
+        raise OracleError("search depth must be nonnegative, got %d" % depth)
+
+
 def bounded_reach(model: GlcsModel, start: Config, target: Region,
                   depth: int) -> str:
     """BFS over lossy steps; "reachable" is definitive, "unknown" is not."""
+    _check_depth(depth)
     frontier = {start}
     seen = {start}
     for _ in range(depth + 1):
@@ -280,6 +295,7 @@ def bounded_game(model: GlcsModel, start: Config, target: Region,
     backward induction; otherwise only a forced win for the reaching
     player within the bound is reported, anything else is "unknown".
     """
+    _check_depth(depth)
     avoider = "B" if reacher == "A" else "A"
     seen = {start}
     frontier = {start}

@@ -215,7 +215,7 @@ def test_memoized_subset_agrees_with_difference(ab, rng):
                      (automata.intersection(a, b), b)):
             want = automata.is_empty(automata.difference(x, y))
             assert automata.subset(x, y) == want
-            assert automata.subset(x, y) == want  # second call hits the memo
+            assert automata.subset(x, y) == want  # a second call agrees
             assert automata.subset(automata.canonical_nfa(x),
                                    automata.canonical_nfa(y)) == want
             holds += want

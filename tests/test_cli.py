@@ -98,6 +98,26 @@ def test_oracle_error_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: cap exceeded\n"
 
 
+def test_oracle_refuses_long_channel_words(capsys):
+    # 40 alternating symbols have hundreds of millions of distinct subwords
+    word = " ".join(["t", "n"] * 20)
+    code = cli.main(["oracle", "reach", model_path("token_game.lcs"),
+                     "--from", "a0 : " + word, "--target", "GOAL"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "cap of 16" in captured.err
+
+
+@pytest.mark.parametrize("search", ["reach", "game"])
+def test_oracle_refuses_negative_depth(capsys, search):
+    code = cli.main(["oracle", search, model_path("token_game.lcs"),
+                     "--from", "a0 : t", "--target", "GOAL", "--depth=-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: search depth must be nonnegative, got -1\n"
+
+
 def test_eval_unguarded_exits_2(capsys):
     code = cli.main(["eval", model_path("flags.lcs"), "-f", "mu X. X"])
     err = capsys.readouterr().err

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
-from wsmc import automata, terms
+from wsmc import automata, oracle, terms
 from wsmc.automata import Alphabet, Nfa
 from wsmc.engine import (
-    EvaluationError, IterationCapError, Limits, UnguardedTermError,
-    WordAlgebra, evaluate)
+    AlgebraBinding, EvaluationError, IterationCapError, Limits,
+    UnguardedTermError, WordAlgebra, evaluate)
 from wsmc.regexes import compile_regex
 from wsmc.terms import (
-    Down, Intersection, Kup, Mu, Nu, OpApp, Union, Up, Var, is_guarded,
-    parse_term, unfold)
+    Down, Intersection, Kdown, Kup, Mu, Not, Nu, OpApp, Union, Up, Var,
+    is_guarded, parse_term, unfold)
+
+from conftest import random_model, random_region_for
 
 AB = Alphabet(("a", "b"))
 
@@ -119,8 +123,116 @@ def test_unfolding_preserves_value():
 def test_decide_query():
     alg = word_algebra(V="a")
     value, _ = evaluate(parse_term("mu X. V | up(X)", alg), {}, alg)
-    assert alg.member(("b", "a"), value)
-    assert not alg.is_empty(value)
-    assert not alg.is_universal(value)
+    assert value.accepts(("b", "a"))
+    assert not automata.is_empty(value)
+    assert not automata.is_universal(value)
     with pytest.raises(EvaluationError):
         evaluate(parse_term("up(Z)", alg, free_ok=True), {}, alg)
+
+
+class LocationSets:
+    """Sets of locations of a channel-free model, with only the methods
+    the engine calls; every closure and kernel is the identity."""
+
+    def __init__(self, locations):
+        self.locations = frozenset(locations)
+
+    def empty(self): return frozenset()
+    def full(self): return self.locations
+    def union(self, a, b): return a | b
+    def intersection(self, a, b): return a & b
+    def complement(self, a): return self.locations - a
+    def up_closure(self, a): return a
+    def down_closure(self, a): return a
+    def up_kernel(self, a): return a
+    def down_kernel(self, a): return a
+    def normalize(self, a): return a
+    def subset(self, a, b): return a <= b
+    def equal(self, a, b): return a == b
+
+
+def location_set_algebra(model):
+    """The binding of an unguarded, channel-free model over LocationSets."""
+    space = LocationSets(model.locations)
+    edges = [(rule.source, rule.target) for rule in model.rules]
+
+    def pre(s):
+        return frozenset(p for (p, q) in edges if q in s)
+
+    def post(s):
+        return frozenset(q for (p, q) in edges if p in s)
+
+    def wpre(s):
+        return space.complement(pre(space.complement(s)))
+
+    algebra = AlgebraBinding(space)
+    for names, fn in ((("pre", "prep"), pre), (("post", "postp"), post),
+                      (("wpre", "wprep"), wpre)):
+        for name in names:
+            algebra.add_operator(name, 1, fn)
+    for player in ("A", "B"):
+        algebra.add_operator("conf" + player, 0,
+                             lambda locs=frozenset(model.player_locations(player)): locs)
+    for name, region in model.named_regions.items():
+        algebra.add_operator(name, 0, lambda region=region: frozenset(
+            p.location for p in region.summands))
+    return algebra
+
+
+def random_location_term(rng, depth, scope):
+    """A closed term once every scope variable is bound; bound variables
+    never sit under a complement."""
+    if depth <= 0 or rng.random() < 0.2:
+        leaves = ["R0", "R1", "confA", "empty", "all"] + ["var"] * (2 * len(scope))
+        pick = rng.choice(leaves)
+        return Var(rng.choice(scope)) if pick == "var" else OpApp(pick)
+    pick = rng.choice(["union", "inter", "not", "step", "closure", "mu", "nu"])
+    if pick == "union":
+        return Union(random_location_term(rng, depth - 1, scope),
+                     random_location_term(rng, depth - 1, scope))
+    if pick == "inter":
+        return Intersection(random_location_term(rng, depth - 1, scope),
+                            random_location_term(rng, depth - 1, scope))
+    if pick == "not":
+        return Not(random_location_term(rng, depth - 1, []))
+    if pick == "step":
+        op = rng.choice(["pre", "prep", "wpre", "wprep", "post", "postp"])
+        return OpApp(op, (random_location_term(rng, depth - 1, scope),))
+    if pick == "closure":
+        return rng.choice([Up, Down, Kup, Kdown])(
+            random_location_term(rng, depth - 1, scope))
+    var = "V%d" % len(scope)
+    body = random_location_term(rng, depth - 1, scope + [var])
+    return (Mu if pick == "mu" else Nu)(var, body)
+
+
+GUARDED_LOCATION_TERMS = (
+    "mu X. R0 | pre(up(X))",
+    "nu X. R1 & wpre(kdown(X))",
+    "nu X. R1 & (wpre(kdown(X)) | R0)",
+    "nu Y. mu X. (R0 & pre(up(kdown(Y)))) | pre(up(X))",
+    "mu X. R0 | (confA & pre(up(X))) | (confB & wpre(kup(X)))",
+    "mu X. !R0 | (R1 & postp(up(X)))",
+)
+
+
+def test_engine_over_a_minimal_value_space_matches_finite_mc():
+    rng = random.Random(509)
+    checked = 0
+    for _ in range(60):
+        model = random_model(rng, max_channels=0, game=True, with_guards=False)
+        model.named_regions["R0"] = random_region_for(rng, model)
+        model.named_regions["R1"] = random_region_for(rng, model)
+        algebra = location_set_algebra(model)
+        for text in GUARDED_LOCATION_TERMS:
+            t = parse_term(text, algebra)
+            assert is_guarded(t)
+            value, _ = evaluate(t, {}, algebra)
+            assert value == oracle.finite_mc(model, t), text
+            checked += 1
+        for _ in range(5):
+            t = random_location_term(rng, 4, [])
+            value, _ = evaluate(t, {}, algebra, Limits(require_guarded=False))
+            assert value == oracle.finite_mc(model, t), terms.term_to_text(t)
+            checked += 1
+    assert checked == 60 * (len(GUARDED_LOCATION_TERMS) + 5)
