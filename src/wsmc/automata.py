@@ -69,6 +69,16 @@ class Nfa:
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise AutomatonError("transition endpoint out of range")
 
+    @classmethod
+    def derived(cls, alphabet: Alphabet, n_states: int, initial: frozenset,
+                accepting: frozenset, transitions) -> "Nfa":
+        """An Nfa built from automata that are already valid, so it is
+        not checked again."""
+        nfa = object.__new__(cls)
+        nfa.__dict__.update(alphabet=alphabet, n_states=n_states, initial=initial,
+                            accepting=accepting, transitions=transitions)
+        return nfa
+
     # Intern-table keys are hashed on every lookup: hash the fields once.
     def __hash__(self):
         return self._hash
@@ -118,35 +128,9 @@ class Nfa:
 
     # -- basic queries -------------------------------------------------
 
-    def eps_closure(self, states: Iterable[int]) -> frozenset:
-        closure = set(states)
-        stack = list(closure)
-        eps_edges = {}
-        for (p, a, q) in self.transitions:
-            if a is EPSILON:
-                eps_edges.setdefault(p, []).append(q)
-        while stack:
-            p = stack.pop()
-            for q in eps_edges.get(p, ()):
-                if q not in closure:
-                    closure.add(q)
-                    stack.append(q)
-        return frozenset(closure)
-
-    def step(self, states: Iterable[int], sym: str) -> frozenset:
-        out = set()
-        for (p, a, q) in self.transitions:
-            if a == sym and p in states:
-                out.add(q)
-        return self.eps_closure(out)
-
     def accepts(self, w: Sequence[str]) -> bool:
-        current = self.eps_closure(self.initial)
-        for sym in w:
-            current = self.step(current, sym)
-            if not current:
-                return False
-        return bool(current & self.accepting)
+        """Run w on the canonical DFA; a symbol outside the alphabet rejects."""
+        return all(sym in self.alphabet for sym in w) and canonicalize(self).accepts(w)
 
 
 @dataclass(frozen=True)
@@ -181,8 +165,8 @@ class CanonicalDfa:
         for p, row in enumerate(self.transitions):
             for i, q in enumerate(row):
                 trans.append((p, self.alphabet.symbols[i], q))
-        return Nfa(self.alphabet, self.n_states, frozenset([0]),
-                   frozenset(self.accepting), tuple(trans))
+        return Nfa.derived(self.alphabet, self.n_states, frozenset([0]),
+                           frozenset(self.accepting), tuple(trans))
 
 
 def _check_same_alphabet(a: Nfa, b: Nfa):
@@ -200,10 +184,10 @@ def union(a: Nfa, b: Nfa) -> Nfa:
     _check_same_alphabet(a, b)
     off = a.n_states
     trans = list(a.transitions) + _shift(b, off)
-    return Nfa(a.alphabet, a.n_states + b.n_states,
-               a.initial | frozenset(q + off for q in b.initial),
-               a.accepting | frozenset(q + off for q in b.accepting),
-               tuple(trans))
+    return Nfa.derived(a.alphabet, a.n_states + b.n_states,
+                       a.initial | frozenset(q + off for q in b.initial),
+                       a.accepting | frozenset(q + off for q in b.accepting),
+                       tuple(trans))
 
 
 def intersection(a: Nfa, b: Nfa) -> Nfa:
@@ -253,7 +237,7 @@ def intersection(a: Nfa, b: Nfa) -> Nfa:
     accepting = frozenset(i for ((p, q), i) in pairs.items()
                           if p in a.accepting and q in b.accepting)
     n = max(len(pairs), 1)
-    return Nfa(a.alphabet, n, frozenset(initial), accepting, tuple(trans))
+    return Nfa.derived(a.alphabet, n, frozenset(initial), accepting, tuple(trans))
 
 
 def complement(a: Nfa) -> Nfa:
@@ -276,8 +260,8 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
     for p in sorted(a.accepting):
         for q in sorted(b.initial):
             trans.append((p, EPSILON, q + off))
-    return Nfa(a.alphabet, a.n_states + b.n_states, a.initial,
-               frozenset(q + off for q in b.accepting), tuple(trans))
+    return Nfa.derived(a.alphabet, a.n_states + b.n_states, a.initial,
+                       frozenset(q + off for q in b.accepting), tuple(trans))
 
 
 def star(a: Nfa) -> Nfa:
@@ -287,13 +271,13 @@ def star(a: Nfa) -> Nfa:
         trans.append((hub, EPSILON, q))
     for q in sorted(a.accepting):
         trans.append((q, EPSILON, hub))
-    return Nfa(a.alphabet, a.n_states + 1, frozenset([hub]),
-               frozenset([hub]), tuple(trans))
+    return Nfa.derived(a.alphabet, a.n_states + 1, frozenset([hub]),
+                       frozenset([hub]), tuple(trans))
 
 
 def reverse(a: Nfa) -> Nfa:
     trans = tuple((q, x, p) for (p, x, q) in a.transitions)
-    return Nfa(a.alphabet, a.n_states, a.accepting, a.initial, trans)
+    return Nfa.derived(a.alphabet, a.n_states, a.accepting, a.initial, trans)
 
 
 def shuffle(a: Nfa, b: Nfa) -> Nfa:
@@ -313,7 +297,7 @@ def shuffle(a: Nfa, b: Nfa) -> Nfa:
             trans.append((pid(p, q), x, pid(p, q2)))
     initial = frozenset(pid(p, q) for p in a.initial for q in b.initial)
     accepting = frozenset(pid(p, q) for p in a.accepting for q in b.accepting)
-    return Nfa(a.alphabet, a.n_states * nb, initial, accepting, tuple(trans))
+    return Nfa.derived(a.alphabet, a.n_states * nb, initial, accepting, tuple(trans))
 
 
 def _product_pairs(a: Nfa, b: Nfa):
@@ -365,23 +349,12 @@ def left_residual(a: Nfa, b: Nfa) -> Nfa:
     new_initial = frozenset(q for (p, q) in reach if p in a.accepting)
     if not new_initial:
         return Nfa.empty(a.alphabet)
-    return Nfa(b.alphabet, b.n_states, new_initial, b.accepting, b.transitions)
+    return Nfa.derived(b.alphabet, b.n_states, new_initial, b.accepting, b.transitions)
 
 
 def right_residual(a: Nfa, b: Nfa) -> Nfa:
-    """{u | exists v in L(b), uv in L(a)}."""
-    _check_same_alphabet(a, b)
-    adj = _product_pairs(a, b)
-    # co-reachability to accepting pairs: reverse the product graph
-    radj = {}
-    for src, dsts in adj.items():
-        for dst in dsts:
-            radj.setdefault(dst, set()).add(src)
-    goals = [(p, q) for p in a.accepting for q in b.accepting]
-    coreach = _reachable(radj, goals)
-    b_starts = b.eps_closure(b.initial)
-    new_accepting = frozenset(p for (p, q) in coreach if q in b_starts)
-    return Nfa(a.alphabet, a.n_states, a.initial, new_accepting, a.transitions)
+    """{u | exists v in L(b), uv in L(a)}: the mirror of left_residual."""
+    return reverse(left_residual(reverse(b), reverse(a)))
 
 
 # -- subword closures and kernels --------------------------------------
@@ -389,15 +362,15 @@ def right_residual(a: Nfa, b: Nfa) -> Nfa:
 def up_closure(a: Nfa) -> Nfa:
     """Superwords under the scattered-subword order: self-loop every symbol."""
     loops = tuple((q, sym, q) for q in range(a.n_states) for sym in a.alphabet.symbols)
-    return Nfa(a.alphabet, a.n_states, a.initial, a.accepting,
-               a.transitions + loops)
+    return Nfa.derived(a.alphabet, a.n_states, a.initial, a.accepting,
+                       a.transitions + loops)
 
 
 def down_closure(a: Nfa) -> Nfa:
     """Subwords: every symbol transition also becomes an epsilon move."""
     skips = tuple((p, EPSILON, q) for (p, x, q) in a.transitions if x is not EPSILON)
-    return Nfa(a.alphabet, a.n_states, a.initial, a.accepting,
-               a.transitions + skips)
+    return Nfa.derived(a.alphabet, a.n_states, a.initial, a.accepting,
+                       a.transitions + skips)
 
 
 def up_kernel(a: Nfa) -> Nfa:
@@ -413,18 +386,10 @@ def down_kernel(a: Nfa) -> Nfa:
 # -- decisions ---------------------------------------------------------
 
 def is_empty(a: Nfa) -> bool:
-    reach = a.eps_closure(a.initial)
-    stack = sorted(reach)
-    seen = set(reach)
-    while stack:
-        p = stack.pop()
-        if p in a.accepting:
-            return False
-        for (src, x, q) in a.transitions:
-            if src == p and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return not (seen & set(a.accepting))
+    adj = {}
+    for (p, _, q) in a.transitions:
+        adj.setdefault(p, []).append(q)
+    return not (_reachable(adj, a.initial) & a.accepting)
 
 
 def is_universal(a: Nfa) -> bool:
@@ -448,7 +413,8 @@ def _determinize(a: Nfa):
     The result is complete (the empty subset is the dead state) and its
     state order follows breadth-first discovery in alphabet order, which
     keeps everything downstream deterministic.  The epsilon closure of
-    every single-state move is computed once, before the construction.
+    every single-state move is computed once, before the construction,
+    so a subset of one state takes its row of moves as it is.
     """
     syms = a.alphabet.symbols
     index = {sym: i for i, sym in enumerate(syms)}
@@ -459,39 +425,42 @@ def _determinize(a: Nfa):
             eps[p].append(q)
         else:
             succ[p][index[x]].append(q)
-    closure = []
-    for q in range(a.n_states):
-        seen = {q}
-        stack = [q]
-        while stack:
-            for r in eps[stack.pop()]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        closure.append(frozenset(seen))
-    moves = [[frozenset().union(*[closure[r] for r in targets]) for targets in row]
-             for row in succ]
-
-    start = frozenset().union(*[closure[q] for q in a.initial])
+    moves = [[frozenset(targets) for targets in row] for row in succ]
+    start = frozenset(a.initial)
+    if any(eps):
+        closure = []
+        for q in range(a.n_states):
+            seen = {q}
+            stack = [q]
+            while stack:
+                for r in eps[stack.pop()]:
+                    if r not in seen:
+                        seen.add(r)
+                        stack.append(r)
+            closure.append(frozenset(seen))
+        moves = [[frozenset().union(*[closure[r] for r in targets]) for targets in row]
+                 for row in moves]
+        start = frozenset().union(*[closure[q] for q in start])
     ids = {start: 0}
     order = [start]
     table = []
     accepting = set()
-    i = 0
-    while i < len(order):
-        subset_state = order[i]
+    for i, subset_state in enumerate(order):
         if subset_state & a.accepting:
             accepting.add(i)
+        if len(subset_state) == 1:
+            targets = moves[next(iter(subset_state))]
+        else:
+            members = [moves[q] for q in subset_state]
+            targets = [frozenset().union(*[m[k] for m in members])
+                       for k in range(len(syms))]
         row = []
-        members = [moves[q] for q in subset_state]
-        for k in range(len(syms)):
-            tgt = frozenset().union(*[m[k] for m in members])
+        for tgt in targets:
             if tgt not in ids:
                 ids[tgt] = len(order)
                 order.append(tgt)
             row.append(ids[tgt])
         table.append(tuple(row))
-        i += 1
     return table, accepting
 
 

@@ -22,8 +22,22 @@ class CliError(WsmcError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as one CliError line."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _iteration_cap(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "expected an integer of at least 1, got %r" % (text,))
+    return int(text)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wsmc",
         description="Symbolic verification of lossy channel systems via "
                     "guarded fixpoint evaluation over regular regions.")
@@ -37,7 +51,7 @@ def _build_parser():
     group = p_eval.add_mutually_exclusive_group(required=True)
     group.add_argument("-f", "--formula", help="formula text")
     group.add_argument("-F", "--formula-file", help="file containing the formula")
-    p_eval.add_argument("--max-iter", type=int, default=None,
+    p_eval.add_argument("--max-iter", type=_iteration_cap, default=None,
                         help="allow unguarded terms up to this many iterations "
                              "per binder")
     p_eval.add_argument("--stats", action="store_true")
@@ -52,7 +66,7 @@ def _build_parser():
     p_check.add_argument("--player", choices=["A", "B"], default="A")
     p_check.add_argument("--formula", help="CTL formula (ctl property)")
     p_check.add_argument("--member", help='configuration "loc : w1, w2, ..."')
-    p_check.add_argument("--max-iter", type=int, default=None)
+    p_check.add_argument("--max-iter", type=_iteration_cap, default=None)
     p_check.add_argument("--json", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="brute-force debug oracles")
@@ -115,7 +129,7 @@ PROPERTIES = {
 }
 
 
-def _region_sizes(region, model):
+def _region_sizes(region):
     parts = []
     for p in region.summands:
         sizes = ",".join(str(lang.n_states) for lang in p.channel_langs)
@@ -137,7 +151,7 @@ def _emit_region(region, model, args, stats=None):
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
-        print("sizes: %s" % _region_sizes(model.space.normalize(region), model))
+        print("sizes: %s" % _region_sizes(region))
         if stats is not None and getattr(args, "stats", False):
             for binder in sorted(stats.iterations):
                 counts = ",".join(str(c) for c in stats.iterations[binder])
@@ -217,11 +231,10 @@ def _cmd_oracle(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"validate": _cmd_validate, "eval": _cmd_eval,
                 "check": _cmd_check, "oracle": _cmd_oracle}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (WsmcError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

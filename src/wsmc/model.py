@@ -17,7 +17,7 @@ from . import automata, regexes, terms
 from .automata import Alphabet, AutomatonError, Nfa, Word
 from .engine import AlgebraBinding
 from .errors import WsmcError
-from .regions import Config, Product, Region, RegionSpace, Signature
+from .regions import Config, Region, RegionSpace, Signature
 
 SEND, RECV, INTERNAL = "send", "recv", "internal"
 PERFECT, LOSSY = "perfect", "lossy"
@@ -76,7 +76,8 @@ class GlcsModel:
 
     def _set_rules(self, rules: Tuple[Rule, ...]):
         """Check and install the rules; this empties the step memo, which
-        maps (operator, mode, normal region) to the operator's result."""
+        maps (operator, mode, location, slice encoding) to the operator's
+        result from that slice."""
         for rule in rules:
             for loc in (rule.source, rule.target):
                 if loc not in self.locations:
@@ -87,7 +88,7 @@ class GlcsModel:
                 if rule.symbol not in self.alphabet:
                     raise ModelError("rule symbol %r not in alphabet" % (rule.symbol,))
         self.rules = tuple(rules)
-        self._steps: Dict[Tuple[str, str, Region], Region] = {}
+        self._steps: Dict[Tuple[str, str, str, Nfa], Region] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -134,86 +135,121 @@ class GlcsModel:
     # -- symbolic step operators ----------------------------------------
 
     def pre_perf_rule(self, rule: Rule, region: Region) -> Region:
-        """Weakest perfect-step predecessor through one rule, not normalized."""
-        out = []
-        for p in region.summands:
-            if p.location != rule.target:
-                continue
-            langs = list(p.channel_langs)
-            if rule.kind != INTERNAL:
-                i = self.channels.index(rule.channel)
-                m = Nfa.symbol(self.alphabet, rule.symbol)
-                if rule.kind == RECV:
-                    langs[i] = automata.concat(m, langs[i])
-                else:
-                    langs[i] = automata.right_residual(langs[i], m)
-            out.append(Product(rule.source, tuple(langs)))
-        result = Region(tuple(out))
-        if rule.guard is not None:
-            result = self.space.meet(rule.guard, result)
-        return result
+        """Weakest perfect-step predecessor through one rule: the slice at
+        the rule's target with the rule's channel block edited (a receive
+        prepends its symbol, a send drops it from the end), met with the
+        guard."""
+        enc = dict(region.slices).get(rule.target)
+        if enc is None:
+            return self.space.empty()
+        enc = self._edit(enc, rule, {RECV: "prepend", SEND: "curtail"})
+        step = self.space.from_encodings({rule.source: enc})
+        return step if rule.guard is None else self.space.intersection(rule.guard, step)
 
     def pre_perf(self, region: Region) -> Region:
-        """Union over all rules, normalized once."""
-        summands = []
-        for rule in self.rules:
-            summands.extend(self.pre_perf_rule(rule, region).summands)
-        return self.space.normalize(Region(tuple(summands)))
+        """Union over the rules into the locations of region."""
+        locs = {loc for loc, _ in region.slices}
+        return self.space.union(*[self.pre_perf_rule(rule, region)
+                                  for rule in self.rules if rule.target in locs])
 
     def pre(self, region: Region, mode: str = LOSSY) -> Region:
-        """Predecessors, memoized per (mode, normal form of region)."""
-        region = self.space.normalize(region)
-        key = ("pre", mode, region)
-        if key not in self._steps:
-            if mode == LOSSY:
-                self._steps[key] = self.pre_perf(self.space.up_closure(region))
-            elif mode == PERFECT:
-                self._steps[key] = self.pre_perf(region)
-            else:
-                raise ModelError("unknown step mode %r" % (mode,))
-        return self._steps[key]
+        """Predecessors, from each location's slice of region (see _step)."""
+        return self._step("pre", mode, region)
 
     def wpre(self, region: Region, mode: str = LOSSY) -> Region:
         return self.space.complement(self.pre(self.space.complement(region), mode))
 
     def post_perf_rule(self, rule: Rule, region: Region) -> Region:
-        """Strongest perfect-step successor through one rule, not normalized."""
+        """Strongest perfect-step successor through one rule: the slice at
+        the rule's source met with the guard, with the rule's channel
+        block edited (a send appends its symbol, a receive drops it from
+        the start)."""
         if rule.guard is not None:
-            region = self.space.meet(rule.guard, region)
-        out = []
-        for p in region.summands:
-            if p.location != rule.source:
-                continue
-            langs = list(p.channel_langs)
-            if rule.kind != INTERNAL:
-                i = self.channels.index(rule.channel)
-                m = Nfa.symbol(self.alphabet, rule.symbol)
-                if rule.kind == SEND:
-                    langs[i] = automata.concat(langs[i], m)
-                else:
-                    langs[i] = automata.left_residual(m, langs[i])
-            out.append(Product(rule.target, tuple(langs)))
-        return Region(tuple(out))
+            region = self.space.intersection(rule.guard, region)
+        enc = dict(region.slices).get(rule.source)
+        if enc is None:
+            return self.space.empty()
+        enc = self._edit(enc, rule, {SEND: "append", RECV: "behead"})
+        return self.space.from_encodings({rule.target: enc})
 
     def post_perf(self, region: Region) -> Region:
-        """Union over all rules, normalized once."""
-        summands = []
-        for rule in self.rules:
-            summands.extend(self.post_perf_rule(rule, region).summands)
-        return self.space.normalize(Region(tuple(summands)))
+        """Union over the rules out of the locations of region."""
+        locs = {loc for loc, _ in region.slices}
+        return self.space.union(*[self.post_perf_rule(rule, region)
+                                  for rule in self.rules if rule.source in locs])
 
     def post(self, region: Region, mode: str = LOSSY) -> Region:
-        """Successors, memoized per (mode, normal form of region)."""
-        region = self.space.normalize(region)
-        key = ("post", mode, region)
-        if key not in self._steps:
-            if mode == LOSSY:
-                self._steps[key] = self.space.down_closure(self.post_perf(region))
-            elif mode == PERFECT:
-                self._steps[key] = self.post_perf(region)
+        """Successors, from each location's slice of region (see _step)."""
+        return self._step("post", mode, region)
+
+    def _step(self, op: str, mode: str, region: Region) -> Region:
+        """The union over locations q of op's step from region's slice at
+        q, memoized per (op, mode, q, slice).  A lossy pre steps from the
+        slice's upward closure and a lossy post closes its result
+        downward: both closures work location by location."""
+        if mode not in (LOSSY, PERFECT):
+            raise ModelError("unknown step mode %r" % (mode,))
+        space, parts = self.space, []
+        for loc, enc in space.normalize(region).slices:
+            key = (op, mode, loc, enc)
+            if key not in self._steps:
+                local = Region(self.signature, ((loc, enc),))
+                if op == "post":
+                    step = self.post_perf(local)
+                    self._steps[key] = space.down_closure(step) if mode == LOSSY else step
+                else:
+                    self._steps[key] = self.pre_perf(
+                        space.up_closure(local) if mode == LOSSY else local)
+            parts.append(self._steps[key])
+        return space.union(*parts)
+
+    def _edit(self, enc: Nfa, rule: Rule, edits: Dict[str, str]) -> Nfa:
+        """The encoding enc with the rule's channel block edited by the
+        rule's symbol m, as edits maps the rule's kind: "prepend" m,
+        "behead" (drop a leading m), "append" m or "curtail" (drop a
+        trailing m); other kinds leave enc as it is.
+
+        On the minimal DFA of enc, each live state lies in one block: the
+        number of separators read to reach it.  Entering at the initial
+        state counts as a separator move from START in block -1, and
+        accepting as one to END in block c, so every block starts and
+        ends at separator moves.  The dead state stays dead.
+        """
+        edit = edits.get(rule.kind)
+        if edit is None:
+            return enc
+        dfa = automata.canonicalize(enc)
+        table, symbols, n = dfa.transitions, dfa.alphabet.symbols, dfa.n_states
+        sep, m = len(symbols) - 1, dfa.alphabet.index(rule.symbol)
+        i, START, END = self.channels.index(rule.channel), -1, -2
+        block, stack = {START: -1, END: len(self.channels), 0: 0}, [0]
+        while stack:
+            p = stack.pop()
+            for x, t in enumerate(table[p]):
+                if t not in block:
+                    block[t] = block[p] + (x == sep)
+                    stack.append(t)
+        moves = [(p, x, t) for p in range(n) for x, t in enumerate(table[p][:sep])]
+        seps = {p: row[sep] for p, row in enumerate(table)}
+        seps.update((p, END) for p in dfa.accepting)  # their separators are dead
+        seps[START] = 0
+        before = dict(seps)
+        for p in [p for p in before if block[p] == i - (edit in ("prepend", "behead"))]:
+            if edit == "prepend":  # separator moves into block i
+                moves.append((n, m, seps[p]))
+                seps[p], n = n, n + 1
+            elif edit == "behead":
+                seps[p] = table[seps[p]][m]
+            elif edit == "append":  # separator moves out of block i
+                moves.append((p, m, n))
+                seps[n], n = seps.pop(p), n + 1
             else:
-                raise ModelError("unknown step mode %r" % (mode,))
-        return self._steps[key]
+                seps[p] = before[table[p][m]]
+        trans = [(p, symbols[x], t) for (p, x, t) in moves]
+        trans.extend((p, symbols[sep], t) for p, t in seps.items() if p >= 0 <= t)
+        return Nfa.derived(dfa.alphabet, n, frozenset([seps[START]]),
+                           frozenset(p for p, t in seps.items() if t == END),
+                           tuple(trans))
 
     # -- the configuration algebra for the fixpoint engine ---------------
 
@@ -246,7 +282,8 @@ class ConfigAlgebra(AlgebraBinding):
         return name
 
     def size(self, a):
-        return sum(lang.n_states for p in a.summands for lang in p.channel_langs)
+        """States of the minimal encoding DFAs, summed over locations."""
+        return sum(enc.n_states for _, enc in a.slices)
 
 
 # -- text formats ------------------------------------------------------
@@ -286,10 +323,8 @@ def parse_region_text(text: str, model: GlcsModel) -> Region:
     text = text.strip()
     if text == "{}":
         return model.space.empty()
-    summands = []
-    for atom in _split_region_atoms(text):
-        summands.extend(_parse_region_atom(atom, model).summands)
-    return model.space.normalize(Region(tuple(summands)))
+    return model.space.union(*[_parse_region_atom(atom, model)
+                               for atom in _split_region_atoms(text)])
 
 
 def _split_region_atoms(text: str) -> List[str]:
@@ -334,8 +369,8 @@ def _parse_region_atom(atom: str, model: GlcsModel) -> Region:
 
 
 def region_to_text(region: Region, model: GlcsModel) -> str:
-    """Normalized sum-of-products with per-channel minimal-DFA regexes."""
-    region = model.space.normalize(region)
+    """Sum of products (see Region.summands) with per-channel minimal-DFA
+    regexes."""
     if not region.summands:
         return "{}"
     atoms = []

@@ -1,21 +1,25 @@
-"""Regions: finite sums of location-tagged products of channel languages.
+"""Regions: regular sets of location-tagged tuples of channel words.
 
-A region denotes a subset of Conf = locations x (words)^channels.  All
-operations are pure and return regions in a normal form that depends
-only on the denoted set, so equal regions print identically.
+A region denotes a subset of Conf = locations x (words)^channels.  Per
+location, the tuples (w1, ..., wc) of the region are encoded as the
+words w1 # w2 # ... # wc over the message alphabet plus the separator #,
+and the region keeps the interned minimal DFA of that language (see
+automata.intern).  Equal regions are therefore equal values and print
+identically.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Tuple
 
 from . import automata
-from .automata import Alphabet, CanonicalDfa, Nfa, Word
+from .automata import EPSILON, Alphabet, Nfa, Word
 from .errors import WsmcError
 
-SEPARATOR = "#"  # fresh symbol for the per-location equality encoding
+SEPARATOR = "#"  # fresh symbol between the channel blocks of an encoding
 
 
 class RegionError(WsmcError):
@@ -30,9 +34,10 @@ class Signature:
     channels: Tuple[str, ...]
     locations: Tuple[str, ...]
 
-    def check_location(self, loc: str):
-        if loc not in self.locations:
-            raise RegionError("unknown location %r" % (loc,))
+    def __post_init__(self):
+        if SEPARATOR in self.alphabet:
+            raise RegionError("alphabet symbol %r is the channel separator of "
+                              "region encodings" % (SEPARATOR,))
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,19 @@ Row = Tuple[Nfa, ...]  # one language per channel
 
 @dataclass(frozen=True)
 class Region:
-    summands: Tuple[Product, ...]
+    """Per location with a nonempty slice, in signature order, the
+    interned minimal DFA (as an Nfa) of the slice's encoding L1#...#Lc.
+    The encodings accept only words with exactly c - 1 separators."""
+
+    signature: Signature
+    slices: Tuple[Tuple[str, Nfa], ...]
+
+    @cached_property
+    def summands(self) -> Tuple[Product, ...]:
+        """The region as a sum of products: per location, the
+        Myhill-Nerode decomposition of its encoding DFA (see _decompose)."""
+        return tuple(Product(loc, row) for loc, enc in self.slices
+                     for row in _decompose(self.signature, enc))
 
 
 @dataclass(frozen=True)
@@ -57,58 +74,78 @@ class Config:
     contents: Tuple[Word, ...]
 
 
-class _RowSet:
-    """The normal form of one location's set of rows: the rows in order,
-    the minimal encoding DFA of their union (None for a set first met as
-    a complement, whose own complement is known), and the complement's
-    _RowSet once asked for."""
-
-    __slots__ = ("rows", "dfa", "complement")
-
-    def __init__(self, rows: Tuple[Row, ...], dfa: Optional[CanonicalDfa]):
-        self.rows = rows
-        self.dfa = dfa
-        self.complement: Optional[_RowSet] = None
+def _canonical(nfa: Nfa) -> Nfa:
+    """The interned minimal DFA of nfa, without keeping nfa as a key: the
+    region memo keys on the operands, which are interned and small."""
+    return automata.intern(automata.minimize(nfa))
 
 
 class RegionSpace:
-    """The effective region algebra for one model signature.
-
-    Every result is in normal form (see normalize).  Normal forms are
-    memoized per space, keyed on a location's set of rows of channel
-    languages; the key leaves out the location, since the normal rows do
-    not depend on it.  Each entry keeps its encoding DFA and complement.
-    The memo is never evicted.
-    """
+    """The effective region algebra for one model signature.  Every
+    operation works location by location on the interned encodings.
+    Unions, intersections, complements and closures of encodings are
+    memoized per space, keyed on the operation and its operand
+    encodings; a complement is stored both ways.  The memo is never
+    evicted."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
-        self._sigma_star = automata.canonical_nfa(Nfa.universal(signature.alphabet))
         self._ext_alphabet = signature.alphabet.extend(SEPARATOR)
-        self._normal: Dict[FrozenSet[Row], _RowSet] = {}
+        self._memo: Dict[tuple, Nfa] = {}
+        sigma_star = Nfa.universal(signature.alphabet)
+        # every well-formed word: the full slice of a location
+        self._all = _canonical(self._join([sigma_star] * len(signature.channels)))
+
+    def _join(self, langs) -> Nfa:
+        """An NFA of L1 # L2 # ... # Lc over the extended alphabet."""
+        trans, ends, n = [], [0], 1
+        for i, lang in enumerate(langs):
+            link = SEPARATOR if i else EPSILON
+            trans.extend((p, link, q + n) for p in ends for q in lang.initial)
+            trans.extend((p + n, x, q + n) for (p, x, q) in lang.transitions)
+            ends = [q + n for q in lang.accepting]
+            n += lang.n_states
+        return Nfa.derived(self._ext_alphabet, n, frozenset([0]), frozenset(ends),
+                           tuple(trans))
+
+    def from_encodings(self, encodings: Dict[str, Nfa]) -> Region:
+        """The region with the languages of NFAs of well-formed words as
+        slices."""
+        return self._region({loc: _canonical(nfa) for loc, nfa in encodings.items()})
+
+    def _region(self, encodings: Dict[str, Nfa]) -> Region:
+        """The region of interned encodings per location; empty ones drop out."""
+        return Region(self.signature, tuple(
+            (loc, encodings[loc]) for loc in self.signature.locations
+            if loc in encodings and encodings[loc].accepting))
+
+    def _slices(self, a: Region) -> Dict[str, Nfa]:
+        if a.signature is not self.signature and a.signature != self.signature:
+            raise RegionError("region of another signature")
+        return dict(a.slices)
 
     # -- constructors ---------------------------------------------------
 
     def empty(self) -> Region:
-        return Region(())
+        return Region(self.signature, ())
 
     def full(self) -> Region:
-        return Region(tuple(self._full_product(q) for q in self.signature.locations))
-
-    def _full_product(self, loc: str) -> Product:
-        n = len(self.signature.channels)
-        return Product(loc, tuple(self._sigma_star for _ in range(n)))
+        return self.location_region(self.signature.locations)
 
     def atom(self, loc: str, langs: Tuple[Nfa, ...]) -> Region:
-        self.signature.check_location(loc)
+        if loc not in self.signature.locations:
+            raise RegionError("unknown location %r" % (loc,))
         if len(langs) != len(self.signature.channels):
             raise RegionError("expected %d channel languages, got %d"
                               % (len(self.signature.channels), len(langs)))
-        return Region((Product(loc, tuple(langs)),))
+        if any(lang.alphabet != self.signature.alphabet for lang in langs):
+            raise RegionError("channel language over another alphabet")
+        return self.from_encodings({loc: self._join(map(automata.canonical_nfa, langs))})
 
     def location_region(self, locs) -> Region:
-        return Region(tuple(self._full_product(q)
-                            for q in self.signature.locations if q in locs))
+        return Region(self.signature, tuple((q, self._all)
+                                            for q in self.signature.locations
+                                            if q in locs))
 
     def config_region(self, config: Config) -> Region:
         langs = tuple(Nfa.word(self.signature.alphabet, w) for w in config.contents)
@@ -116,63 +153,72 @@ class RegionSpace:
 
     # -- boolean operations ---------------------------------------------
 
-    def _check(self, r: Region):
-        n = len(self.signature.channels)
-        for p in r.summands:
-            self.signature.check_location(p.location)
-            if len(p.channel_langs) != n:
-                raise RegionError("summand channel count mismatch")
-
-    def union(self, a: Region, b: Region) -> Region:
-        self._check(a)
-        self._check(b)
-        return self.normalize(Region(a.summands + b.summands))
-
-    def meet(self, a: Region, b: Region) -> Region:
-        """The intersection of a and b, summand by summand, not normalized."""
-        self._check(a)
-        self._check(b)
-        return Region(tuple(
-            Product(p.location, tuple(automata.intersection(x, y)
-                                      for x, y in zip(p.channel_langs, q.channel_langs)))
-            for p in a.summands for q in b.summands if p.location == q.location))
+    def union(self, *regions: Region) -> Region:
+        """The union of any number of regions, one minimization per
+        location where they differ."""
+        parts: Dict[str, set] = {}
+        for r in regions:
+            for loc, enc in self._slices(r).items():
+                parts.setdefault(loc, set()).add(enc)
+        return self._region({
+            loc: self._apply(frozenset(encs), lambda encs=encs: functools.reduce(
+                automata.union, encs)) if len(encs) > 1 else next(iter(encs))
+            for loc, encs in parts.items()})
 
     def intersection(self, a: Region, b: Region) -> Region:
-        return self.normalize(self.meet(a, b))
+        other = self._slices(b)
+        return self._region({
+            loc: x if x is other[loc] else self._apply(
+                ("&", frozenset((x, other[loc]))),
+                lambda x=x, y=other[loc]: automata.intersection(x, y))
+            for loc, x in self._slices(a).items() if loc in other})
 
     def complement(self, a: Region) -> Region:
-        """Per location: flip the accepting states of the encoding DFA and
-        decompose (a location without summands has an empty encoding, so
-        it becomes a full product).  Memoized both ways per row set."""
-        self._check(a)
-        rows = self._rows_by_location(a)
-        return Region(tuple(
-            Product(loc, row) for loc in self.signature.locations
-            for row in self._complement(self._row_set(rows.get(loc, ()))).rows))
+        """Per location, the well-formed encodings the slice lacks."""
+        slices = self._slices(a)
+        return self._region({loc: self._complement(slices[loc]) if loc in slices
+                             else self._all for loc in self.signature.locations})
 
-    def _complement(self, entry: _RowSet) -> _RowSet:
-        if entry.complement is None:
-            dfa = entry.dfa
-            flipped = set(range(dfa.n_states)).difference(dfa.accepting)
-            other = self._remember(self._decompose(dfa, flipped), None)
-            entry.complement, other.complement = other, entry
-        return entry.complement
+    def _complement(self, enc: Nfa) -> Nfa:
+        other = self._apply(("~", enc), lambda: automata.difference(self._all, enc))
+        self._memo[("~", other)] = enc
+        return other
+
+    def _apply(self, key, compute) -> Nfa:
+        """The memoized interned encoding of compute()."""
+        enc = self._memo.get(key)
+        if enc is None:
+            enc = self._memo[key] = _canonical(compute())
+        return enc
 
     def difference(self, a: Region, b: Region) -> Region:
         return self.intersection(a, self.complement(b))
 
     # -- closures and kernels -------------------------------------------
 
-    def _map_components(self, a: Region, fn) -> Region:
-        out = tuple(Product(p.location, tuple(fn(lang) for lang in p.channel_langs))
-                    for p in a.summands)
-        return self.normalize(Region(out))
+    def _map_encodings(self, a: Region, name: str, extra) -> Region:
+        """Add extra(enc) to the transitions of every encoding, memoized
+        under name; without channels there is no block to close."""
+        if not self.signature.channels:
+            return self.normalize(a)
+        return self._region({
+            loc: self._apply((name, enc), lambda enc=enc: Nfa.derived(
+                self._ext_alphabet, enc.n_states, enc.initial, enc.accepting,
+                enc.transitions + extra(enc)))
+            for loc, enc in self._slices(a).items()})
 
     def up_closure(self, a: Region) -> Region:
-        return self._map_components(a, automata.up_closure)
+        """Superwords in every block: a self-loop on every message symbol
+        at every state; separators stay fixed."""
+        symbols = self.signature.alphabet.symbols
+        return self._map_encodings(a, "up", lambda enc: tuple(
+            (q, x, q) for q in range(enc.n_states) for x in symbols))
 
     def down_closure(self, a: Region) -> Region:
-        return self._map_components(a, automata.down_closure)
+        """Subwords in every block: an epsilon move beside every message
+        move; separators stay fixed."""
+        return self._map_encodings(a, "down", lambda enc: tuple(
+            (p, EPSILON, q) for (p, x, q) in enc.transitions if x != SEPARATOR))
 
     def up_kernel(self, a: Region) -> Region:
         return self.complement(self.down_closure(self.complement(a)))
@@ -183,151 +229,84 @@ class RegionSpace:
     # -- decisions ------------------------------------------------------
 
     def is_empty(self, a: Region) -> bool:
-        self._check(a)
-        return all(any(automata.is_empty(lang) for lang in p.channel_langs)
-                   for p in a.summands)
+        return not self._slices(a)
 
     def member(self, config: Config, a: Region) -> bool:
-        self._check(a)
+        """Run w1 # ... # wc on the location's encoding DFA."""
         if len(config.contents) != len(self.signature.channels):
             raise RegionError("config channel count mismatch")
-        for p in a.summands:
-            if p.location != config.location:
-                continue
-            if all(lang.accepts(w) for lang, w in zip(p.channel_langs, config.contents)):
-                return True
-        return False
+        enc = self._slices(a).get(config.location)
+        if enc is None or any(SEPARATOR in w for w in config.contents):
+            return False
+        return enc.accepts(sum(((SEPARATOR,) + tuple(w) for w in config.contents), ())[1:])
 
     def equal(self, a: Region, b: Region) -> bool:
-        return self.normalize(a) == self.normalize(b)
+        return self._slices(a) == self._slices(b)
 
     def subset(self, a: Region, b: Region) -> bool:
-        return self.union(a, b) == self.normalize(b)
+        other = self._slices(b)
+        return all(loc in other and (x is other[loc] or automata.subset(x, other[loc]))
+                   for loc, x in self._slices(a).items())
 
     def is_universal(self, a: Region) -> bool:
         return self.equal(a, self.full())
 
-    # -- normal form ----------------------------------------------------
-
     def normalize(self, a: Region) -> Region:
-        """The normal form of a: equal regions normalize to equal values.
+        """Every region is in normal form already."""
+        self._slices(a)
+        return a
 
-        Per location, the summands are the Myhill-Nerode decomposition
-        (see _decompose) of the minimal DFA of the location's encoding,
-        with components interned and summands in a fixed order.
-        """
-        self._check(a)
-        rows = self._rows_by_location(a)
-        return Region(tuple(Product(loc, row)
-                            for loc in self.signature.locations if loc in rows
-                            for row in self._row_set(rows[loc]).rows))
 
-    def _rows_by_location(self, a: Region) -> Dict[str, List[Row]]:
-        rows: Dict[str, List[Row]] = {}
-        for p in a.summands:
-            rows.setdefault(p.location, []).append(p.channel_langs)
-        return rows
+@functools.cache
+def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
+    """Rows of the products whose encodings enc accepts, in an order
+    that depends only on the languages; computed once per encoding.
 
-    def _row_set(self, rows) -> _RowSet:
-        """The memo entry of the normal form of a set of rows."""
-        entry = self._normal.get(frozenset(rows))
-        if entry is None:
-            key = frozenset(tuple(automata.canonical_nfa(lang) for lang in row)
-                            for row in rows)
-            entry = self._normal.get(key)
-            if entry is None:
-                dfa = self._encoding(key)
-                entry = self._normal[key] = self._remember(
-                    self._decompose(dfa, dfa.accepting), dfa)
-        return entry
+    From a state s where channel i's block starts, every state t entered
+    by a separator gives the rows ({u : s -u#-> t}, *rest) for each row
+    rest decomposed at t; the last channel's language is
+    {u : s -u-> accepting}.  On a minimal DFA distinct states have
+    distinct residuals, so the products are determined by the language
+    alone.
+    """
+    dfa = automata.canonicalize(enc)
+    table = dfa.transitions
+    sep = len(signature.alphabet.symbols)
+    last = len(signature.channels) - 1
 
-    def _remember(self, rows: List[Row], dfa: Optional[CanonicalDfa]) -> _RowSet:
-        """Order normal-form rows and memoize them as their own normal form."""
-        rows = tuple(sorted(rows, key=_row_order))
-        return self._normal.setdefault(frozenset(rows), _RowSet(rows, dfa))
+    def reach(s):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for t in table[stack.pop()][:sep]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
 
-    def _encoding(self, rows) -> CanonicalDfa:
-        """Minimal DFA, over the separator-extended alphabet, of the union
-        of L1 # L2 # ... # Lc over the rows (L1, ..., Lc).
+    def channel(s, states, final):
+        order = [s] + sorted(states - {s})
+        ids = {q: i for i, q in enumerate(order)}
+        sub = [[ids[t] for t in table[q][:sep]] for q in order]
+        return automata.intern(automata.minimal_dfa(
+            signature.alphabet, sub, {ids[q] for q in final}))
 
-        The channel languages never contain the separator, so a word
-        with exactly c - 1 separators encodes one configuration.
-        """
-        n = 0
-        initial, accepting, trans = [], [], []
-        for row in rows:
-            ends = None
-            for lang in row:
-                starts = [q + n for q in lang.initial]
-                if ends is None:
-                    initial.extend(starts)
-                else:
-                    trans.extend((p, SEPARATOR, q) for p in ends for q in starts)
-                # states that can only loop without accepting are dead
-                moving = {p for (p, _, q) in lang.transitions if p != q}
-                trans.extend((p + n, x, q + n) for (p, x, q) in lang.transitions
-                             if q in moving or q in lang.accepting)
-                ends = [q + n for q in lang.accepting]
-                n += lang.n_states
-            if ends is None:  # no channels: the encoding is the empty word
-                initial.append(n)
-                ends = [n]
-                n += 1
-            accepting.extend(ends)
-        return automata.minimize(Nfa(self._ext_alphabet, n, frozenset(initial),
-                                     frozenset(accepting), tuple(trans)))
+    @functools.cache
+    def rows_from(s, i):
+        states = reach(s)
+        if i == last:
+            final = states.intersection(dfa.accepting)
+            return [(channel(s, states, final),)] if final else []
+        out = []
+        for t in sorted({table[q][sep] for q in states}):
+            rest = rows_from(t, i + 1)
+            if rest:
+                head = channel(s, states, [q for q in states if table[q][sep] == t])
+                out.extend((head,) + row for row in rest)
+        return out
 
-    def _decompose(self, dfa: CanonicalDfa, accepting) -> List[Row]:
-        """Rows of the products whose encodings dfa accepts with the given
-        accepting states.
-
-        From a state s where channel i's block starts, every state t
-        entered by a separator gives the rows ({u : s -u#-> t}, *rest)
-        for each row rest decomposed at t; the last channel's language
-        is {u : s -u-> accepting}.  On a minimal DFA distinct states have
-        distinct residuals, so the products are determined by the
-        language alone.  Only words with exactly c - 1 separators are
-        read, so a DFA whose accepting states were flipped decomposes
-        into the complement.
-        """
-        table = dfa.transitions
-        sep = len(self.signature.alphabet.symbols)
-        last = len(self.signature.channels) - 1
-
-        def reach(s):
-            seen = {s}
-            stack = [s]
-            while stack:
-                for t in table[stack.pop()][:sep]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            return seen
-
-        def channel(s, states, final):
-            order = [s] + sorted(states - {s})
-            ids = {q: i for i, q in enumerate(order)}
-            sub = [[ids[t] for t in table[q][:sep]] for q in order]
-            return automata.intern(automata.minimal_dfa(
-                self.signature.alphabet, sub, {ids[q] for q in final}))
-
-        @functools.cache
-        def rows_from(s, i):
-            states = reach(s)
-            if i == last:
-                final = states.intersection(accepting)
-                return [(channel(s, states, final),)] if final else []
-            out = []
-            for t in sorted({table[q][sep] for q in states}):
-                rest = rows_from(t, i + 1)
-                if rest:
-                    head = channel(s, states, [q for q in states if table[q][sep] == t])
-                    out.extend((head,) + row for row in rest)
-            return out
-
-        if last < 0:
-            return [()] if 0 in accepting else []
-        return rows_from(0, 0)
+    rows = rows_from(0, 0) if last >= 0 else [()] if 0 in dfa.accepting else []
+    return tuple(sorted(rows, key=_row_order))
 
 
 def _row_order(row: Row):

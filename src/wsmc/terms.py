@@ -402,6 +402,8 @@ def parse_term(text: str, binding, free_ok: bool = False) -> Term:
     `binding` maps operator names to arities (an AlgebraBinding works).
     With `free_ok`, unknown identifiers become free variables.
     """
+    if not text.strip():
+        raise TermError("empty formula")
     arities = binding.arities() if hasattr(binding, "arities") else dict(binding)
     t = _Parser(_tokenize(text), arities, free_ok).parse(frozenset())
     t = rename_binders(t, set(free_vars(t)))

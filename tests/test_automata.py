@@ -1,7 +1,9 @@
 import random
 
+import pytest
+
 from wsmc import automata, oracle
-from wsmc.automata import Alphabet, Nfa
+from wsmc.automata import Alphabet, AutomatonError, Nfa
 from wsmc.regexes import compile_regex
 
 from conftest import random_nfa
@@ -252,3 +254,23 @@ def test_hash_is_structural_and_computed_once(ab, rng):
         hash(dfa)
         automata.canonicalize(nfa)
     assert CountingTuple.hashes == 2
+
+
+@pytest.mark.parametrize("transitions", [((0, "c", 0),), ((0, "a", 1),),
+                                         ((-1, None, 0),)])
+def test_caller_built_nfa_is_checked(ab, transitions):
+    with pytest.raises(AutomatonError):
+        Nfa(ab, 1, frozenset([0]), frozenset([0]), transitions)
+
+
+def test_derived_automata_are_not_checked_again(ab, rng, monkeypatch):
+    checked = []
+    real = Nfa.__post_init__
+    monkeypatch.setattr(Nfa, "__post_init__", lambda a: checked.append(a) or real(a))
+    x, y = random_nfa(rng, ab), random_nfa(rng, ab)
+    del checked[:]
+    for a in (automata.union(x, y), automata.intersection(x, y),
+              automata.concat(x, y), automata.star(x), automata.up_closure(x),
+              automata.complement(x), automata.left_residual(x, y)):
+        assert a.alphabet == ab
+    assert checked == []

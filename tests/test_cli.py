@@ -217,3 +217,22 @@ def test_fixture_outputs_are_deterministic(command):
     second = run_fixture(command, "31337")
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "abp.lcs", "prestar", "--target", "-x"],
+     "argument --target: expected one argument"),
+    (["eval", "abp.lcs", "-f", "GOAL", "--max-iter", "0"],
+     "argument --max-iter: expected an integer of at least 1, got '0'"),
+    (["eval", "abp.lcs", "-f", "GOAL", "--max-iter", "-1"],
+     "argument --max-iter: expected an integer of at least 1, got '-1'"),
+    (["check", "abp.lcs", "prestar", "--target", "GOAL", "--max-iter=-1"],
+     "argument --max-iter: expected an integer of at least 1, got '-1'"),
+    (["eval", "abp.lcs", "--formula="], "empty formula"),
+    (["eval", "abp.lcs", "--formula=  "], "empty formula"),
+])
+def test_malformed_argv_exits_2_with_one_line(capsys, argv, message):
+    code = cli.main(fixture_argv(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % message

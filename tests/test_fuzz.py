@@ -2,8 +2,9 @@
 
 Whatever the input, `wsmc` must exit with 0, 1 or 2, never with a
 traceback, and an exit code of 2 comes with exactly one line on stderr.
-The argv keeps the shape the argument parser accepts, so every input
-reaches the program's own parsers.  Inputs are mostly well formed, so
+One test draws argv from loose tokens, so most inputs stop at the
+argument parser; the other keeps the shape the argument parser accepts,
+so every input reaches the program's own parsers.  Inputs are mostly well formed, so
 that evaluation, checking and the oracles run too; one in ten parts is
 malformed.
 """
@@ -170,6 +171,28 @@ def run(argv_list):
     return code, out.getvalue(), err.getvalue()
 
 
+def check_exit(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# argv tokens in any order; MODEL stands for a bundled model
+ARGV_TOKENS = ["validate", "eval", "check", "oracle", "reach", "game", "prestar",
+               "game-reach", "MODEL", "--target", "--cond", "--player", "--formula",
+               "-f", "-F", "--member", "--max-iter", "--depth", "--from", "--json",
+               "--stats", "-x", "--bogus", "A", "C", "GOAL", "a0 :", "0", "-1", "2"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+def test_any_argv_exits_0_1_or_2_with_one_error_line(tokens):
+    model = os.path.join(os.path.dirname(__file__), os.pardir, "models",
+                         "token_game.lcs")
+    check_exit(*run([model if t == "MODEL" else t for t in tokens]))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
@@ -181,8 +204,4 @@ def test_cli_exits_0_1_or_2_with_one_error_line(data):
             handle.write(data.draw(model_text(n_channels), label="model"))
         if data.draw(mostly(st.just(False), st.just(True)), label="missing"):
             os.remove(path)
-        code, out, err = run(data.draw(argv(path, n_channels), label="argv"))
-    assert code in (0, 1, 2)
-    assert "Traceback" not in out + err
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        check_exit(*run(data.draw(argv(path, n_channels), label="argv")))

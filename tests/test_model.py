@@ -202,9 +202,23 @@ def enum_configs(model, max_len):
 
 
 def test_pre_post_galois_on_explicit_states(rng):
-    for _ in range(10):
-        model = random_model(rng, max_locations=3, max_channels=1, max_rules=4)
-        sample = list(enum_configs(model, 2))
+    check_galois_on_explicit_states(rng, n_channels=1, max_len=2, n_models=10)
+
+
+def test_pre_post_galois_on_two_channels(rng):
+    # the rules edit block 0 and block 1 of the encoding
+    check_galois_on_explicit_states(rng, n_channels=2, max_len=1, n_models=6)
+
+
+def check_galois_on_explicit_states(rng, n_channels, max_len, n_models):
+    models = 0
+    while models < n_models:
+        model = random_model(rng, max_locations=3, max_channels=n_channels,
+                             max_rules=4)
+        if len(model.channels) != n_channels:
+            continue
+        models += 1
+        sample = list(enum_configs(model, max_len))
         for mode in (PERFECT, LOSSY):
             for sigma in sample:
                 successors = (set(oracle.perfect_successors(model, sigma))
@@ -321,3 +335,31 @@ def test_parse_model_builds_one_region_space(monkeypatch):
         with open(model_path(name), encoding="utf-8") as handle:
             parse_model(handle.read(), name)
         assert len(signatures) == 1
+
+
+def test_one_slice_costs_one_step(monkeypatch):
+    rules = [Rule("p", "q", SEND, "c", "a"), Rule("q", "p", RECV, "d", "b"),
+             Rule("q", "q", INTERNAL)]
+    model = tiny_model(rules, channels=("c", "d"))
+    space = model.space
+    rows = [("a*", "b"), ("a*b", "(ab)*"), ("b", "a|b")]
+    at = {loc: space.union(*[atom(model, loc, *row) for row in rows])
+          for loc in model.locations}
+    assert ([p.channel_langs for p in at["p"].summands]
+            == [q.channel_langs for q in at["q"].summands])
+    for _ in range(2):  # the encodings are interned, both ways
+        for r in at.values():
+            assert space.complement(space.complement(r)) == r
+    steps = []
+    for name in ("pre_perf", "post_perf"):
+        real = getattr(model, name)
+        monkeypatch.setattr(model, name,
+                            lambda r, real=real: steps.append(r) or real(r))
+    both = space.union(*at.values())
+    for mode in (LOSSY, PERFECT):
+        for op in (model.pre, model.post):
+            want = op(both, mode)
+            assert op(at["p"], mode) == op(space.intersection(both, at["p"]), mode)
+            assert op(both, mode) == want
+    # one step per (operator, mode, location, slice)
+    assert len(steps) == 8

@@ -6,7 +6,7 @@ import pytest
 from wsmc import automata, oracle
 from wsmc.automata import Alphabet, Nfa
 from wsmc.regexes import compile_regex
-from wsmc.regions import Config, Product, Region, RegionSpace, Signature
+from wsmc.regions import Config, RegionError, RegionSpace, Signature
 
 from conftest import random_model, random_nfa, random_region_for
 
@@ -232,7 +232,7 @@ def test_complement_is_pointwise_and_normal(rng, n_channels):
         x = sp.empty()
         for _ in range(rng.randint(0, 3)):
             langs = tuple(random_nfa(rng, AB, 3) for _ in range(n_channels))
-            x = Region(x.summands + sp.atom(rng.choice(sig.locations), langs).summands)
+            x = sp.union(x, sp.atom(rng.choice(sig.locations), langs))
         comp = sp.complement(x)
         assert comp == sp.normalize(comp) == RegionSpace(sig).normalize(comp)
         assert sp.complement(comp) == sp.normalize(x)
@@ -260,19 +260,6 @@ def test_memoized_region_operations_equal_fresh_space(max_channels):
             assert fresh.complement(fresh.complement(r)) == fresh.normalize(r)
 
 
-def test_one_row_set_costs_one_minimization(monkeypatch, space):
-    rows = [tuple(automata.canonical_nfa(compile_regex(p, AB)) for p in pair)
-            for pair in (("a*", "b"), ("a*b", "(ab)*"), ("b", "a|b"))]
-    space.complement(space.empty())  # encodes the empty row set
-    minimized = []
-    real = automata.minimize
-    monkeypatch.setattr(automata, "minimize", lambda a: minimized.append(a) or real(a))
-    at = {loc: space.normalize(Region(tuple(Product(loc, row) for row in rows)))
-          for loc in SIG.locations}
-    assert len(minimized) == 1
-    assert ([p.channel_langs for p in at["p"].summands]
-            == [q.channel_langs for q in at["q"].summands])
-    for _ in range(2):  # complement reads the stored encoding, both ways
-        for r in at.values():
-            assert space.complement(space.complement(r)) == r
-    assert len(minimized) == 1
+def test_alphabet_with_the_separator_is_rejected():
+    with pytest.raises(RegionError, match="'#' is the channel separator"):
+        Signature(Alphabet(("a", "#")), ("c",), ("p",))

@@ -118,3 +118,9 @@ def test_guardedness_of_nested_binders():
     assert is_guarded(t)
     t = parse("nu Y. mu X. (V | pre(up(X) & Y))")
     assert [name for name, _ in check_guarded(t)] == ["Y"]
+
+
+@pytest.mark.parametrize("text", ["", "   ", "\n\t"])
+def test_empty_formula_is_named(text):
+    with pytest.raises(terms.TermError, match="^empty formula$"):
+        terms.parse_term(text, {})
