@@ -125,7 +125,8 @@ PROPERTIES = {
         "reach_pos", m, a.player, _region_arg(a.target, m)),
     "prob-inv-pos": lambda m, a: compilers.compile_prob_game(
         "invariant_pos", m, a.player, _region_arg(a.target, m)),
-    "ctl": None,  # handled separately: evaluates a plan, not one term
+    "ctl": lambda m, a: compilers.compile_ctl(
+        m, _require(a.formula, "--formula")),
 }
 
 
@@ -203,13 +204,7 @@ def _cmd_eval(args):
 def _cmd_check(args):
     model = load_model(args.model)
     limits = Limits(max_iter=args.max_iter)
-    if args.property == "ctl":
-        region = compilers.eval_ctl(model, _require(args.formula, "--formula"),
-                                    limits)
-        stats = None
-    else:
-        compiled = PROPERTIES[args.property](model, args)
-        region, stats = compiled.run(limits)
+    region, stats = PROPERTIES[args.property](model, args).run(limits)
     if args.member is not None:
         config = parse_config(args.member, model)
         return _emit_verdict(model.space.member(config, region), args)

@@ -1,8 +1,9 @@
 """Compilers from verification questions into guarded fixpoint terms.
 
-Each compiler binds its target regions as nullary constants of the
-model's algebra and builds the corresponding term; goals whose answer
-set is known not to be effectively computable are refused outright.
+Each compiler binds its target regions as nullary constants of a fresh
+algebra of the model and builds the corresponding term (a CTL formula's
+atoms name regions directly); goals whose answer set is known not to be
+effectively computable are refused outright.
 Dual goals (invariants, persistence, positive-probability) evaluate the
 opposing player's term and complement once at top level, which keeps
 every binder guarded and every bound variable complement-free.
@@ -10,6 +11,7 @@ every binder guarded and every bound variable complement-free.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,29 +88,41 @@ def _require_game(model: GlcsModel):
         raise CompileError("model fails validation: " + "; ".join(report))
 
 
+def _compile(name: str, model: GlcsModel, build, *targets: Region,
+             negate: bool = False) -> CompiledProperty:
+    """Bind the targets as constants of a fresh algebra of the model and
+    build the property's term over them."""
+    algebra = model.algebra()
+    constants = [OpApp(algebra.bind_constant(target)) for target in targets]
+    return CompiledProperty(name, build(*constants), algebra, negate)
+
+
+def _player_goal(name: str, model: GlcsModel, build, player: str,
+                 target: Region, dual: bool) -> CompiledProperty:
+    """`build(player, V)` for the player, or for a dual goal the
+    complement of the opponent's term on the complemented target."""
+    if dual:
+        player = _other(player)
+        target = model.space.complement(target)
+    return _compile(name, model, lambda v: build(player, v), target,
+                    negate=dual)
+
+
 # -- temporal properties ------------------------------------------------
 
-def compile_pre_star(model: GlcsModel, target: Region,
-                     algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
+def compile_pre_star(model: GlcsModel, target: Region) -> CompiledProperty:
     """Configurations from which the target is reachable:
     mu X. V | pre(up(X))."""
-    algebra = algebra or model.algebra()
-    v = algebra.bind_constant(target)
-    term = Mu("X", Union(OpApp(v), OpApp("pre", (Up(Var("X")),))))
-    return CompiledProperty("prestar", term, algebra)
+    return _compile("prestar", model, lambda v: Mu("X", Union(
+        v, OpApp("pre", (Up(Var("X")),)))), target)
 
 
-def compile_forall_release(model: GlcsModel, hold: Region, release: Region,
-                           algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
+def compile_forall_release(model: GlcsModel, hold: Region,
+                           release: Region) -> CompiledProperty:
     """All runs keep `hold` until `release` (possibly forever):
     nu X. V2 & (wpre(kdown(X)) | V1)."""
-    algebra = algebra or model.algebra()
-    v1 = algebra.bind_constant(release, "R")
-    v2 = algebra.bind_constant(hold, "H")
-    term = Nu("X", Intersection(
-        OpApp(v2),
-        Union(OpApp("wpre", (Kdown(Var("X")),)), OpApp(v1))))
-    return CompiledProperty("release", term, algebra)
+    return _compile("release", model, lambda v1, v2: Nu("X", Intersection(
+        v2, Union(OpApp("wpre", (Kdown(Var("X")),)), v1))), release, hold)
 
 
 # -- the existential CTL fragment ---------------------------------------
@@ -119,32 +133,11 @@ class CtlError(CompileError):
 
 def parse_ctl(text: str):
     """Formulas over region atoms with !, &, EX, and E(_ U _)."""
-    tokens = _ctl_tokenize(text)
+    tokens = [value for _, value, _ in terms.tokenize(text, "!&()", CtlError)]
     formula, rest = _ctl_parse(tokens, 0)
     if rest != len(tokens):
         raise CtlError("unexpected %r" % (tokens[rest],))
     return formula
-
-
-def _ctl_tokenize(text: str):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "!&()":
-            out.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise CtlError("unexpected character %r" % (ch,))
-    return out
 
 
 def _ctl_parse(tokens, i):
@@ -188,76 +181,49 @@ def _ctl_unary(tokens, i):
     return ("atom", tok), i + 1
 
 
+def compile_ctl(model: GlcsModel, text: str) -> CompiledProperty:
+    """The formula as one guarded term: an atom is `all`, `empty` or a
+    named region, EX is pre, and E(p U q) is the least fixpoint
+    mu X. q | (p & pre(up(X))), with a fresh binder per until."""
+    fresh = itertools.count()
+
+    def term(formula):
+        kind = formula[0]
+        if kind == "atom":
+            name = formula[1]
+            if name not in ("all", "empty") and name not in model.named_regions:
+                raise CtlError("unknown region atom %r" % (name,))
+            return OpApp(name)
+        if kind == "not":
+            return Not(term(formula[1]))
+        if kind == "and":
+            return Intersection(term(formula[1]), term(formula[2]))
+        if kind == "ex":
+            return OpApp("pre", (term(formula[1]),))
+        hold, goal = term(formula[1]), term(formula[2])  # E(hold U goal)
+        var = "X%d" % next(fresh)
+        return Mu(var, Union(goal, Intersection(
+            hold, OpApp("pre", (Up(Var(var)),)))))
+
+    return CompiledProperty("ctl", term(parse_ctl(text)), model.algebra())
+
+
 def eval_ctl(model: GlcsModel, text: str,
              limits: Optional[Limits] = None) -> Region:
-    """Bottom-up evaluation plan for the fragment.
-
-    Until goes through the release dual: the complement is applied only
-    to fully evaluated subresults, never under a binder.
-    """
-    formula = parse_ctl(text)
-    return _ctl_eval(model, formula, limits)
-
-
-def _ctl_eval(model, formula, limits):
-    kind = formula[0]
-    space = model.space
-    if kind == "atom":
-        name = formula[1]
-        if name == "all":
-            return space.full()
-        if name == "empty":
-            return space.empty()
-        if name in model.named_regions:
-            return model.named_regions[name]
-        raise CtlError("unknown region atom %r" % (name,))
-    if kind == "not":
-        return space.complement(_ctl_eval(model, formula[1], limits))
-    if kind == "and":
-        return space.intersection(_ctl_eval(model, formula[1], limits),
-                                  _ctl_eval(model, formula[2], limits))
-    if kind == "ex":
-        return model.pre(_ctl_eval(model, formula[1], limits))
-    if kind == "eu":
-        hold = _ctl_eval(model, formula[1], limits)
-        goal = _ctl_eval(model, formula[2], limits)
-        dual = compile_forall_release(model, space.complement(goal),
-                                      space.complement(hold))
-        value, _ = dual.run(limits)
-        return space.complement(value)
-    raise CtlError("bad formula node %r" % (kind,))
+    return compile_ctl(model, text).run(limits)[0]
 
 
 # -- turn-based games ---------------------------------------------------
 
-def _reach_body(player: str, target: Term, var: str) -> Term:
-    """mu-body of the alternation-simplified reachability term:
-    V | (confP & pre(up X)) | (confQ & wpre(V | pre(up X)))."""
-    advance = OpApp("pre", (Up(Var(var)),))
-    return Union(
+def _reach_term(player: str, target: Term,
+                opponent_step: str = "wpre") -> Term:
+    """The alternation-simplified reachability term:
+    mu X. V | (confP & pre(up X)) | (confQ & wpre(V | pre(up X)))."""
+    advance = OpApp("pre", (Up(Var("X")),))
+    return Mu("X", Union(
         Union(target, Intersection(_conf(player), advance)),
         Intersection(_conf(_other(player)),
-                     OpApp("wpre", (Union(target, advance),))))
-
-
-def compile_game_reach(model: GlcsModel, player: str, target: Region,
-                       algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
-    _require_game(model)
-    algebra = algebra or model.algebra()
-    v = algebra.bind_constant(target)
-    term = Mu("X", _reach_body(player, OpApp(v), "X"))
-    return CompiledProperty("game-reach", term, algebra)
-
-
-def compile_game_invariant(model: GlcsModel, player: str, target: Region,
-                           algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
-    """Staying in V forever is the complement of the opponent reaching
-    the complement of V."""
-    _require_game(model)
-    algebra = algebra or model.algebra()
-    dual = compile_game_reach(model, _other(player),
-                              algebra.space.complement(target), algebra)
-    return CompiledProperty("game-inv", dual.term, algebra, negate=True)
+                     OpApp(opponent_step, (Union(target, advance),)))))
 
 
 def _buchi_term(player: str, target: Term) -> Term:
@@ -269,74 +235,44 @@ def _buchi_term(player: str, target: Term) -> Term:
     phi_q = Intersection(_conf(_other(player)),
                          OpApp("wpre", (Kdown(Var("Y")),)))
     goal = Intersection(target, Union(phi_p, phi_q))
-    return Nu("Y", Mu("X", _reach_body(player, goal, "X")))
+    return Nu("Y", _reach_term(player, goal))
 
 
-def compile_game_buchi(model: GlcsModel, player: str, target: Region,
-                       algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
-    _require_game(model)
-    algebra = algebra or model.algebra()
-    v = algebra.bind_constant(target)
-    return CompiledProperty("game-buchi", _buchi_term(player, OpApp(v)), algebra)
-
-
-def compile_game_persistence(model: GlcsModel, player: str, target: Region,
-                             algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
-    """Eventually-forever-in-V is the complement of the opponent's
-    repeated-reachability of the complement of V."""
-    _require_game(model)
-    algebra = algebra or model.algebra()
-    dual = compile_game_buchi(model, _other(player),
-                              algebra.space.complement(target), algebra)
-    return CompiledProperty("game-persist", dual.term, algebra, negate=True)
+# goal: (property name, term of the player or opponent, dual); staying in
+# V forever (eventually forever) is the complement of the opponent
+# reaching (repeatedly reaching) the complement of V
+_GAME_GOALS = {"reach": ("game-reach", _reach_term, False),
+               "invariant": ("game-inv", _reach_term, True),
+               "buchi": ("game-buchi", _buchi_term, False),
+               "persistence": ("game-persist", _buchi_term, True)}
 
 
 def compile_game(goal: str, model: GlcsModel, player: str,
                  target: Region) -> CompiledProperty:
-    table = {"reach": compile_game_reach,
-             "invariant": compile_game_invariant,
-             "buchi": compile_game_buchi,
-             "persistence": compile_game_persistence}
-    if goal not in table:
+    if goal not in _GAME_GOALS:
         raise CompileError("unknown game goal %r" % (goal,))
-    return table[goal](model, player, target)
+    _require_game(model)
+    name, build, dual = _GAME_GOALS[goal]
+    return _player_goal(name, model, build, player, target, dual)
 
 
 # -- asymmetric games (only player B controls losses) -------------------
 
-def compile_asym_reach_b(model: GlcsModel, target: Region,
-                         algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
-    """mu X. V | (confB & pre(up X)) | (confA & wprep(V | pre(up X)))."""
-    _require_game(model)
-    algebra = algebra or model.algebra()
-    v = algebra.bind_constant(target)
-    advance = OpApp("pre", (Up(Var("X")),))
-    term = Mu("X", Union(
-        Union(OpApp(v), Intersection(_conf("B"), advance)),
-        Intersection(_conf("A"), OpApp("wprep", (Union(OpApp(v), advance),)))))
-    return CompiledProperty("asym-reach-B", term, algebra)
-
-
-def compile_asym_invariant_a(model: GlcsModel, target: Region,
-                             algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
-    _require_game(model)
-    algebra = algebra or model.algebra()
-    dual = compile_asym_reach_b(model, algebra.space.complement(target), algebra)
-    return CompiledProperty("asym-inv-A", dual.term, algebra, negate=True)
-
-
 def compile_asym_game(goal: str, model: GlcsModel, player: str,
                       target: Region) -> CompiledProperty:
-    if goal == "reach":
-        if player == "A":
-            refuse_noneffective("asym-reach-A")
-        return compile_asym_reach_b(model, target)
-    if goal == "invariant":
-        if player == "B":
-            # dual of the refused goal, equally non-effective
-            refuse_noneffective("asym-reach-A")
-        return compile_asym_invariant_a(model, target)
-    raise CompileError("unknown asymmetric goal %r" % (goal,))
+    """B's reachability, mu X. V | (confB & pre(up X)) | (confA &
+    wprep(V | pre(up X))), or A's invariant as its dual; the other two
+    goals are refused."""
+    if goal not in ("reach", "invariant"):
+        raise CompileError("unknown asymmetric goal %r" % (goal,))
+    dual = goal == "invariant"
+    if player == ("B" if dual else "A"):
+        # B's invariant is the dual of the refused goal, equally non-effective
+        refuse_noneffective("asym-reach-A")
+    _require_game(model)
+    return _player_goal("asym-inv-A" if dual else "asym-reach-B", model,
+                        lambda p, v: _reach_term(p, v, "wprep"),
+                        "A" if dual else "B", target, dual)
 
 
 # -- qualitative probabilistic games ------------------------------------
@@ -359,30 +295,19 @@ def _prob_invariant_term(player: str, target: Term) -> Term:
     return Nu("X", body)
 
 
-def compile_prob_game(goal: str, model: GlcsModel, player: str,
-                      target: Region,
-                      algebra: Optional[ConfigAlgebra] = None) -> CompiledProperty:
-    """Almost-sure and positive-probability reachability/invariance.
+# the >0 goals come from determinacy: they are complements of the
+# opponent's almost-sure goal on the complemented target
+_PROB_GOALS = {"reach_eq1": ("prob-reach-1", _prob_reach_term, False),
+               "invariant_eq1": ("prob-inv-1", _prob_invariant_term, False),
+               "reach_pos": ("prob-reach-pos", _prob_invariant_term, True),
+               "invariant_pos": ("prob-inv-pos", _prob_reach_term, True)}
 
-    The >0 goals come from determinacy: they are complements of the
-    opponent's almost-sure goal on the complemented target.
-    """
+
+def compile_prob_game(goal: str, model: GlcsModel, player: str,
+                      target: Region) -> CompiledProperty:
+    """Almost-sure and positive-probability reachability/invariance."""
     _require_game(model)
-    algebra = algebra or model.algebra()
-    if goal == "reach_eq1":
-        v = algebra.bind_constant(target)
-        return CompiledProperty("prob-reach-1", _prob_reach_term(player, OpApp(v)),
-                                algebra)
-    if goal == "invariant_eq1":
-        v = algebra.bind_constant(target)
-        return CompiledProperty("prob-inv-1", _prob_invariant_term(player, OpApp(v)),
-                                algebra)
-    if goal == "reach_pos":
-        dual = compile_prob_game("invariant_eq1", model, _other(player),
-                                 algebra.space.complement(target), algebra)
-        return CompiledProperty("prob-reach-pos", dual.term, algebra, negate=True)
-    if goal == "invariant_pos":
-        dual = compile_prob_game("reach_eq1", model, _other(player),
-                                 algebra.space.complement(target), algebra)
-        return CompiledProperty("prob-inv-pos", dual.term, algebra, negate=True)
-    raise CompileError("unknown probabilistic goal %r" % (goal,))
+    if goal not in _PROB_GOALS:
+        raise CompileError("unknown probabilistic goal %r" % (goal,))
+    name, build, dual = _PROB_GOALS[goal]
+    return _player_goal(name, model, build, player, target, dual)

@@ -274,8 +274,8 @@ class ConfigAlgebra(AlgebraBinding):
         self._fresh = 0
         self.constants: Dict[str, Region] = {}
 
-    def bind_constant(self, region: Region, hint: str = "V") -> str:
-        name = "_%s%d" % (hint, self._fresh)
+    def bind_constant(self, region: Region) -> str:
+        name = "_V%d" % self._fresh
         self._fresh += 1
         self.add_operator(name, 0, lambda region=region: region)
         self.constants[name] = region
@@ -380,6 +380,15 @@ def region_to_text(region: Region, model: GlcsModel) -> str:
     return " + ".join(atoms)
 
 
+def _identifier(kind: str, name: str) -> str:
+    """A declared name must read back as one token of the formula,
+    region and regex syntaxes: letters, digits and `_`."""
+    if not name or not all(ch.isalnum() or ch == "_" for ch in name):
+        raise ModelError("%s name %r must consist of letters, digits and '_'"
+                         % (kind, name))
+    return name
+
+
 def parse_model(text: str, name: str = "<model>") -> GlcsModel:
     """Line-oriented model files; see the bundled models for examples."""
     alphabet = None
@@ -396,9 +405,12 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
             continue
         try:
             if line.startswith("alphabet:"):
-                alphabet = Alphabet(tuple(line[len("alphabet:"):].split()))
+                alphabet = Alphabet(tuple(
+                    _identifier("symbol", sym)
+                    for sym in line[len("alphabet:"):].split()))
             elif line.startswith("channels:"):
-                channels = tuple(line[len("channels:"):].split())
+                channels = tuple(_identifier("channel", chan)
+                                 for chan in line[len("channels:"):].split())
                 for i, chan in enumerate(channels):
                     if chan in channels[:i]:
                         raise ModelError("duplicate channel %r" % (chan,))
@@ -410,13 +422,14 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                         loc, _, owner = item[:-1].partition("[")
                         if owner not in ("A", "B"):
                             raise ModelError("owner must be A or B, got %r" % owner)
+                    _identifier("location", loc)
                     if loc in owners:
                         raise ModelError("duplicate location %r" % (loc,))
                     locations.append(loc)
                     owners[loc] = owner
             elif line.startswith("region "):
                 name_part, _, expr = line[len("region "):].partition("=")
-                rname = name_part.strip()
+                rname = _identifier("region", name_part.strip())
                 if rname in RESERVED_NAMES:
                     raise ModelError("region name %r is reserved" % (rname,))
                 for first, earlier, _ in pending_regions:

@@ -196,11 +196,12 @@ def unfold(t: Term, binder: str) -> Term:
 # -- well-formedness checks --------------------------------------------
 
 def check_parity(t: Term):
-    """Every bound variable must occur under an even number of complements."""
+    """Every bound variable must occur under an even number of complements
+    between its binder and the occurrence."""
 
     def walk(node, depth, bound):
         if isinstance(node, Var):
-            if node.name in bound and depth % 2 != 0:
+            if node.name in bound and (depth - bound[node.name]) % 2 != 0:
                 raise TermError(
                     "bound variable %r occurs under an odd number of complements"
                     % (node.name,))
@@ -209,12 +210,12 @@ def check_parity(t: Term):
             walk(node.child, depth + 1, bound)
             return
         if isinstance(node, (Mu, Nu)):
-            walk(node.body, depth, bound | {node.var})
+            walk(node.body, depth, {**bound, node.var: depth})
             return
         for c in children(node):
             walk(c, depth, bound)
 
-    walk(t, 0, frozenset())
+    walk(t, 0, {})
 
 
 def check_guarded(t: Term) -> List[Tuple[str, str]]:
@@ -259,7 +260,9 @@ def is_guarded(t: Term) -> bool:
 KEYWORDS = {"mu", "nu", "up", "down", "kup", "kdown", "empty", "all"}
 
 
-def _tokenize(text: str):
+def tokenize(text: str, punctuation: str = "|&!().,", error=TermError):
+    """(kind, value, position) per punctuation character (kind is the
+    character) and per identifier of letters, digits and `_` ("ident")."""
     tokens = []
     i = 0
     n = len(text)
@@ -268,7 +271,7 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch in "|&!().,":
+        if ch in punctuation:
             tokens.append((ch, ch, i))
             i += 1
             continue
@@ -279,7 +282,7 @@ def _tokenize(text: str):
             tokens.append(("ident", text[i:j], i))
             i = j
             continue
-        raise TermError("unexpected character %r at position %d" % (ch, i))
+        raise error("unexpected character %r at position %d" % (ch, i))
     return tokens
 
 
@@ -405,7 +408,7 @@ def parse_term(text: str, binding, free_ok: bool = False) -> Term:
     if not text.strip():
         raise TermError("empty formula")
     arities = binding.arities() if hasattr(binding, "arities") else dict(binding)
-    t = _Parser(_tokenize(text), arities, free_ok).parse(frozenset())
+    t = _Parser(tokenize(text), arities, free_ok).parse(frozenset())
     t = rename_binders(t, set(free_vars(t)))
     check_parity(t)
     return t

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import wsmc
-from wsmc import cli
+from wsmc import cli, compilers
+from wsmc.model import load_model, region_to_text
 from wsmc.oracle import OracleError
 from wsmc.regions import RegionError
 
@@ -64,6 +65,26 @@ def test_region_named_after_an_operator_exits_2(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: %s:4: region name %r is reserved\n" % (bad, name)
+
+
+@pytest.mark.parametrize("lines, lineno, kind, name", [
+    (["alphabet: x* y", "channels: c", "locations: p"], 1, "symbol", "x*"),
+    (["alphabet: a", "channels: c-1", "locations: p"], 2, "channel", "c-1"),
+    (["alphabet: a", "channels: c", "locations: p[A] q.1[B]"], 3, "location",
+     "q.1"),
+    (["alphabet: a", "channels: c", "locations: p", "region G+H = (p; a)"], 4,
+     "region", "G+H"),
+])
+def test_unreadable_model_name_exits_2_with_one_line(tmp_path, capsys, lines,
+                                                     lineno, kind, name):
+    bad = tmp_path / "bad.lcs"
+    bad.write_text("\n".join(lines) + "\n")
+    code = cli.main(["validate", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: %s:%d: %s name %r must consist of letters, digits and '_'\n"
+        % (bad, lineno, kind, name))
 
 
 def test_region_error_exits_2(monkeypatch, capsys):
@@ -123,6 +144,17 @@ def test_eval_unguarded_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "unguarded binder" in err and "X" in err
+
+
+def test_complemented_fixpoint_prints_the_complement_of_prestar(capsys):
+    model = load_model(model_path("abp.lcs"))
+    prestar, _ = compilers.compile_pre_star(
+        model, model.named_regions["GOAL"]).run()
+    code, out = run_cli(capsys, "eval", model_path("abp.lcs"),
+                        "-f", "!mu X. GOAL | pre(up(X))")
+    assert code == 0
+    assert out.splitlines()[0] == region_to_text(
+        model.space.complement(prestar), model)
 
 
 def test_eval_prints_region_and_sizes(capsys):

@@ -3,11 +3,11 @@ import pytest
 from wsmc import compilers, oracle, terms
 from wsmc.compilers import (
     CompileError, CtlError, NonEffectiveGoalError, compile_asym_game,
-    compile_forall_release, compile_game, compile_pre_star, compile_prob_game,
-    eval_ctl, parse_ctl, refuse_noneffective)
+    compile_ctl, compile_forall_release, compile_game, compile_pre_star,
+    compile_prob_game, eval_ctl, parse_ctl, refuse_noneffective)
 from wsmc.engine import Limits
 from wsmc.model import load_model
-from wsmc.terms import is_guarded
+from wsmc.terms import check_parity, is_guarded
 
 from conftest import model_path, random_model, random_region_for
 
@@ -47,6 +47,12 @@ def all_compiled(model, target, safe):
     return out
 
 
+# CTL formulas over two region atoms, nesting untils under !, & and U
+CTL_FORMULAS = ("E(%(a)s U %(b)s)", "!E(%(a)s U !%(b)s)",
+                "E(E(%(a)s U %(b)s) U EX %(a)s) & !%(b)s",
+                "E(!%(a)s U E(%(b)s U all)) & !E(empty U %(a)s)")
+
+
 def test_every_compiled_term_is_guarded(token_game, abp):
     for model, target, safe in (
             (token_game, token_game.named_regions["GOAL"],
@@ -54,6 +60,11 @@ def test_every_compiled_term_is_guarded(token_game, abp):
             (abp, abp.named_regions["GOAL"], abp.named_regions["CLEAN0"])):
         for prop in all_compiled(model, target, safe):
             assert is_guarded(prop.term), prop.name
+        a, b = sorted(model.named_regions)[:2]
+        for text in CTL_FORMULAS:
+            term = compile_ctl(model, text % {"a": a, "b": b}).term
+            assert is_guarded(term), text
+            check_parity(term)
 
 
 def test_every_compiled_term_is_guarded_random_models(rng):
@@ -165,6 +176,26 @@ def test_ctl_matches_explicit_states(flags):
         locs = frozenset(p.location
                          for p in flags.space.normalize(got).summands)
         assert locs == ctl_explicit(flags, parse_ctl(text)), text
+
+
+CTL_OPERANDS = ("P", "!Q", "EX P", "P & !Q", "E(Q U P)")
+
+
+def test_ctl_until_is_the_complement_of_release_on_channel_models(rng):
+    """E(p U q) against the complement of A(!q R !p), the release dual."""
+    for _ in range(12):
+        model = random_model(rng, max_channels=2)
+        space = model.space
+        model.named_regions.update(P=random_region_for(rng, model),
+                                   Q=random_region_for(rng, model))
+        hold_text = rng.choice(CTL_OPERANDS)
+        goal_text = rng.choice(CTL_OPERANDS)
+        hold, goal = eval_ctl(model, hold_text), eval_ctl(model, goal_text)
+        release, _ = compile_forall_release(
+            model, space.complement(goal), space.complement(hold)).run()
+        text = "E(%s U %s)" % (hold_text, goal_text)
+        assert space.equal(eval_ctl(model, text),
+                           space.complement(release)), text
 
 
 def test_invariant_is_dual_of_reach(token_game):

@@ -98,6 +98,18 @@ def test_parity_check():
     check_parity(Mu("X", Not(OpApp("V"))))
     with pytest.raises(TermError):
         parse("mu X. !X")
+    with pytest.raises(TermError, match="odd number of complements"):
+        parse("mu X. V | !pre(up(X))")
+    with pytest.raises(TermError, match="odd number of complements"):
+        check_parity(Not(Mu("X", Not(Var("X")))))
+
+
+@pytest.mark.parametrize("text", [
+    "!mu X. V | pre(up(X))",
+    "nu Y. !(mu X. !Y | pre(up(X)))",
+])
+def test_parity_counts_complements_from_the_binder(text):
+    check_parity(parse(text))
 
 
 def test_guardedness():
