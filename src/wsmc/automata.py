@@ -3,7 +3,10 @@
 This is the word-level region algebra: NFAs with epsilon transitions,
 the usual boolean and rational operations, subword closures/kernels,
 and a canonical minimal-DFA form with structural equality, memoized so
-that each distinct NFA is minimized once per process.
+that each distinct NFA is minimized once per process.  The binary
+boolean operations, the residuals and the decisions run on the
+operands' canonical DFAs; only the rational constructions and the
+closures build NFAs.
 """
 
 from __future__ import annotations
@@ -191,53 +194,7 @@ def union(a: Nfa, b: Nfa) -> Nfa:
 
 
 def intersection(a: Nfa, b: Nfa) -> Nfa:
-    _check_same_alphabet(a, b)
-    pairs = {}
-    trans = []
-
-    def pid(pair):
-        if pair not in pairs:
-            pairs[pair] = len(pairs)
-        return pairs[pair]
-
-    initial = set()
-    worklist = []
-    for p in sorted(a.initial):
-        for q in sorted(b.initial):
-            i = pid((p, q))
-            initial.add(i)
-            worklist.append((p, q))
-    seen = set(worklist)
-    a_edges = {}
-    for (p, x, q) in a.transitions:
-        a_edges.setdefault(p, []).append((x, q))
-    b_edges = {}
-    for (p, x, q) in b.transitions:
-        b_edges.setdefault(p, []).append((x, q))
-    while worklist:
-        (p, q) = worklist.pop()
-        src = pid((p, q))
-        for (x, p2) in a_edges.get(p, ()):
-            if x is EPSILON:
-                targets = [(p2, q)]
-            else:
-                targets = [(p2, q2) for (y, q2) in b_edges.get(q, ()) if y == x]
-            for tgt in targets:
-                trans.append((src, x, pid(tgt)))
-                if tgt not in seen:
-                    seen.add(tgt)
-                    worklist.append(tgt)
-        for (y, q2) in b_edges.get(q, ()):
-            if y is EPSILON:
-                tgt = (p, q2)
-                trans.append((src, EPSILON, pid(tgt)))
-                if tgt not in seen:
-                    seen.add(tgt)
-                    worklist.append(tgt)
-    accepting = frozenset(i for ((p, q), i) in pairs.items()
-                          if p in a.accepting and q in b.accepting)
-    n = max(len(pairs), 1)
-    return Nfa.derived(a.alphabet, n, frozenset(initial), accepting, tuple(trans))
+    return _product(a, b, lambda x, y: x and y)
 
 
 def complement(a: Nfa) -> Nfa:
@@ -247,8 +204,36 @@ def complement(a: Nfa) -> Nfa:
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
+    return _product(a, b, lambda x, y: x and not y)
+
+
+def _pairs(a: Nfa, b: Nfa):
+    """The canonical DFAs of a and b, the state pairs of their product
+    reachable from (0, 0) in breadth-first order, and the product's
+    transition table over the indices of those pairs."""
     _check_same_alphabet(a, b)
-    return intersection(a, complement(b))
+    da, db = canonicalize(a), canonicalize(b)
+    ids = {(0, 0): 0}
+    pairs, table = [(0, 0)], []
+    for p, q in pairs:
+        row = []
+        for pair in zip(da.transitions[p], db.transitions[q]):
+            if pair not in ids:
+                ids[pair] = len(pairs)
+                pairs.append(pair)
+            row.append(ids[pair])
+        table.append(row)
+    return da, db, pairs, table
+
+
+def _product(a: Nfa, b: Nfa, keep) -> Nfa:
+    """The product DFA of a and b accepting the pairs (p, q) for which
+    keep(p accepts in a, q accepts in b) holds."""
+    da, db, pairs, table = _pairs(a, b)
+    fa, fb, syms = set(da.accepting), set(db.accepting), a.alphabet.symbols
+    trans = tuple((i, syms[k], t) for i, row in enumerate(table) for k, t in enumerate(row))
+    accepting = frozenset(i for i, (p, q) in enumerate(pairs) if keep(p in fa, q in fb))
+    return Nfa.derived(a.alphabet, len(pairs), frozenset([0]), accepting, trans)
 
 
 # -- rational operations -----------------------------------------------
@@ -300,56 +285,13 @@ def shuffle(a: Nfa, b: Nfa) -> Nfa:
     return Nfa.derived(a.alphabet, a.n_states * nb, initial, accepting, tuple(trans))
 
 
-def _product_pairs(a: Nfa, b: Nfa):
-    """Edges of the synchronized product graph of a and b.
-
-    Nodes are state pairs; symbol moves are synchronized, epsilon moves
-    are free on either side.  Returns an adjacency map.
-    """
-    adj = {}
-
-    def add(src, dst):
-        adj.setdefault(src, set()).add(dst)
-
-    b_by_sym = {}
-    for (q, y, q2) in b.transitions:
-        b_by_sym.setdefault(y, []).append((q, q2))
-    for (p, x, p2) in a.transitions:
-        if x is EPSILON:
-            for q in range(b.n_states):
-                add((p, q), (p2, q))
-        else:
-            for (q, q2) in b_by_sym.get(x, ()):
-                add((p, q), (p2, q2))
-    for (q, y, q2) in b.transitions:
-        if y is EPSILON:
-            for p in range(a.n_states):
-                add((p, q), (p, q2))
-    return adj
-
-
-def _reachable(adj, sources):
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        node = stack.pop()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def left_residual(a: Nfa, b: Nfa) -> Nfa:
-    """{v | exists u in L(a), uv in L(b)}."""
-    _check_same_alphabet(a, b)
-    adj = _product_pairs(a, b)
-    start = [(p, q) for p in a.initial for q in b.initial]
-    reach = _reachable(adj, start)
-    new_initial = frozenset(q for (p, q) in reach if p in a.accepting)
-    if not new_initial:
-        return Nfa.empty(a.alphabet)
-    return Nfa.derived(b.alphabet, b.n_states, new_initial, b.accepting, b.transitions)
+    """{v | exists u in L(a), uv in L(b)}: b's canonical DFA started from
+    the states it reaches on the words of a."""
+    da, db, pairs, _ = _pairs(a, b)
+    fa, nb = set(da.accepting), intern(db)
+    return Nfa.derived(b.alphabet, nb.n_states, frozenset(q for p, q in pairs if p in fa),
+                       nb.accepting, nb.transitions)
 
 
 def right_residual(a: Nfa, b: Nfa) -> Nfa:
@@ -386,14 +328,12 @@ def down_kernel(a: Nfa) -> Nfa:
 # -- decisions ---------------------------------------------------------
 
 def is_empty(a: Nfa) -> bool:
-    adj = {}
-    for (p, _, q) in a.transitions:
-        adj.setdefault(p, []).append(q)
-    return not (_reachable(adj, a.initial) & a.accepting)
+    return not canonicalize(a).accepting
 
 
 def is_universal(a: Nfa) -> bool:
-    return is_empty(complement(a))
+    dfa = canonicalize(a)
+    return len(dfa.accepting) == dfa.n_states
 
 
 def equal(a: Nfa, b: Nfa) -> bool:
@@ -402,7 +342,10 @@ def equal(a: Nfa, b: Nfa) -> bool:
 
 
 def subset(a: Nfa, b: Nfa) -> bool:
-    return is_empty(difference(a, b))
+    """No reachable product state accepts in a and rejects in b."""
+    da, db, pairs, _ = _pairs(a, b)
+    fa, fb = set(da.accepting), set(db.accepting)
+    return all(p not in fa or q in fb for p, q in pairs)
 
 
 # -- determinization, minimization, canonical form ---------------------

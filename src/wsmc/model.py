@@ -68,7 +68,12 @@ class GlcsModel:
                  locations: Tuple[str, ...], owners: Dict[str, Optional[str]],
                  rules: Tuple[Rule, ...],
                  named_regions: Optional[Dict[str, Region]] = None):
-        self.signature = Signature(alphabet, channels, locations)
+        # the declaration rules of parse_model, so region text reads back
+        _identifiers("symbol", alphabet.symbols)
+        for owner in owners.values():
+            _owner(owner)
+        self.signature = Signature(alphabet, _identifiers("channel", channels),
+                                   _identifiers("location", locations))
         self.space = RegionSpace(self.signature)
         self.owners = dict(owners)
         self.named_regions = dict(named_regions or {})
@@ -270,7 +275,7 @@ class ConfigAlgebra(AlgebraBinding):
         for name, (arity, fn) in STEP_OPERATORS.items():
             self.add_operator(name, arity, functools.partial(fn, model))
         for name, region in model.named_regions.items():
-            self.add_operator(name, 0, lambda region=region: region)
+            self.add_operator(_region_name(name), 0, lambda region=region: region)
         self._fresh = 0
         self.constants: Dict[str, Region] = {}
 
@@ -389,6 +394,28 @@ def _identifier(kind: str, name: str) -> str:
     return name
 
 
+def _identifiers(kind: str, names, earlier=()) -> Tuple[str, ...]:
+    """Declared names: identifiers, none of them twice or in earlier."""
+    names = tuple(_identifier(kind, name) for name in names)
+    for i, name in enumerate(names):
+        if name in earlier or name in names[:i]:
+            raise ModelError("duplicate %s %r" % (kind, name))
+    return names
+
+
+def _owner(owner: Optional[str]):
+    if owner not in ("A", "B", None):
+        raise ModelError("owner must be A or B, got %r" % owner)
+
+
+def _region_name(name: str) -> str:
+    """A region name must be an identifier that a formula gives no other
+    meaning."""
+    if _identifier("region", name) in RESERVED_NAMES:
+        raise ModelError("region name %r is reserved" % (name,))
+    return name
+
+
 def parse_model(text: str, name: str = "<model>") -> GlcsModel:
     """Line-oriented model files; see the bundled models for examples."""
     alphabet = None
@@ -409,29 +436,20 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                     _identifier("symbol", sym)
                     for sym in line[len("alphabet:"):].split()))
             elif line.startswith("channels:"):
-                channels = tuple(_identifier("channel", chan)
-                                 for chan in line[len("channels:"):].split())
-                for i, chan in enumerate(channels):
-                    if chan in channels[:i]:
-                        raise ModelError("duplicate channel %r" % (chan,))
+                channels = _identifiers("channel", line[len("channels:"):].split())
                 saw_channels = True
             elif line.startswith("locations:"):
                 for item in line[len("locations:"):].split():
                     loc, owner = item, None
                     if item.endswith("]") and "[" in item:
                         loc, _, owner = item[:-1].partition("[")
-                        if owner not in ("A", "B"):
-                            raise ModelError("owner must be A or B, got %r" % owner)
-                    _identifier("location", loc)
-                    if loc in owners:
-                        raise ModelError("duplicate location %r" % (loc,))
+                    _owner(owner)
+                    _identifiers("location", [loc], owners)
                     locations.append(loc)
                     owners[loc] = owner
             elif line.startswith("region "):
                 name_part, _, expr = line[len("region "):].partition("=")
-                rname = _identifier("region", name_part.strip())
-                if rname in RESERVED_NAMES:
-                    raise ModelError("region name %r is reserved" % (rname,))
+                rname = _region_name(name_part.strip())
                 for first, earlier, _ in pending_regions:
                     if earlier == rname:
                         raise ModelError("duplicate region %r (first declared on "

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,15 +29,24 @@ def test_constructors(ab):
     assert lang(fin) == {w("a"), w("bb")}
 
 
+def operands(a, b):
+    """a and b, an NFA with two initial states (their union) and one with
+    none."""
+    no_initial = Nfa(b.alphabet, b.n_states, frozenset(), b.accepting, b.transitions)
+    return a, b, automata.union(a, b), no_initial
+
+
 def test_boolean_operations_match_oracle(ab, rng):
     for _ in range(40):
         a, b = random_nfa(rng, ab), random_nfa(rng, ab)
         sa, sb = lang(a), lang(b)
         assert lang(automata.union(a, b)) == sa | sb
-        assert lang(automata.intersection(a, b)) == sa & sb
-        assert lang(automata.difference(a, b)) == sa - sb
         assert lang(automata.complement(a)) == oracle.brute_words(
             "complement", [sa], 4, ab)
+        for x, y in itertools.product(operands(a, b), repeat=2):
+            sx, sy = lang(x), lang(y)
+            assert lang(automata.intersection(x, y)) == sx & sy
+            assert lang(automata.difference(x, y)) == sx - sy
 
 
 def test_rational_operations_match_oracle(ab, rng):
@@ -66,16 +76,15 @@ def test_residuals_match_oracle(ab, rng):
     # witnesses for short residual words stay short for small automata
     for _ in range(25):
         a, b = random_nfa(rng, ab, max_states=4), random_nfa(rng, ab, max_states=4)
-        want_l = {v for v in oracle.brute_words(
-            "left_residual", [oracle.language_slice(a, 8),
-                              oracle.language_slice(b, 8)], 8, ab)
-            if len(v) <= 3}
-        assert oracle.language_slice(automata.left_residual(a, b), 3) == want_l
-        want_r = {u for u in oracle.brute_words(
-            "right_residual", [oracle.language_slice(a, 8),
-                               oracle.language_slice(b, 8)], 8, ab)
-            if len(u) <= 3}
-        assert oracle.language_slice(automata.right_residual(a, b), 3) == want_r
+        _, _, two, none = operands(a, b)
+        for x, y in ((a, b), (two, a), (b, two), (none, b), (a, none)):
+            sx, sy = oracle.language_slice(x, 8), oracle.language_slice(y, 8)
+            want_l = {v for v in oracle.brute_words("left_residual", [sx, sy], 8, ab)
+                      if len(v) <= 3}
+            assert oracle.language_slice(automata.left_residual(x, y), 3) == want_l
+            want_r = {u for u in oracle.brute_words("right_residual", [sx, sy], 8, ab)
+                      if len(u) <= 3}
+            assert oracle.language_slice(automata.right_residual(x, y), 3) == want_r
 
 
 def test_right_residual_by_any_symbol(ab):
@@ -209,19 +218,25 @@ def test_canonical_nfa_is_identical_iff_languages_equal(ab, rng):
     assert automata.canonical_nfa(Nfa.universal(ab)).alphabet == ab
 
 
-def test_memoized_subset_agrees_with_difference(ab, rng):
-    holds = 0
+def test_memoized_subset_matches_oracle_inclusion(ab, rng):
+    # A shortest word of L(x) - L(y) visits each state pair of the product
+    # of the canonical DFAs at most once, so with at most 9 pairs it has at
+    # most 8 symbols and the slices of length 8 decide inclusion.
+    outcomes = {True: 0, False: 0}
     for _ in range(60):
-        a, b = random_nfa(rng, ab), random_nfa(rng, ab)
-        for x, y in ((a, b), (b, a), (a, automata.union(a, b)),
-                     (automata.intersection(a, b), b)):
-            want = automata.is_empty(automata.difference(x, y))
+        a, b = random_nfa(rng, ab, max_states=4), random_nfa(rng, ab, max_states=4)
+        shapes = operands(a, b)
+        for (x, sx), (y, sy) in itertools.permutations(
+                zip(shapes, [lang(z, 8) for z in shapes]), 2):
+            if automata.canonicalize(x).n_states * automata.canonicalize(y).n_states > 9:
+                continue
+            want = sx <= sy
             assert automata.subset(x, y) == want
             assert automata.subset(x, y) == want  # a second call agrees
             assert automata.subset(automata.canonical_nfa(x),
                                    automata.canonical_nfa(y)) == want
-            holds += want
-    assert holds >= 2 * 60
+            outcomes[want] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 150
 
 
 class CountingTuple(tuple):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wsmc import automata, oracle
+from wsmc import automata, compilers, oracle
 from wsmc.automata import Alphabet, Nfa
 from wsmc.model import (
     LOSSY, PERFECT, GlcsModel, ModelError, Rule, SEND, RECV, INTERNAL,
@@ -76,6 +76,37 @@ def test_parse_model_rejects_reserved_region_names(name):
     with pytest.raises(ModelError) as info:
         parse_model(text, name="m.lcs")
     assert str(info.value) == "m.lcs:4: region name %r is reserved" % (name,)
+
+
+# -- models built through the API obey the rules of the model syntax ------
+
+@pytest.mark.parametrize("alphabet, channels, locations, owners, message", [
+    (AB, ("c",), ("p", "p"), {"p": None}, "duplicate location 'p'"),
+    (AB, ("c", "c"), ("p",), {"p": None}, "duplicate channel 'c'"),
+    (Alphabet(("x*", "y")), ("c",), ("p",), {"p": None},
+     "symbol name 'x*' must consist of letters, digits and '_'"),
+    (AB, ("c",), ("p",), {"p": "C"}, "owner must be A or B, got 'C'"),
+], ids=["locations", "channels", "symbol", "owner"])
+def test_api_model_rejects_what_parse_model_rejects(alphabet, channels, locations,
+                                                    owners, message):
+    with pytest.raises(ModelError) as info:
+        GlcsModel(alphabet, channels, locations, owners, ())
+    assert str(info.value) == message
+
+
+def test_api_region_named_after_an_operator_is_refused():
+    model = tiny_model([Rule("p", "q", SEND, "c", "a")])
+    goal = atom(model, "q", "a")
+    model.named_regions["pre"] = goal
+    with pytest.raises(ModelError, match="region name 'pre' is reserved"):
+        compilers.compile_pre_star(model, goal)
+
+
+def test_api_region_named_all_does_not_shadow_the_full_region():
+    model = tiny_model([Rule("p", "q", SEND, "c", "a")])
+    model.named_regions["all"] = model.space.empty()
+    with pytest.raises(ModelError, match="region name 'all' is reserved"):
+        compilers.eval_ctl(model, "all")
 
 
 def test_parse_word_and_config():
