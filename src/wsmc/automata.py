@@ -227,13 +227,14 @@ def _pairs(a: Nfa, b: Nfa):
 
 
 def _product(a: Nfa, b: Nfa, keep) -> Nfa:
-    """The product DFA of a and b accepting the pairs (p, q) for which
-    keep(p accepts in a, q accepts in b) holds."""
+    """The interned minimal DFA of the product of a and b accepting the
+    pairs (p, q) for which keep(p accepts in a, q accepts in b) holds:
+    the product is complete and deterministic, so it needs no subset
+    construction."""
     da, db, pairs, table = _pairs(a, b)
-    fa, fb, syms = set(da.accepting), set(db.accepting), a.alphabet.symbols
-    trans = tuple((i, syms[k], t) for i, row in enumerate(table) for k, t in enumerate(row))
-    accepting = frozenset(i for i, (p, q) in enumerate(pairs) if keep(p in fa, q in fb))
-    return Nfa.derived(a.alphabet, len(pairs), frozenset([0]), accepting, trans)
+    fa, fb = set(da.accepting), set(db.accepting)
+    accepting = {i for i, (p, q) in enumerate(pairs) if keep(p in fa, q in fb)}
+    return intern(minimal_dfa(a.alphabet, table, accepting))
 
 
 # -- rational operations -----------------------------------------------

@@ -4,7 +4,9 @@ A model is a finite set of locations (optionally owned by player A or
 B), FIFO channels over a message alphabet, and transition rules that
 send, receive, or do nothing, each optionally guarded by a region
 evaluated on the pre-step configuration.  Message losses shrink channel
-contents to arbitrary subwords after each perfect step.
+contents to arbitrary subwords after each perfect step.  A perfect step
+through a rule is a block edit of a region's slice (RegionSpace.edit),
+which the model's region space memoizes.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import automata, regexes, terms
-from .automata import Alphabet, AutomatonError, Nfa, Word
+from . import regexes, terms
+from .automata import Alphabet, AutomatonError, Word
 from .engine import AlgebraBinding
 from .errors import WsmcError
 from .regions import Config, Region, RegionSpace, Signature
@@ -80,9 +82,7 @@ class GlcsModel:
         self._set_rules(rules)
 
     def _set_rules(self, rules: Tuple[Rule, ...]):
-        """Check and install the rules; this empties the step memo, which
-        maps (operator, mode, location, slice encoding) to the operator's
-        result from that slice."""
+        """Check and install the rules."""
         for rule in rules:
             for loc in (rule.source, rule.target):
                 if loc not in self.locations:
@@ -93,7 +93,6 @@ class GlcsModel:
                 if rule.symbol not in self.alphabet:
                     raise ModelError("rule symbol %r not in alphabet" % (rule.symbol,))
         self.rules = tuple(rules)
-        self._steps: Dict[Tuple[str, str, str, Nfa], Region] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -144,22 +143,21 @@ class GlcsModel:
         the rule's target with the rule's channel block edited (a receive
         prepends its symbol, a send drops it from the end), met with the
         guard."""
-        enc = dict(region.slices).get(rule.target)
-        if enc is None:
-            return self.space.empty()
-        enc = self._edit(enc, rule, {RECV: "prepend", SEND: "curtail"})
-        step = self.space.from_encodings({rule.source: enc})
+        step = self.space.edit(region, rule.target, rule.source,
+                               {RECV: "prepend", SEND: "curtail"}.get(rule.kind),
+                               rule.channel, rule.symbol)
         return step if rule.guard is None else self.space.intersection(rule.guard, step)
 
     def pre_perf(self, region: Region) -> Region:
         """Union over the rules into the locations of region."""
-        locs = {loc for loc, _ in region.slices}
+        locs = dict(self.space.normalize(region).slices)
         return self.space.union(*[self.pre_perf_rule(rule, region)
                                   for rule in self.rules if rule.target in locs])
 
     def pre(self, region: Region, mode: str = LOSSY) -> Region:
-        """Predecessors, from each location's slice of region (see _step)."""
-        return self._step("pre", mode, region)
+        """Predecessors: the perfect ones of region or, when lossy, of its
+        upward closure."""
+        return self.pre_perf(self.space.up_closure(region) if _lossy(mode) else region)
 
     def wpre(self, region: Region, mode: str = LOSSY) -> Region:
         return self.space.complement(self.pre(self.space.complement(region), mode))
@@ -171,90 +169,22 @@ class GlcsModel:
         the start)."""
         if rule.guard is not None:
             region = self.space.intersection(rule.guard, region)
-        enc = dict(region.slices).get(rule.source)
-        if enc is None:
-            return self.space.empty()
-        enc = self._edit(enc, rule, {SEND: "append", RECV: "behead"})
-        return self.space.from_encodings({rule.target: enc})
+        return self.space.edit(region, rule.source, rule.target,
+                               {SEND: "append", RECV: "behead"}.get(rule.kind),
+                               rule.channel, rule.symbol)
 
     def post_perf(self, region: Region) -> Region:
         """Union over the rules out of the locations of region."""
-        locs = {loc for loc, _ in region.slices}
+        locs = dict(self.space.normalize(region).slices)
         return self.space.union(*[self.post_perf_rule(rule, region)
                                   for rule in self.rules if rule.source in locs])
 
     def post(self, region: Region, mode: str = LOSSY) -> Region:
-        """Successors, from each location's slice of region (see _step)."""
-        return self._step("post", mode, region)
-
-    def _step(self, op: str, mode: str, region: Region) -> Region:
-        """The union over locations q of op's step from region's slice at
-        q, memoized per (op, mode, q, slice).  A lossy pre steps from the
-        slice's upward closure and a lossy post closes its result
-        downward: both closures work location by location."""
-        if mode not in (LOSSY, PERFECT):
-            raise ModelError("unknown step mode %r" % (mode,))
-        space, parts = self.space, []
-        for loc, enc in space.normalize(region).slices:
-            key = (op, mode, loc, enc)
-            if key not in self._steps:
-                local = Region(self.signature, ((loc, enc),))
-                if op == "post":
-                    step = self.post_perf(local)
-                    self._steps[key] = space.down_closure(step) if mode == LOSSY else step
-                else:
-                    self._steps[key] = self.pre_perf(
-                        space.up_closure(local) if mode == LOSSY else local)
-            parts.append(self._steps[key])
-        return space.union(*parts)
-
-    def _edit(self, enc: Nfa, rule: Rule, edits: Dict[str, str]) -> Nfa:
-        """The encoding enc with the rule's channel block edited by the
-        rule's symbol m, as edits maps the rule's kind: "prepend" m,
-        "behead" (drop a leading m), "append" m or "curtail" (drop a
-        trailing m); other kinds leave enc as it is.
-
-        On the minimal DFA of enc, each live state lies in one block: the
-        number of separators read to reach it.  Entering at the initial
-        state counts as a separator move from START in block -1, and
-        accepting as one to END in block c, so every block starts and
-        ends at separator moves.  The dead state stays dead.
-        """
-        edit = edits.get(rule.kind)
-        if edit is None:
-            return enc
-        dfa = automata.canonicalize(enc)
-        table, symbols, n = dfa.transitions, dfa.alphabet.symbols, dfa.n_states
-        sep, m = len(symbols) - 1, dfa.alphabet.index(rule.symbol)
-        i, START, END = self.channels.index(rule.channel), -1, -2
-        block, stack = {START: -1, END: len(self.channels), 0: 0}, [0]
-        while stack:
-            p = stack.pop()
-            for x, t in enumerate(table[p]):
-                if t not in block:
-                    block[t] = block[p] + (x == sep)
-                    stack.append(t)
-        moves = [(p, x, t) for p in range(n) for x, t in enumerate(table[p][:sep])]
-        seps = {p: row[sep] for p, row in enumerate(table)}
-        seps.update((p, END) for p in dfa.accepting)  # their separators are dead
-        seps[START] = 0
-        before = dict(seps)
-        for p in [p for p in before if block[p] == i - (edit in ("prepend", "behead"))]:
-            if edit == "prepend":  # separator moves into block i
-                moves.append((n, m, seps[p]))
-                seps[p], n = n, n + 1
-            elif edit == "behead":
-                seps[p] = table[seps[p]][m]
-            elif edit == "append":  # separator moves out of block i
-                moves.append((p, m, n))
-                seps[n], n = seps.pop(p), n + 1
-            else:
-                seps[p] = before[table[p][m]]
-        trans = [(p, symbols[x], t) for (p, x, t) in moves]
-        trans.extend((p, symbols[sep], t) for p, t in seps.items() if p >= 0 <= t)
-        return Nfa.derived(dfa.alphabet, n, frozenset([seps[START]]),
-                           frozenset(p for p, t in seps.items() if t == END),
-                           tuple(trans))
+        """Successors: the perfect ones of region, closed downward when
+        lossy."""
+        lossy = _lossy(mode)
+        step = self.post_perf(region)
+        return self.space.down_closure(step) if lossy else step
 
     # -- the configuration algebra for the fixpoint engine ---------------
 
@@ -401,6 +331,12 @@ def _identifiers(kind: str, names, earlier=()) -> Tuple[str, ...]:
         if name in earlier or name in names[:i]:
             raise ModelError("duplicate %s %r" % (kind, name))
     return names
+
+
+def _lossy(mode: str) -> bool:
+    if mode not in (LOSSY, PERFECT):
+        raise ModelError("unknown step mode %r" % (mode,))
+    return mode == LOSSY
 
 
 def _owner(owner: Optional[str]):

@@ -5,7 +5,8 @@ location, the tuples (w1, ..., wc) of the region are encoded as the
 words w1 # w2 # ... # wc over the message alphabet plus the separator #,
 and the region keeps the interned minimal DFA of that language (see
 automata.intern).  Equal regions are therefore equal values and print
-identically.
+identically.  The encoding's layout is known here alone: a step of a
+channel system edits one channel's block of it (RegionSpace.edit).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import automata
 from .automata import EPSILON, Alphabet, Nfa, Word
@@ -83,10 +84,10 @@ def _canonical(nfa: Nfa) -> Nfa:
 class RegionSpace:
     """The effective region algebra for one model signature.  Every
     operation works location by location on the interned encodings.
-    Unions, intersections, complements and closures of encodings are
-    memoized per space, keyed on the operation and its operand
-    encodings; a complement is stored both ways.  The memo is never
-    evicted."""
+    Unions, intersections, complements, closures and block edits of
+    encodings are memoized per space, keyed on the operation and its
+    operand encodings; a complement is stored both ways.  The memo is
+    never evicted."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -107,11 +108,6 @@ class RegionSpace:
             n += lang.n_states
         return Nfa.derived(self._ext_alphabet, n, frozenset([0]), frozenset(ends),
                            tuple(trans))
-
-    def from_encodings(self, encodings: Dict[str, Nfa]) -> Region:
-        """The region with the languages of NFAs of well-formed words as
-        slices."""
-        return self._region({loc: _canonical(nfa) for loc, nfa in encodings.items()})
 
     def _region(self, encodings: Dict[str, Nfa]) -> Region:
         """The region of interned encodings per location; empty ones drop out."""
@@ -140,7 +136,8 @@ class RegionSpace:
                               % (len(self.signature.channels), len(langs)))
         if any(lang.alphabet != self.signature.alphabet for lang in langs):
             raise RegionError("channel language over another alphabet")
-        return self.from_encodings({loc: self._join(map(automata.canonical_nfa, langs))})
+        enc = _canonical(self._join(map(automata.canonical_nfa, langs)))
+        return self._region({loc: enc})
 
     def location_region(self, locs) -> Region:
         return Region(self.signature, tuple((q, self._all)
@@ -161,8 +158,9 @@ class RegionSpace:
             for loc, enc in self._slices(r).items():
                 parts.setdefault(loc, set()).add(enc)
         return self._region({
-            loc: self._apply(frozenset(encs), lambda encs=encs: functools.reduce(
-                automata.union, encs)) if len(encs) > 1 else next(iter(encs))
+            loc: next(iter(encs)) if len(encs) == 1 else self._apply(
+                frozenset(encs), lambda encs=encs: _canonical(
+                    functools.reduce(automata.union, encs)))
             for loc, encs in parts.items()})
 
     def intersection(self, a: Region, b: Region) -> Region:
@@ -185,10 +183,10 @@ class RegionSpace:
         return other
 
     def _apply(self, key, compute) -> Nfa:
-        """The memoized interned encoding of compute()."""
+        """The interned encoding that compute() returns, memoized on key."""
         enc = self._memo.get(key)
         if enc is None:
-            enc = self._memo[key] = _canonical(compute())
+            enc = self._memo[key] = compute()
         return enc
 
     def difference(self, a: Region, b: Region) -> Region:
@@ -202,9 +200,9 @@ class RegionSpace:
         if not self.signature.channels:
             return self.normalize(a)
         return self._region({
-            loc: self._apply((name, enc), lambda enc=enc: Nfa.derived(
+            loc: self._apply((name, enc), lambda enc=enc: _canonical(Nfa.derived(
                 self._ext_alphabet, enc.n_states, enc.initial, enc.accepting,
-                enc.transitions + extra(enc)))
+                enc.transitions + extra(enc))))
             for loc, enc in self._slices(a).items()})
 
     def up_closure(self, a: Region) -> Region:
@@ -225,6 +223,65 @@ class RegionSpace:
 
     def down_kernel(self, a: Region) -> Region:
         return self.complement(self.up_closure(self.complement(a)))
+
+    # -- channel-block edits --------------------------------------------
+
+    def edit(self, a: Region, source: str, target: str, kind: Optional[str],
+             channel: Optional[str] = None, symbol: Optional[str] = None) -> Region:
+        """The region at target of a's slice at source, with channel's
+        block edited by symbol as kind says: "prepend" it, "behead" (drop
+        a leading one), "append" it or "curtail" (drop a trailing one), or
+        kept if kind is None.  Memoized per (kind, channel, symbol, slice),
+        so rules with the same edit share one result per slice."""
+        enc = self._slices(a).get(source)
+        if enc is None:
+            return self.empty()
+        if kind is not None:
+            enc = self._apply((kind, channel, symbol, enc), lambda: _canonical(
+                self._edit(enc, kind, channel, symbol)))
+        return self._region({target: enc})
+
+    def _edit(self, enc: Nfa, kind: str, channel: str, symbol: str) -> Nfa:
+        """An NFA of enc with channel's block i edited by symbol m (see edit).
+
+        On the minimal DFA of enc, each live state lies in one block: the
+        number of separators read to reach it.  Entering at the initial
+        state counts as a separator move from START in block -1, and
+        accepting as one to END in block c, so every block starts and
+        ends at separator moves.  The dead state stays dead.
+        """
+        dfa = automata.canonicalize(enc)
+        table, symbols, n = dfa.transitions, dfa.alphabet.symbols, dfa.n_states
+        sep, m = len(symbols) - 1, dfa.alphabet.index(symbol)
+        i, START, END = self.signature.channels.index(channel), -1, -2
+        block, stack = {START: -1, END: len(self.signature.channels), 0: 0}, [0]
+        while stack:
+            p = stack.pop()
+            for x, t in enumerate(table[p]):
+                if t not in block:
+                    block[t] = block[p] + (x == sep)
+                    stack.append(t)
+        moves = [(p, x, t) for p in range(n) for x, t in enumerate(table[p][:sep])]
+        seps = {p: row[sep] for p, row in enumerate(table)}
+        seps.update((p, END) for p in dfa.accepting)  # their separators are dead
+        seps[START] = 0
+        before = dict(seps)
+        for p in [p for p in before if block[p] == i - (kind in ("prepend", "behead"))]:
+            if kind == "prepend":  # separator moves into block i
+                moves.append((n, m, seps[p]))
+                seps[p], n = n, n + 1
+            elif kind == "behead":
+                seps[p] = table[seps[p]][m]
+            elif kind == "append":  # separator moves out of block i
+                moves.append((p, m, n))
+                seps[n], n = seps.pop(p), n + 1
+            else:
+                seps[p] = before[table[p][m]]
+        trans = [(p, symbols[x], t) for (p, x, t) in moves]
+        trans.extend((p, symbols[sep], t) for p, t in seps.items() if p >= 0 <= t)
+        return Nfa.derived(dfa.alphabet, n, frozenset([seps[START]]),
+                           frozenset(p for p, t in seps.items() if t == END),
+                           tuple(trans))
 
     # -- decisions ------------------------------------------------------
 

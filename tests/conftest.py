@@ -83,6 +83,7 @@ FIXTURE_COMMANDS = [
     ["eval", "flags.lcs", "-f", "nu X. SAFE & wpre(kdown(X))"],
     ["check", "abp.lcs", "prestar", "--target", "GOAL"],
     ["check", "abp.lcs", "release", "--target", "CLEAN0", "--cond", "GOAL"],
+    ["check", "abp4.lcs", "prestar", "--target", "GOAL"],
     ["check", "token_game.lcs", "game-reach", "--player", "B",
      "--target", "GOAL"],
     ["check", "token_game.lcs", "game-inv", "--player", "A",

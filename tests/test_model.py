@@ -9,7 +9,7 @@ from wsmc.model import (
     LOSSY, PERFECT, GlcsModel, ModelError, Rule, SEND, RECV, INTERNAL,
     parse_config, parse_model, parse_region_text, parse_word, region_to_text)
 from wsmc.regexes import compile_regex
-from wsmc.regions import Config, RegionSpace
+from wsmc.regions import Config, RegionError, RegionSpace
 
 from conftest import model_path, random_model, random_region_for
 
@@ -335,7 +335,7 @@ def test_memoized_step_operators_equal_fresh_model(max_channels):
     for _ in range(8):
         model = random_model(rng, max_channels=max_channels)
         regions = [random_region_for(rng, model, 3) for _ in range(3)]
-        for r in regions:  # warm the step memo
+        for r in regions:  # warm the region memo
             for op, mode in calls:
                 getattr(model, op)(r, mode)
         for r in regions:
@@ -350,6 +350,28 @@ def test_unknown_step_mode_is_an_error():
     for op in (model.pre, model.wpre, model.post):
         with pytest.raises(ModelError, match="unknown step mode"):
             op(model.space.full(), "sloppy")
+
+
+def test_steps_refuse_a_region_of_another_signature():
+    with open(model_path("abp.lcs"), encoding="utf-8") as handle:
+        abp = parse_model(handle.read())
+    with open(model_path("flags.lcs"), encoding="utf-8") as handle:
+        flags = parse_model(handle.read())
+    # no location name in common, and the same location names
+    shared = parse_model("alphabet: x y\nchannels: c\nlocations: p q\n"
+                         "rule p -> q : c!x\n")
+    other = parse_model("alphabet: u v w\nchannels: d e\nlocations: p q\n")
+    for model, foreign in ((abp, flags.space.full()), (shared, other.space.full())):
+        rule = model.rules[0]
+        steps = [model.pre_perf, model.post_perf,
+                 lambda r: model.pre_perf_rule(rule, r),
+                 lambda r: model.post_perf_rule(rule, r)]
+        steps += [lambda r, op=op, mode=mode: op(r, mode)
+                  for op in (model.pre, model.wpre, model.post)
+                  for mode in (LOSSY, PERFECT)]
+        for step in steps:
+            with pytest.raises(RegionError, match="region of another signature"):
+                step(foreign)
 
 
 def test_parse_model_builds_one_region_space(monkeypatch):
@@ -368,9 +390,10 @@ def test_parse_model_builds_one_region_space(monkeypatch):
         assert len(signatures) == 1
 
 
-def test_one_slice_costs_one_step(monkeypatch):
-    rules = [Rule("p", "q", SEND, "c", "a"), Rule("q", "p", RECV, "d", "b"),
-             Rule("q", "q", INTERNAL)]
+def test_steps_share_block_edits_and_repeat_without_minimizing(monkeypatch):
+    # two sends of c!a read equal slices at p and q
+    rules = [Rule("p", "q", SEND, "c", "a"), Rule("q", "p", SEND, "c", "a"),
+             Rule("q", "p", RECV, "d", "b"), Rule("q", "q", INTERNAL)]
     model = tiny_model(rules, channels=("c", "d"))
     space = model.space
     rows = [("a*", "b"), ("a*b", "(ab)*"), ("b", "a|b")]
@@ -381,16 +404,26 @@ def test_one_slice_costs_one_step(monkeypatch):
     for _ in range(2):  # the encodings are interned, both ways
         for r in at.values():
             assert space.complement(space.complement(r)) == r
-    steps = []
-    for name in ("pre_perf", "post_perf"):
-        real = getattr(model, name)
-        monkeypatch.setattr(model, name,
-                            lambda r, real=real: steps.append(r) or real(r))
     both = space.union(*at.values())
-    for mode in (LOSSY, PERFECT):
-        for op in (model.pre, model.post):
-            want = op(both, mode)
-            assert op(at["p"], mode) == op(space.intersection(both, at["p"]), mode)
-            assert op(both, mode) == want
-    # one step per (operator, mode, location, slice)
-    assert len(steps) == 8
+    edits = []
+    real_edit = space._edit
+    monkeypatch.setattr(space, "_edit",
+                        lambda *args: edits.append(args[1]) or real_edit(*args))
+    model.pre_perf(both)
+    model.post_perf(both)
+    # one block edit per (kind, channel, symbol, slice)
+    assert sorted(edits) == ["append", "behead", "curtail", "prepend"]
+    calls = [(op, mode) for op in (model.pre, model.post, model.wpre)
+             for mode in (LOSSY, PERFECT)]
+    want = {call: call[0](both, call[1]) for call in calls}
+    for op, mode in calls[:4]:
+        assert op(at["p"], mode) == op(space.intersection(both, at["p"]), mode)
+    minimized = []
+    real_minimize = automata.minimize
+    monkeypatch.setattr(automata, "minimize",
+                        lambda a: minimized.append(a) or real_minimize(a))
+    again = space.union(at["q"], at["p"])
+    assert again == both and again is not both
+    for op, mode in calls:
+        assert op(again, mode) == want[op, mode]
+    assert minimized == []
