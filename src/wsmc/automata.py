@@ -2,16 +2,16 @@
 
 This is the word-level region algebra: NFAs with epsilon transitions,
 the usual boolean and rational operations, subword closures/kernels,
-and a canonical minimal-DFA form with structural equality, memoized so
-that each distinct NFA is minimized once per process.  The binary
-boolean operations, the residuals and the decisions run on the
-operands' canonical DFAs; only the rational constructions and the
-closures build NFAs.
+and a canonical form: one interned Nfa per language, its minimal DFA
+with its table, memoized so that each distinct NFA is minimized once
+per process.  The binary boolean operations, the residuals and the
+decisions run on the operands' canonical forms; only the rational
+constructions and the closures build NFAs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -56,7 +56,9 @@ class Nfa:
     """Nondeterministic finite automaton with epsilon transitions.
 
     States are dense indices 0..n_states-1.  Transitions are triples
-    (src, symbol-or-None, dst); None is epsilon.
+    (src, symbol-or-None, dst); None is epsilon.  A canonical form (see
+    canonicalize) also keeps its table[state][symbol index] -> state,
+    which takes no part in equality or hashing; other Nfas have None.
     """
 
     alphabet: Alphabet
@@ -64,6 +66,8 @@ class Nfa:
     initial: frozenset
     accepting: frozenset
     transitions: Tuple[Tuple[int, Optional[str], int], ...]
+    table: Optional[Tuple[Tuple[int, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for (p, a, q) in self.transitions:
@@ -74,12 +78,12 @@ class Nfa:
 
     @classmethod
     def derived(cls, alphabet: Alphabet, n_states: int, initial: frozenset,
-                accepting: frozenset, transitions) -> "Nfa":
+                accepting: frozenset, transitions, table=None) -> "Nfa":
         """An Nfa built from automata that are already valid, so it is
         not checked again."""
         nfa = object.__new__(cls)
         nfa.__dict__.update(alphabet=alphabet, n_states=n_states, initial=initial,
-                            accepting=accepting, transitions=transitions)
+                            accepting=accepting, transitions=transitions, table=table)
         return nfa
 
     # Intern-table keys are hashed on every lookup: hash the fields once.
@@ -132,44 +136,13 @@ class Nfa:
     # -- basic queries -------------------------------------------------
 
     def accepts(self, w: Sequence[str]) -> bool:
-        """Run w on the canonical DFA; a symbol outside the alphabet rejects."""
-        return all(sym in self.alphabet for sym in w) and canonicalize(self).accepts(w)
-
-
-@dataclass(frozen=True)
-class CanonicalDfa:
-    """Complete minimal DFA in canonical form.
-
-    The initial state is 0 and states are numbered by breadth-first
-    discovery in alphabet order, so two values denote the same language
-    iff they are equal as dataclasses.
-    """
-
-    alphabet: Alphabet
-    n_states: int
-    transitions: Tuple[Tuple[int, ...], ...]  # [state][symbol index] -> state
-    accepting: Tuple[int, ...]
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.alphabet, self.n_states, self.transitions, self.accepting))
-
-    def accepts(self, w: Sequence[str]) -> bool:
-        state = 0
+        """Run w on the canonical form; a symbol outside the alphabet rejects."""
+        if not all(sym in self.alphabet for sym in w):
+            return False
+        dfa, state = canonicalize(self), 0
         for sym in w:
-            state = self.transitions[state][self.alphabet.index(sym)]
-        return state in self.accepting
-
-    def to_nfa(self) -> Nfa:
-        trans = []
-        for p, row in enumerate(self.transitions):
-            for i, q in enumerate(row):
-                trans.append((p, self.alphabet.symbols[i], q))
-        return Nfa.derived(self.alphabet, self.n_states, frozenset([0]),
-                           frozenset(self.accepting), tuple(trans))
+            state = dfa.table[state][self.alphabet.index(sym)]
+        return state in dfa.accepting
 
 
 def _check_same_alphabet(a: Nfa, b: Nfa):
@@ -198,9 +171,11 @@ def intersection(a: Nfa, b: Nfa) -> Nfa:
 
 
 def complement(a: Nfa) -> Nfa:
+    """Swapping the accepting states of a complete minimal DFA keeps it
+    minimal and keeps its numbering: the result is canonical as it is."""
     dfa = canonicalize(a)
-    accepting = tuple(q for q in range(dfa.n_states) if q not in dfa.accepting)
-    return CanonicalDfa(dfa.alphabet, dfa.n_states, dfa.transitions, accepting).to_nfa()
+    rejecting = frozenset(range(dfa.n_states)) - dfa.accepting
+    return _intern(dfa.alphabet, dfa.table, rejecting)
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
@@ -208,7 +183,7 @@ def difference(a: Nfa, b: Nfa) -> Nfa:
 
 
 def _pairs(a: Nfa, b: Nfa):
-    """The canonical DFAs of a and b, the state pairs of their product
+    """The canonical forms of a and b, the state pairs of their product
     reachable from (0, 0) in breadth-first order, and the product's
     transition table over the indices of those pairs."""
     _check_same_alphabet(a, b)
@@ -217,7 +192,7 @@ def _pairs(a: Nfa, b: Nfa):
     pairs, table = [(0, 0)], []
     for p, q in pairs:
         row = []
-        for pair in zip(da.transitions[p], db.transitions[q]):
+        for pair in zip(da.table[p], db.table[q]):
             if pair not in ids:
                 ids[pair] = len(pairs)
                 pairs.append(pair)
@@ -227,14 +202,14 @@ def _pairs(a: Nfa, b: Nfa):
 
 
 def _product(a: Nfa, b: Nfa, keep) -> Nfa:
-    """The interned minimal DFA of the product of a and b accepting the
+    """The canonical form of the product of a and b accepting the
     pairs (p, q) for which keep(p accepts in a, q accepts in b) holds:
     the product is complete and deterministic, so it needs no subset
     construction."""
     da, db, pairs, table = _pairs(a, b)
-    fa, fb = set(da.accepting), set(db.accepting)
-    accepting = {i for i, (p, q) in enumerate(pairs) if keep(p in fa, q in fb)}
-    return intern(minimal_dfa(a.alphabet, table, accepting))
+    accepting = {i for i, (p, q) in enumerate(pairs)
+                 if keep(p in da.accepting, q in db.accepting)}
+    return minimal_dfa(a.alphabet, table, accepting)
 
 
 # -- rational operations -----------------------------------------------
@@ -287,12 +262,12 @@ def shuffle(a: Nfa, b: Nfa) -> Nfa:
 
 
 def left_residual(a: Nfa, b: Nfa) -> Nfa:
-    """{v | exists u in L(a), uv in L(b)}: b's canonical DFA started from
+    """{v | exists u in L(a), uv in L(b)}: b's canonical form started from
     the states it reaches on the words of a."""
     da, db, pairs, _ = _pairs(a, b)
-    fa, nb = set(da.accepting), intern(db)
-    return Nfa.derived(b.alphabet, nb.n_states, frozenset(q for p, q in pairs if p in fa),
-                       nb.accepting, nb.transitions)
+    return Nfa.derived(b.alphabet, db.n_states,
+                       frozenset(q for p, q in pairs if p in da.accepting),
+                       db.accepting, db.transitions)
 
 
 def right_residual(a: Nfa, b: Nfa) -> Nfa:
@@ -339,14 +314,13 @@ def is_universal(a: Nfa) -> bool:
 
 def equal(a: Nfa, b: Nfa) -> bool:
     _check_same_alphabet(a, b)
-    return canonicalize(a) == canonicalize(b)
+    return canonicalize(a) is canonicalize(b)
 
 
 def subset(a: Nfa, b: Nfa) -> bool:
     """No reachable product state accepts in a and rejects in b."""
     da, db, pairs, _ = _pairs(a, b)
-    fa, fb = set(da.accepting), set(db.accepting)
-    return all(p not in fa or q in fb for p, q in pairs)
+    return all(p not in da.accepting or q in db.accepting for p, q in pairs)
 
 
 # -- determinization, minimization, canonical form ---------------------
@@ -408,50 +382,48 @@ def _determinize(a: Nfa):
     return table, accepting
 
 
-# Per-process intern tables.  They hold one entry per distinct input
-# NFA or language seen, and are never evicted.
-_CANONICAL: Dict[Nfa, CanonicalDfa] = {}
-_INTERNED: Dict[CanonicalDfa, Nfa] = {}
+# Per-process tables, never evicted: the canonical form of every input
+# NFA seen (an interned value is its own), and the one interned value
+# per language, keyed on (alphabet, table, accepting).
+_CANONICAL: Dict[Nfa, Nfa] = {}
+_INTERNED: Dict[tuple, Nfa] = {}
 
 
-def canonicalize(a: Nfa) -> CanonicalDfa:
-    """Canonical minimal DFA of a, memoized on the (structural) value of a.
-
-    Each language gets one CanonicalDfa object and one interned Nfa
-    (see canonical_nfa), so later lookups keyed on either hit by
-    identity.
-    """
-    dfa = _CANONICAL.get(a)
-    if dfa is None:
-        dfa = _CANONICAL[a] = _CANONICAL[intern(minimize(a))]
-    return dfa
-
-
-def intern(dfa: CanonicalDfa) -> Nfa:
-    """The one interned Nfa of the language of dfa, without memoizing
-    the NFA that dfa was built from."""
-    nfa = _INTERNED.get(dfa)
+def canonicalize(a: Nfa) -> Nfa:
+    """The canonical form of a, memoized on the (structural) value of a:
+    its complete minimal DFA, with initial state 0 and states numbered
+    by breadth-first discovery in alphabet order, as the one interned
+    Nfa of its language."""
+    nfa = _CANONICAL.get(a)
     if nfa is None:
-        nfa = _INTERNED[dfa] = dfa.to_nfa()
-        _CANONICAL[nfa] = dfa
+        nfa = _CANONICAL[a] = minimize(a)
     return nfa
 
 
-def canonical_nfa(a: Nfa) -> Nfa:
-    """Minimal complete DFA of a, as the one interned Nfa of its language."""
-    return _INTERNED[canonicalize(a)]
+canonical_nfa = canonicalize  # the name the package exports
 
 
-def minimize(a: Nfa) -> CanonicalDfa:
-    """Canonical minimal DFA of a, uncached: subset construction, then
-    minimal_dfa."""
-    table, accepting = _determinize(a)
-    return minimal_dfa(a.alphabet, table, accepting)
+def _intern(alphabet: Alphabet, table, accepting: frozenset) -> Nfa:
+    key = (alphabet, table, accepting)
+    nfa = _INTERNED.get(key)
+    if nfa is None:
+        trans = tuple((p, alphabet.symbols[i], q) for p, row in enumerate(table)
+                      for i, q in enumerate(row))
+        nfa = _INTERNED[key] = Nfa.derived(alphabet, len(table), frozenset([0]),
+                                           accepting, trans, table)
+        _CANONICAL[nfa] = nfa
+    return nfa
+
+
+def minimize(a: Nfa) -> Nfa:
+    """The canonical form of a, without memoizing a: subset construction,
+    then minimal_dfa."""
+    return minimal_dfa(a.alphabet, *_determinize(a))
 
 
 def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],
-                accepting) -> CanonicalDfa:
-    """Canonical minimal DFA of the complete DFA with initial state 0 and
+                accepting) -> Nfa:
+    """The canonical form of the complete DFA with initial state 0 and
     table[state][symbol index] -> state: Moore refinement, breadth-first
     renumbering."""
     n = len(table)
@@ -492,5 +464,5 @@ def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],
                 order.append(t)
         i += 1
     final_table = tuple(tuple(renum[t] for t in min_table[b]) for b in order)
-    final_accepting = tuple(sorted(renum[b] for b in min_accepting if b in renum))
-    return CanonicalDfa(alphabet, len(order), final_table, final_accepting)
+    final_accepting = frozenset(renum[b] for b in min_accepting if b in renum)
+    return _intern(alphabet, final_table, final_accepting)

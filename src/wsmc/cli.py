@@ -1,8 +1,8 @@
 """Command-line frontend.
 
-Exit codes are uniform across subcommands: 0 success/yes, 1 no or
-validation violation, 2 any error (parse, typing, guardedness, or a
-refused non-effective goal).  Output is deterministic: regions print in
+Exit codes are uniform across subcommands: 0 success/yes, 1 no or validation
+violation, 2 any error (parse, typing, guardedness, input nested too deeply,
+or a refused non-effective goal).  Output is deterministic: regions print in
 normalized form and timing never reaches stdout.
 """
 
@@ -188,8 +188,12 @@ def _cmd_eval(args):
     if args.formula is not None:
         text = args.formula
     else:
-        with open(args.formula_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(args.formula_file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise CliError("%s: not UTF-8 text (byte %d)"
+                           % (args.formula_file, exc.start)) from None
     term = terms.parse_term(text, algebra)
     limits = Limits(max_iter=args.max_iter)
     value, stats = engine.evaluate(term, {}, algebra, limits)
@@ -230,6 +234,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (WsmcError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:  # from any parser, or evaluating a deep term
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -96,7 +96,7 @@ class LanguageSpace:
     down_closure = staticmethod(automata.down_closure)
     up_kernel = staticmethod(automata.up_kernel)
     down_kernel = staticmethod(automata.down_kernel)
-    normalize = staticmethod(automata.canonical_nfa)
+    normalize = staticmethod(automata.canonicalize)
     subset = staticmethod(automata.subset)
     equal = staticmethod(automata.equal)
 
@@ -126,13 +126,13 @@ class WordAlgebra(AlgebraBinding):
 class Limits:
     """Evaluation limits.
 
-    Without `max_iter`, unguarded terms are refused up front (set
-    `require_guarded=False` to run them anyway, e.g. on finite domains).
-    Every step checks that the approximant chain is monotone.
+    Without `max_iter`, unguarded terms are refused up front; a binder
+    that has not converged after `max_iter` iterations raises
+    IterationCapError.  Every step checks that the approximant chain
+    is monotone.
     """
 
     max_iter: Optional[int] = None
-    require_guarded: bool = True
 
 
 @dataclass
@@ -153,7 +153,7 @@ def evaluate(t: Term, env, algebra: AlgebraBinding, limits: Optional[Limits] = N
     """Evaluate a term to a value of the algebra; returns (value, stats)."""
     limits = limits or Limits()
     offenders = terms.check_guarded(t)
-    if offenders and limits.require_guarded and limits.max_iter is None:
+    if offenders and limits.max_iter is None:
         raise UnguardedTermError(offenders)
     stats = EvalStats()
     start = time.monotonic()

@@ -444,5 +444,9 @@ def _parse_rule(body: str, model: GlcsModel) -> Rule:
 
 
 def load_model(path: str) -> GlcsModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read(), name=path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ModelError("%s: not UTF-8 text (byte %d)" % (path, exc.start)) from None
+    return parse_model(text, name=path)

@@ -256,7 +256,7 @@ def _render(e, spaced, prec=0):
 def nfa_to_regex(a: Nfa) -> str:
     """Deterministic regex text for L(a), via state elimination.
 
-    Works on the canonical DFA with the dead state trimmed, eliminating
+    Works on the canonical form with the dead state trimmed, eliminating
     states in decreasing index order, so equal languages print equally.
     """
     dfa = automata.canonicalize(a)
@@ -265,7 +265,7 @@ def nfa_to_regex(a: Nfa) -> str:
     syms = dfa.alphabet.symbols
     # live states: those from which an accepting state is reachable
     radj = {}
-    for p, row in enumerate(dfa.transitions):
+    for p, row in enumerate(dfa.table):
         for q in row:
             radj.setdefault(q, set()).add(p)
     live = set(dfa.accepting)
@@ -286,7 +286,7 @@ def nfa_to_regex(a: Nfa) -> str:
 
     add_edge(init, 0, _EPS)
     for p in nodes:
-        for i, q in enumerate(dfa.transitions[p]):
+        for i, q in enumerate(dfa.table[p]):
             if q in live:
                 add_edge(p, q, _sym(syms[i]))
         if p in dfa.accepting:

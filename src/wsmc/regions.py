@@ -3,8 +3,8 @@
 A region denotes a subset of Conf = locations x (words)^channels.  Per
 location, the tuples (w1, ..., wc) of the region are encoded as the
 words w1 # w2 # ... # wc over the message alphabet plus the separator #,
-and the region keeps the interned minimal DFA of that language (see
-automata.intern).  Equal regions are therefore equal values and print
+and the region keeps the canonical form of that language (see
+automata.canonicalize).  Equal regions are therefore equal values and print
 identically.  The encoding's layout is known here alone: a step of a
 channel system edits one channel's block of it (RegionSpace.edit).
 """
@@ -53,7 +53,7 @@ Row = Tuple[Nfa, ...]  # one language per channel
 @dataclass(frozen=True)
 class Region:
     """Per location with a nonempty slice, in signature order, the
-    interned minimal DFA (as an Nfa) of the slice's encoding L1#...#Lc.
+    canonical form of the slice's encoding L1#...#Lc.
     The encodings accept only words with exactly c - 1 separators."""
 
     signature: Signature
@@ -75,19 +75,15 @@ class Config:
     contents: Tuple[Word, ...]
 
 
-def _canonical(nfa: Nfa) -> Nfa:
-    """The interned minimal DFA of nfa, without keeping nfa as a key: the
-    region memo keys on the operands, which are interned and small."""
-    return automata.intern(automata.minimize(nfa))
-
-
 class RegionSpace:
     """The effective region algebra for one model signature.  Every
     operation works location by location on the interned encodings.
     Unions, intersections, complements, closures and block edits of
     encodings are memoized per space, keyed on the operation and its
     operand encodings; a complement is stored both ways.  The memo is
-    never evicted."""
+    never evicted.  It keys on the operands, which are interned and
+    small, so what it computes is minimized with automata.minimize,
+    which keeps no NFA it minimized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -95,7 +91,7 @@ class RegionSpace:
         self._memo: Dict[tuple, Nfa] = {}
         sigma_star = Nfa.universal(signature.alphabet)
         # every well-formed word: the full slice of a location
-        self._all = _canonical(self._join([sigma_star] * len(signature.channels)))
+        self._all = automata.minimize(self._join([sigma_star] * len(signature.channels)))
 
     def _join(self, langs) -> Nfa:
         """An NFA of L1 # L2 # ... # Lc over the extended alphabet."""
@@ -136,7 +132,7 @@ class RegionSpace:
                               % (len(self.signature.channels), len(langs)))
         if any(lang.alphabet != self.signature.alphabet for lang in langs):
             raise RegionError("channel language over another alphabet")
-        enc = _canonical(self._join(map(automata.canonical_nfa, langs)))
+        enc = automata.minimize(self._join(map(automata.canonicalize, langs)))
         return self._region({loc: enc})
 
     def location_region(self, locs) -> Region:
@@ -159,7 +155,7 @@ class RegionSpace:
                 parts.setdefault(loc, set()).add(enc)
         return self._region({
             loc: next(iter(encs)) if len(encs) == 1 else self._apply(
-                frozenset(encs), lambda encs=encs: _canonical(
+                frozenset(encs), lambda encs=encs: automata.minimize(
                     functools.reduce(automata.union, encs)))
             for loc, encs in parts.items()})
 
@@ -200,7 +196,7 @@ class RegionSpace:
         if not self.signature.channels:
             return self.normalize(a)
         return self._region({
-            loc: self._apply((name, enc), lambda enc=enc: _canonical(Nfa.derived(
+            loc: self._apply((name, enc), lambda enc=enc: automata.minimize(Nfa.derived(
                 self._ext_alphabet, enc.n_states, enc.initial, enc.accepting,
                 enc.transitions + extra(enc))))
             for loc, enc in self._slices(a).items()})
@@ -237,22 +233,21 @@ class RegionSpace:
         if enc is None:
             return self.empty()
         if kind is not None:
-            enc = self._apply((kind, channel, symbol, enc), lambda: _canonical(
+            enc = self._apply((kind, channel, symbol, enc), lambda: automata.minimize(
                 self._edit(enc, kind, channel, symbol)))
         return self._region({target: enc})
 
     def _edit(self, enc: Nfa, kind: str, channel: str, symbol: str) -> Nfa:
         """An NFA of enc with channel's block i edited by symbol m (see edit).
 
-        On the minimal DFA of enc, each live state lies in one block: the
+        On enc, a minimal DFA, each live state lies in one block: the
         number of separators read to reach it.  Entering at the initial
         state counts as a separator move from START in block -1, and
         accepting as one to END in block c, so every block starts and
         ends at separator moves.  The dead state stays dead.
         """
-        dfa = automata.canonicalize(enc)
-        table, symbols, n = dfa.transitions, dfa.alphabet.symbols, dfa.n_states
-        sep, m = len(symbols) - 1, dfa.alphabet.index(symbol)
+        table, symbols, n = enc.table, enc.alphabet.symbols, enc.n_states
+        sep, m = len(symbols) - 1, enc.alphabet.index(symbol)
         i, START, END = self.signature.channels.index(channel), -1, -2
         block, stack = {START: -1, END: len(self.signature.channels), 0: 0}, [0]
         while stack:
@@ -263,7 +258,7 @@ class RegionSpace:
                     stack.append(t)
         moves = [(p, x, t) for p in range(n) for x, t in enumerate(table[p][:sep])]
         seps = {p: row[sep] for p, row in enumerate(table)}
-        seps.update((p, END) for p in dfa.accepting)  # their separators are dead
+        seps.update((p, END) for p in enc.accepting)  # their separators are dead
         seps[START] = 0
         before = dict(seps)
         for p in [p for p in before if block[p] == i - (kind in ("prepend", "behead"))]:
@@ -279,7 +274,7 @@ class RegionSpace:
                 seps[p] = before[table[p][m]]
         trans = [(p, symbols[x], t) for (p, x, t) in moves]
         trans.extend((p, symbols[sep], t) for p, t in seps.items() if p >= 0 <= t)
-        return Nfa.derived(dfa.alphabet, n, frozenset([seps[START]]),
+        return Nfa.derived(enc.alphabet, n, frozenset([seps[START]]),
                            frozenset(p for p, t in seps.items() if t == END),
                            tuple(trans))
 
@@ -326,8 +321,7 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
     distinct residuals, so the products are determined by the language
     alone.
     """
-    dfa = automata.canonicalize(enc)
-    table = dfa.transitions
+    table = enc.table
     sep = len(signature.alphabet.symbols)
     last = len(signature.channels) - 1
 
@@ -345,14 +339,13 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
         order = [s] + sorted(states - {s})
         ids = {q: i for i, q in enumerate(order)}
         sub = [[ids[t] for t in table[q][:sep]] for q in order]
-        return automata.intern(automata.minimal_dfa(
-            signature.alphabet, sub, {ids[q] for q in final}))
+        return automata.minimal_dfa(signature.alphabet, sub, {ids[q] for q in final})
 
     @functools.cache
     def rows_from(s, i):
         states = reach(s)
         if i == last:
-            final = states.intersection(dfa.accepting)
+            final = states.intersection(enc.accepting)
             return [(channel(s, states, final),)] if final else []
         out = []
         for t in sorted({table[q][sep] for q in states}):
@@ -362,12 +355,11 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
                 out.extend((head,) + row for row in rest)
         return out
 
-    rows = rows_from(0, 0) if last >= 0 else [()] if 0 in dfa.accepting else []
+    rows = rows_from(0, 0) if last >= 0 else [()] if 0 in enc.accepting else []
     return tuple(sorted(rows, key=_row_order))
 
 
 def _row_order(row: Row):
     """A total order on rows of interned languages that depends only on
     the languages."""
-    return tuple((d.n_states, d.transitions, d.accepting)
-                 for d in map(automata.canonicalize, row))
+    return tuple((d.n_states, d.table, tuple(sorted(d.accepting))) for d in row)

@@ -193,11 +193,15 @@ def test_memoized_canonicalize_equals_uncached(ab, rng):
     for _ in range(60):
         a = random_nfa(rng, ab)
         dfa = automata.canonicalize(a)
-        assert dfa == automata.minimize(a)
+        assert dfa is automata.minimize(a)
         assert automata.canonicalize(a) is dfa
-        interned = automata.canonical_nfa(a)
-        assert automata.minimize(interned) == dfa
-        assert automata.canonicalize(interned) is dfa
+        assert automata.canonicalize(dfa) is automata.minimize(dfa) is dfa
+        assert automata.complement(automata.complement(a)) is dfa
+        # a complete DFA from state 0 whose transitions are its table
+        assert dfa.initial == {0} and len(dfa.table) == dfa.n_states
+        assert dfa.transitions == tuple(
+            (p, ab.symbols[i], q) for p, row in enumerate(dfa.table)
+            for i, q in enumerate(row))
 
 
 def test_canonical_nfa_is_identical_iff_languages_equal(ab, rng):
@@ -257,18 +261,17 @@ def test_hash_is_structural_and_computed_once(ab, rng):
         assert copy == a and copy is not a
         assert hash(copy) == hash(a) == hash(
             (a.alphabet, a.n_states, a.initial, a.accepting, a.transitions))
-        d, e = automata.minimize(a), automata.minimize(copy)
-        assert d == e and d is not e
-        assert hash(d) == hash(e) == hash((d.alphabet, d.n_states, d.transitions, d.accepting))
+        # one canonical object per language, whichever way it is reached
+        canon = automata.minimize(a)
+        assert canon is automata.minimize(copy) is automata.canonicalize(a) \
+            is automata.canonical_nfa(a)
 
     nfa = Nfa(ab, 2, frozenset([0]), frozenset([1]), CountingTuple(((0, "a", 1),)))
-    dfa = automata.CanonicalDfa(ab, 1, CountingTuple(((0, 0),)), ())
     CountingTuple.hashes = 0
     for _ in range(5):
         hash(nfa)
-        hash(dfa)
         automata.canonicalize(nfa)
-    assert CountingTuple.hashes == 2
+    assert CountingTuple.hashes == 1
 
 
 @pytest.mark.parametrize("transitions", [((0, "c", 0),), ((0, "a", 1),),

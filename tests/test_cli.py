@@ -87,6 +87,35 @@ def test_unreadable_model_name_exits_2_with_one_line(tmp_path, capsys, lines,
         % (bad, lineno, kind, name))
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["validate"], "bad.lcs"),
+    (["eval", model_path("abp.lcs"), "-F"], "bad.mu"),
+])
+def test_non_utf8_file_exits_2_with_one_line(tmp_path, capsys, argv, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"alphabet: a\xff\n")
+    code = cli.main(argv + [str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s: not UTF-8 text (byte 11)\n" % bad
+
+
+DEEP = 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "abp.lcs", "-f", "!" * DEEP + "GOAL"],
+    ["check", "abp.lcs", "prestar", "--target",
+     "(s0w0; %sm0%s; ())" % ("(" * DEEP, ")" * DEEP)],
+    ["check", "abp.lcs", "ctl", "--formula", "!" * DEEP + "GOAL"],
+], ids=["eval-formula", "region-text", "ctl-formula"])
+def test_deeply_nested_input_exits_2_with_one_line(capsys, argv):
+    code = cli.main(fixture_argv(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: input is nested too deeply\n"
+
+
 def test_region_error_exits_2(monkeypatch, capsys):
     def fail(path):
         raise RegionError("broken %s" % path)

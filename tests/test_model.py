@@ -345,6 +345,25 @@ def test_memoized_step_operators_equal_fresh_model(max_channels):
                 assert getattr(model, op)(r, mode) == getattr(fresh, op)(r, mode)
 
 
+@pytest.mark.parametrize("max_channels", [0, 1, 2, 3])
+def test_every_slice_encoding_is_its_own_canonical_form(max_channels):
+    rng = random.Random(5600 + max_channels)
+    steps = [(op, mode) for op in ("pre", "wpre", "post") for mode in (LOSSY, PERFECT)]
+    ops = ("complement", "up_closure", "down_closure", "up_kernel", "down_kernel")
+    for _ in range(8):
+        model = random_model(rng, max_channels=max_channels)
+        space = model.space
+        r = random_region_for(rng, model, 3)
+        results = [getattr(model, op)(r, mode) for op, mode in steps]
+        results += [getattr(space, op)(r) for op in ops]
+        for region in results:
+            for _, enc in region.slices:
+                assert automata.canonicalize(enc) is enc
+            for product in region.summands:
+                for lang in product.channel_langs:
+                    assert automata.canonicalize(lang) is lang
+
+
 def test_unknown_step_mode_is_an_error():
     model = tiny_model([Rule("p", "q", INTERNAL)])
     for op in (model.pre, model.wpre, model.post):
