@@ -4,9 +4,12 @@ This is the word-level region algebra: NFAs with epsilon transitions,
 the usual boolean and rational operations, subword closures/kernels,
 and a canonical form: one interned Nfa per language, its minimal DFA
 with its table, memoized so that each distinct NFA is minimized once
-per process.  The binary boolean operations, the residuals and the
-decisions run on the operands' canonical forms; only the rational
-constructions and the closures build NFAs.
+per process.  The boolean operations, the residuals and the decisions
+run on the operands' canonical forms: one breadth-first walk over the
+state tuples of any number of them (_tuples) serves union_all,
+intersection, difference, subset and left_residual, with no subset
+construction.  Only the rational constructions (union among them) and
+the closures build NFAs.
 """
 
 from __future__ import annotations
@@ -167,7 +170,12 @@ def union(a: Nfa, b: Nfa) -> Nfa:
 
 
 def intersection(a: Nfa, b: Nfa) -> Nfa:
-    return _product(a, b, lambda x, y: x and y)
+    return _product((a, b), all)
+
+
+def union_all(langs: Iterable[Nfa]) -> Nfa:
+    """The canonical form of the union of any number of languages."""
+    return _product(langs, any)
 
 
 def complement(a: Nfa) -> Nfa:
@@ -179,37 +187,42 @@ def complement(a: Nfa) -> Nfa:
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
-    return _product(a, b, lambda x, y: x and not y)
+    return _product((a, b), lambda flags: flags[0] and not flags[1])
 
 
-def _pairs(a: Nfa, b: Nfa):
-    """The canonical forms of a and b, the state pairs of their product
-    reachable from (0, 0) in breadth-first order, and the product's
-    transition table over the indices of those pairs."""
-    _check_same_alphabet(a, b)
-    da, db = canonicalize(a), canonicalize(b)
-    ids = {(0, 0): 0}
-    pairs, table = [(0, 0)], []
-    for p, q in pairs:
+def _tuples(langs: Iterable[Nfa]):
+    """The canonical forms of langs, the tuples of their states reachable
+    from (0, ..., 0) in breadth-first order, and the transition table of
+    their product over the indices of those tuples.  An operand that is
+    a canonical form already (it has a table) is its own."""
+    dfas = [a if a.table is not None else canonicalize(a) for a in langs]
+    for d in dfas[1:]:
+        _check_same_alphabet(dfas[0], d)
+    tables = [d.table for d in dfas]
+    start = (0,) * len(dfas)
+    ids = {start: 0}
+    tuples, table = [start], []
+    for states in tuples:
         row = []
-        for pair in zip(da.table[p], db.table[q]):
-            if pair not in ids:
-                ids[pair] = len(pairs)
-                pairs.append(pair)
-            row.append(ids[pair])
+        for succ in zip(*[t[q] for t, q in zip(tables, states)]):
+            i = ids.get(succ)
+            if i is None:
+                i = ids[succ] = len(tuples)
+                tuples.append(succ)
+            row.append(i)
         table.append(row)
-    return da, db, pairs, table
+    return dfas, tuples, table
 
 
-def _product(a: Nfa, b: Nfa, keep) -> Nfa:
-    """The canonical form of the product of a and b accepting the
-    pairs (p, q) for which keep(p accepts in a, q accepts in b) holds:
-    the product is complete and deterministic, so it needs no subset
-    construction."""
-    da, db, pairs, table = _pairs(a, b)
-    accepting = {i for i, (p, q) in enumerate(pairs)
-                 if keep(p in da.accepting, q in db.accepting)}
-    return minimal_dfa(a.alphabet, table, accepting)
+def _product(langs: Iterable[Nfa], keep) -> Nfa:
+    """The canonical form of the product of langs accepting the state
+    tuples for which keep(tuple of accept flags) holds: the product is
+    complete and deterministic, so it needs no subset construction."""
+    dfas, tuples, table = _tuples(langs)
+    accepting = [d.accepting for d in dfas]
+    return minimal_dfa(dfas[0].alphabet, table, [
+        i for i, states in enumerate(tuples)
+        if keep([q in acc for q, acc in zip(states, accepting)])])
 
 
 # -- rational operations -----------------------------------------------
@@ -264,7 +277,7 @@ def shuffle(a: Nfa, b: Nfa) -> Nfa:
 def left_residual(a: Nfa, b: Nfa) -> Nfa:
     """{v | exists u in L(a), uv in L(b)}: b's canonical form started from
     the states it reaches on the words of a."""
-    da, db, pairs, _ = _pairs(a, b)
+    (da, db), pairs, _ = _tuples((a, b))
     return Nfa.derived(b.alphabet, db.n_states,
                        frozenset(q for p, q in pairs if p in da.accepting),
                        db.accepting, db.transitions)
@@ -319,7 +332,7 @@ def equal(a: Nfa, b: Nfa) -> bool:
 
 def subset(a: Nfa, b: Nfa) -> bool:
     """No reachable product state accepts in a and rejects in b."""
-    da, db, pairs, _ = _pairs(a, b)
+    (da, db), pairs, _ = _tuples((a, b))
     return all(p not in da.accepting or q in db.accepting for p, q in pairs)
 
 
@@ -426,43 +439,32 @@ def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],
     """The canonical form of the complete DFA with initial state 0 and
     table[state][symbol index] -> state: Moore refinement, breadth-first
     renumbering."""
-    n = len(table)
-    k = len(alphabet.symbols)
-
-    # Moore partition refinement with deterministic block numbering.
-    block = [1 if q in accepting else 0 for q in range(n)]
-    while True:
-        signatures = {}
-        new_block = [0] * n
-        for q in range(n):
-            sig = (block[q],) + tuple([block[t] for t in table[q]])
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[q] = signatures[sig]
-        if new_block == block:
-            break
-        block = new_block
+    # Moore partition refinement with deterministic block numbering:
+    # a round only splits blocks, so one that adds no block is stable.
+    block = [1 if q in accepting else 0 for q in range(len(table))]
     n_blocks = len(set(block))
-    rep = {}
-    for q in range(n):
-        rep.setdefault(block[q], q)
-    min_table = {}
-    for b, q in rep.items():
-        min_table[b] = tuple(block[table[q][i]] for i in range(k))
-    min_accepting = set(block[q] for q in accepting)
+    columns = list(zip(*table))
+    while True:
+        ids = {}
+        successor_block = block.__getitem__
+        block = [ids.setdefault(sig, len(ids)) for sig in zip(
+            block, *[map(successor_block, column) for column in columns])]
+        if len(ids) == n_blocks:
+            break
+        n_blocks = len(ids)
 
-    # BFS renumbering from the initial block in alphabet order.
-    start = block[0]
-    renum = {start: 0}
-    order = [start]
-    i = 0
-    while i < len(order):
-        b = order[i]
-        for t in min_table[b]:
-            if t not in renum:
-                renum[t] = len(order)
-                order.append(t)
-        i += 1
-    final_table = tuple(tuple(renum[t] for t in min_table[b]) for b in order)
-    final_accepting = frozenset(renum[b] for b in min_accepting if b in renum)
+    # BFS renumbering from the initial block in alphabet order, reading
+    # each block's row off its first state.
+    rep = {}
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
+    renum = {block[0]: 0}
+    order = [block[0]]
+    for b in order:
+        for t in table[rep[b]]:
+            if block[t] not in renum:
+                renum[block[t]] = len(order)
+                order.append(block[t])
+    final_table = tuple(tuple([renum[block[t]] for t in table[rep[b]]]) for b in order)
+    final_accepting = frozenset(renum[block[q]] for q in accepting if block[q] in renum)
     return _intern(alphabet, final_table, final_accepting)

@@ -256,6 +256,8 @@ def parse_region_text(text: str, model: GlcsModel) -> Region:
     """Region expressions: "{}" or atoms "(loc; regex; ...)" joined by "+";
     a bare identifier references a named region of the model."""
     text = text.strip()
+    if not text:
+        raise ModelError("empty region expression (the empty region is written {})")
     if text == "{}":
         return model.space.empty()
     return model.space.union(*[_parse_region_atom(atom, model)
@@ -281,7 +283,10 @@ def _split_region_atoms(text: str) -> List[str]:
     if depth != 0:
         raise ModelError("unbalanced parentheses in region expression")
     atoms.append("".join(current))
-    return [a.strip() for a in atoms if a.strip()]
+    atoms = [a.strip() for a in atoms]
+    if not all(atoms):
+        raise ModelError("empty region atom in %r" % (text,))
+    return atoms
 
 
 def _parse_region_atom(atom: str, model: GlcsModel) -> Region:
@@ -384,7 +389,9 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                     locations.append(loc)
                     owners[loc] = owner
             elif line.startswith("region "):
-                name_part, _, expr = line[len("region "):].partition("=")
+                name_part, eq, expr = line[len("region "):].partition("=")
+                if not eq:
+                    raise ModelError("region needs 'name = expression'")
                 rname = _region_name(name_part.strip())
                 for first, earlier, _ in pending_regions:
                     if earlier == rname:

@@ -80,20 +80,26 @@ def _split_symbols(name: str, alphabet: Alphabet, pos: int):
 
 
 class _Parser:
-    def __init__(self, tokens, alphabet):
+    def __init__(self, tokens, alphabet, length):
         self.tokens = tokens
         self.alphabet = alphabet
         self.pos = 0
+        self.end = (None, None, length)  # the token past the last one
 
     def peek(self):
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
-        return (None, None, -1)
+        return self.end
+
+    @staticmethod
+    def found(tok) -> str:
+        """What an error message says about the unexpected token tok."""
+        return " at end of pattern" if tok[0] is None else ", found %r" % (tok[1],)
 
     def take(self, kind):
         tok = self.peek()
         if tok[0] != kind:
-            raise RegexError("expected %r, found %r" % (kind, tok[1]), tok[2])
+            raise RegexError("expected %r%s" % (kind, self.found(tok)), tok[2])
         self.pos += 1
         return tok
 
@@ -170,12 +176,12 @@ class _Parser:
             for p in parts[1:]:
                 inner = automata.concat(inner, p)
             return [automata.complement(inner)]
-        raise RegexError("expected an expression, found %r" % (value,), pos)
+        raise RegexError("expected an expression" + self.found((kind, value, pos)), pos)
 
 
 def compile_regex(pattern: str, alphabet: Alphabet) -> Nfa:
     """Compile regex text into an NFA accepting exactly the denoted language."""
-    return _Parser(_tokenize(pattern), alphabet).parse()
+    return _Parser(_tokenize(pattern), alphabet, len(pattern)).parse()
 
 
 # -- regex regeneration from automata ----------------------------------

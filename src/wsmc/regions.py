@@ -82,8 +82,11 @@ class RegionSpace:
     encodings are memoized per space, keyed on the operation and its
     operand encodings; a complement is stored both ways.  The memo is
     never evicted.  It keys on the operands, which are interned and
-    small, so what it computes is minimized with automata.minimize,
-    which keeps no NFA it minimized."""
+    small.  Unions, intersections and complements are product walks
+    over the operands' DFAs (automata.union_all, intersection,
+    difference), which build no NFA; the NFAs of atoms, closures and
+    block edits are minimized with automata.minimize, which keeps no NFA
+    it minimized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -147,16 +150,16 @@ class RegionSpace:
     # -- boolean operations ---------------------------------------------
 
     def union(self, *regions: Region) -> Region:
-        """The union of any number of regions, one minimization per
-        location where they differ."""
+        """The union of any number of regions: per location where they
+        differ, one product walk over the distinct encodings, memoized
+        on their set."""
         parts: Dict[str, set] = {}
         for r in regions:
             for loc, enc in self._slices(r).items():
                 parts.setdefault(loc, set()).add(enc)
         return self._region({
             loc: next(iter(encs)) if len(encs) == 1 else self._apply(
-                frozenset(encs), lambda encs=encs: automata.minimize(
-                    functools.reduce(automata.union, encs)))
+                frozenset(encs), lambda encs=encs: automata.union_all(encs))
             for loc, encs in parts.items()})
 
     def intersection(self, a: Region, b: Region) -> Region:

@@ -49,6 +49,28 @@ def test_boolean_operations_match_oracle(ab, rng):
             assert lang(automata.difference(x, y)) == sx - sy
 
 
+def test_product_walk_of_any_number_of_operands_matches_oracle(ab, rng):
+    # the walk over k canonical DFAs accepts a word iff keep accepts the
+    # tuple of the word's memberships in the k operands
+    def odd(flags):
+        return sum(flags) % 2 == 1
+    for _ in range(60):
+        langs = [random_nfa(rng, ab) for _ in range(rng.randint(1, 5))]
+        langs += rng.sample(langs, rng.randint(0, len(langs)))  # duplicates
+        rng.shuffle(langs)
+        slices = [lang(a) for a in langs]
+        union = automata.union_all(langs)
+        assert union is automata.canonicalize(union)
+        assert lang(union) == set().union(*slices)
+        assert all(automata.subset(a, union) for a in langs)
+        for keep in (all, odd):
+            assert lang(automata._product(langs, keep)) == {
+                u for u in oracle.enum_words(ab, 4)
+                if keep([u in s for s in slices])}
+    a = random_nfa(rng, ab)
+    assert automata.union_all([a]) is automata.canonicalize(a)
+
+
 def test_rational_operations_match_oracle(ab, rng):
     for _ in range(30):
         a, b = random_nfa(rng, ab), random_nfa(rng, ab)
@@ -177,6 +199,75 @@ def test_decision_dispatchers(ab):
     assert automata.equal(automata.left_residual(Nfa.word(ab, w("a")),
                                                  compile_regex("a b*", ab)),
                           compile_regex("b*", ab))
+
+
+# -- minimization ----------------------------------------------------------------
+
+def reverse_determinize(table, accepting):
+    """The subset construction of the reverse of the complete DFA with
+    initial state 0 and table[state][symbol index] -> state: the table
+    and the accepting states of a complete DFA with initial state 0."""
+    back = [[set() for _ in row] for row in table]
+    for p, row in enumerate(table):
+        for x, q in enumerate(row):
+            back[q][x].add(p)
+    start = frozenset(accepting)
+    ids, order, out = {start: 0}, [start], []
+    for states in order:
+        row = []
+        for x in range(len(table[0])):
+            succ = frozenset(p for q in states for p in back[q][x])
+            if succ not in ids:
+                ids[succ] = len(order)
+                order.append(succ)
+            row.append(ids[succ])
+        out.append(row)
+    return out, {i for i, states in enumerate(order) if 0 in states}
+
+
+def brzozowski(table, accepting):
+    """Reverse and determinize twice: the complete minimal DFA."""
+    return reverse_determinize(*reverse_determinize(table, accepting))
+
+
+def same_language(t1, acc1, t2, acc2):
+    pairs, seen = [(0, 0)], {(0, 0)}
+    for p, q in pairs:
+        if (p in acc1) != (q in acc2):
+            return False
+        for pair in zip(t1[p], t2[q]):
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+    return True
+
+
+def random_dfa(rng, k, shape):
+    """A random complete DFA over k symbols whose last states are
+    unreachable; shape "all" accepts every state, "none" none."""
+    reachable = rng.randint(1, 9)
+    n = reachable + rng.randint(0, 3)
+    table = [[rng.randrange(reachable if q < reachable else n) for _ in range(k)]
+             for q in range(n)]
+    accepting = {"all": set(range(n)), "none": set()}.get(
+        shape, {q for q in range(n) if rng.random() < 0.4})
+    return table, accepting
+
+
+@pytest.mark.parametrize("shape", ["random", "all", "none"])
+def test_minimal_dfa_matches_brzozowski(rng, shape):
+    nontrivial = 0
+    for k in (1, 2, 3):
+        alphabet = Alphabet(tuple("abc"[:k]))
+        for _ in range(150):
+            table, accepting = random_dfa(rng, k, shape)
+            dfa = automata.minimal_dfa(alphabet, table, accepting)
+            want_table, want_accepting = brzozowski(table, accepting)
+            assert dfa.n_states == len(want_table)
+            assert same_language(dfa.table, dfa.accepting, want_table, want_accepting)
+            assert same_language(dfa.table, dfa.accepting, table, accepting)
+            nontrivial += dfa.n_states > 2
+    assert shape != "random" or nontrivial >= 100
 
 
 # -- interning: the memo tables against the uncached construction ------------

@@ -125,6 +125,19 @@ def test_region_error_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: broken m.lcs\n"
 
 
+@pytest.mark.parametrize("target, message", [
+    ("+", "empty region atom in '+'"),
+    ("", "empty region expression (the empty region is written {})"),
+    ("(s0w0; m0; ()) + + GOAL", "empty region atom in '(s0w0; m0; ()) + + GOAL'"),
+    ("(s0w0; ; )", "expected an expression at end of pattern (at position 0)"),
+])
+def test_empty_region_target_exits_2_with_one_line(capsys, target, message):
+    code = cli.main(["check", model_path("abp.lcs"), "prestar", "--target", target])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_every_error_class_is_a_wsmc_error():
     errors = {}
     for info in pkgutil.iter_modules(wsmc.__path__):

@@ -109,6 +109,38 @@ def test_api_region_named_all_does_not_shadow_the_full_region():
         compilers.eval_ctl(model, "all")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty region expression (the empty region is written {})"),
+    ("  ", "empty region expression (the empty region is written {})"),
+    ("+", "empty region atom in '+'"),
+    ("(p; a) + + (q; ())", "empty region atom in '(p; a) + + (q; ())'"),
+    ("(p; a) +", "empty region atom in '(p; a) +'"),
+    ("+ G", "empty region atom in '+ G'"),
+])
+def test_empty_region_expressions_and_atoms_are_refused(text, message):
+    model = parse_model("alphabet: a\nchannels: c\nlocations: p q\n"
+                        "region G = (p; a*)\n")
+    with pytest.raises(ModelError) as info:
+        parse_region_text(text, model)
+    assert str(info.value) == message
+    assert parse_region_text("{}", model) == model.space.empty()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("region G = ", "empty region expression (the empty region is written {})"),
+    ("region G = (p; a) +", "empty region atom in '(p; a) +'"),
+    ("region G", "region needs 'name = expression'"),
+    ("rule p -> p : nop guard (p; a) + + (p; ())",
+     "empty region atom in '(p; a) + + (p; ())'"),
+    ("region G = (p; a|)", "expected an expression at end of pattern (at position 2)"),
+])
+def test_empty_regions_in_model_files_are_refused_at_their_line(line, message):
+    text = "alphabet: a\nchannels: c\nlocations: p\n%s\n" % line
+    with pytest.raises(ModelError) as info:
+        parse_model(text, name="m.lcs")
+    assert str(info.value) == "m.lcs:4: %s" % message
+
+
 def test_parse_word_and_config():
     model = tiny_model([Rule("p", "q", SEND, "c", "a")])
     assert parse_word("ab a", AB) == ("a", "b", "a")

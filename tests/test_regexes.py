@@ -51,6 +51,18 @@ def test_errors(ab):
             compile_regex(bad, ab)
 
 
+@pytest.mark.parametrize("pattern, expected", [
+    ("a|", "an expression"), ("", "an expression"), ("  ", "an expression"),
+    ("a (b|", "an expression"), ("~", "an expression"), ("(a", "')'"),
+])
+def test_errors_at_end_of_pattern_give_its_length(ab, pattern, expected):
+    with pytest.raises(RegexError) as info:
+        compile_regex(pattern, ab)
+    assert str(info.value) == "expected %s at end of pattern (at position %d)" % (
+        expected, len(pattern))
+    assert info.value.position == len(pattern)
+
+
 def test_roundtrip_random(ab, rng):
     for _ in range(40):
         a = random_nfa(rng, ab)

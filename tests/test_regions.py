@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -258,6 +259,29 @@ def test_memoized_region_operations_equal_fresh_space(max_channels):
             assert space.complement(space.complement(r)) == space.normalize(r)
             fresh = RegionSpace(model.signature)
             assert fresh.complement(fresh.complement(r)) == fresh.normalize(r)
+
+
+@pytest.mark.parametrize("max_channels", [0, 1, 2, 3])
+def test_union_is_the_minimized_nfa_union_of_the_slices(max_channels):
+    # 1 to 8 operands, drawn with repetition from regions that include
+    # the empty and the full one
+    rng = random.Random(5100 + max_channels)
+    for _ in range(10):
+        model = random_model(rng, max_channels=max_channels)
+        space = model.space
+        pool = [random_region_for(rng, model, 3) for _ in range(4)]
+        pool += [space.complement(pool[0]), space.empty(), space.full()]
+        for n_operands in range(1, 9):
+            operands = [rng.choice(pool) for _ in range(n_operands)]
+            encodings = {}
+            for region in operands:
+                for loc, enc in region.slices:
+                    encodings.setdefault(loc, []).append(enc)
+            union = dict(space.union(*operands).slices)
+            assert union.keys() == encodings.keys()
+            for loc, encs in encodings.items():
+                assert union[loc] is automata.minimize(
+                    functools.reduce(automata.union, encs))
 
 
 def test_alphabet_with_the_separator_is_rejected():
