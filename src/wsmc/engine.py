@@ -8,6 +8,18 @@ chain and convergence checks and value sizes go through the binding.  Least
 fixpoints iterate upward from the empty value until two successive
 approximants are equal; greatest fixpoints iterate downward from the
 full value.  On guarded terms this always terminates.
+
+Within one evaluate call, each subterm is evaluated once per binding of
+its free variables.  Every node gets a structural id, the same for equal
+subterms built as separate objects, and its free variables, once per
+call.  A node that is not a variable and contains no binder keeps its
+value in a cache keyed on (id, the values of its free variables); so a
+closed subterm is computed once per call, and a subterm that occurs
+twice, or that does not mention an inner binder's variable, once per
+binding.  Binders and the nodes that contain them are never served from
+the cache, so every binder iteration runs, is chain-checked and is
+counted in EvalStats as without it.  The cache is dropped when evaluate
+returns.
 """
 
 from __future__ import annotations
@@ -47,8 +59,9 @@ class AlgebraBinding:
     `space` supplies the values and the lattice operations: `empty`,
     `full`, `union`, `intersection`, `complement`, `up_closure`,
     `down_closure`, `up_kernel`, `down_kernel`, `normalize`, `subset`
-    and `equal`.  `operators` maps a name to an (arity, implementation)
-    pair; it starts with the nullary "empty" and "all".
+    and `equal`; its values must be hashable, as the engine keys its
+    subterm cache on them.  `operators` maps a name to an (arity,
+    implementation) pair; it starts with the nullary "empty" and "all".
     """
 
     def __init__(self, space):
@@ -157,7 +170,7 @@ def evaluate(t: Term, env, algebra: AlgebraBinding, limits: Optional[Limits] = N
         raise UnguardedTermError(offenders)
     stats = EvalStats()
     start = time.monotonic()
-    value = _eval(t, dict(env or {}), algebra, limits, stats)
+    value = _Evaluation(t, algebra, limits, stats).eval(t, dict(env or {}))
     stats.wall_time = time.monotonic() - start
     return value, stats
 
@@ -169,45 +182,85 @@ _SPACE_METHODS = {
     terms.Kup: "up_kernel", terms.Kdown: "down_kernel",
 }
 
+class _Evaluation:
+    """One evaluate call: the term's node table and its subterm cache
+    (see the module docstring)."""
 
-def _eval(t, env, algebra, limits, stats):
-    if isinstance(t, terms.Var):
-        if t.name not in env:
-            raise EvaluationError("unknown free variable %r" % (t.name,))
-        return env[t.name]
-    if isinstance(t, (terms.Mu, terms.Nu)):
-        return _fixpoint(t, env, algebra, limits, stats)
-    # terms.children rejects any node type it does not know
-    args = [_eval(child, env, algebra, limits, stats) for child in terms.children(t)]
-    if isinstance(t, terms.OpApp):
-        return _note(algebra.apply(t.op, args), algebra, stats)
-    return _note(getattr(algebra.space, _SPACE_METHODS[type(t)])(*args), algebra, stats)
+    def __init__(self, t: Term, algebra: AlgebraBinding, limits: Limits,
+                 stats: EvalStats):
+        self.algebra, self.limits, self.stats = algebra, limits, stats
+        # id(node) -> (structural id, or None if never cached; free variables)
+        self.nodes: Dict[int, tuple] = {}
+        self.cache: Dict[tuple, object] = {}
+        self._index(t, {})
 
+    def _index(self, t: Term, ids: Dict[tuple, int]):
+        """Enter t and its subterms in the node table; returns t's
+        structural id, free variables and whether it contains a binder."""
+        kids = [self._index(child, ids) for child in terms.children(t)]
+        sid = ids.setdefault((type(t), terms.label(t), tuple(k[0] for k in kids)),
+                             len(ids))
+        binder = isinstance(t, (terms.Mu, terms.Nu))
+        free = frozenset().union(*(k[1] for k in kids))
+        if isinstance(t, terms.Var):
+            free = frozenset([t.name])
+        elif binder:
+            free -= {t.var}
+        nested = binder or any(k[2] for k in kids)
+        cached = not (nested or isinstance(t, terms.Var))
+        self.nodes[id(t)] = (sid if cached else None, tuple(sorted(free)))
+        return sid, free, nested
 
-def _note(value, algebra, stats):
-    value = algebra.space.normalize(value)
-    stats.observe(algebra.size(value))
-    return value
+    def eval(self, t: Term, env):
+        sid, free = self.nodes[id(t)]
+        if sid is None:
+            return self._compute(t, env)
+        try:
+            key = (sid,) + tuple([env[name] for name in free])
+        except KeyError:  # an unbound free variable: _compute reports it
+            return self._compute(t, env)
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = self._compute(t, env)
+        return value
 
+    def _compute(self, t: Term, env):
+        if isinstance(t, terms.Var):
+            if t.name not in env:
+                raise EvaluationError("unknown free variable %r" % (t.name,))
+            return env[t.name]
+        if isinstance(t, (terms.Mu, terms.Nu)):
+            return self._fixpoint(t, env)
+        # terms.children rejects any node type it does not know
+        args = [self.eval(child, env) for child in terms.children(t)]
+        algebra = self.algebra
+        if isinstance(t, terms.OpApp):
+            value = algebra.apply(t.op, args)
+        else:
+            value = getattr(algebra.space, _SPACE_METHODS[type(t)])(*args)
+        value = algebra.space.normalize(value)
+        self.stats.observe(algebra.size(value))
+        return value
 
-def _fixpoint(t, env, algebra, limits, stats):
-    ascending = isinstance(t, terms.Mu)
-    space = algebra.space
-    value = space.normalize(space.empty() if ascending else space.full())
-    count = 0
-    inner = dict(env)
-    while True:
-        inner[t.var] = value
-        nxt = _eval(t.body, inner, algebra, limits, stats)
-        count += 1
-        lo, hi = (value, nxt) if ascending else (nxt, value)
-        if not algebra.subset(lo, hi):
-            raise EvaluationError(
-                "approximant chain for %r is not monotone" % (t.var,))
-        if algebra.equal(nxt, value):
-            stats.record(t.var, count)
-            return value
-        value = nxt
-        if limits.max_iter is not None and count >= limits.max_iter:
-            stats.record(t.var, count)
-            raise IterationCapError(t.var, limits.max_iter, stats)
+    def _fixpoint(self, t, env):
+        ascending = isinstance(t, terms.Mu)
+        algebra, stats = self.algebra, self.stats
+        space = algebra.space
+        value = space.normalize(space.empty() if ascending else space.full())
+        count = 0
+        inner = dict(env)
+        while True:
+            inner[t.var] = value
+            nxt = self.eval(t.body, inner)
+            count += 1
+            lo, hi = (value, nxt) if ascending else (nxt, value)
+            if not algebra.subset(lo, hi):
+                raise EvaluationError(
+                    "approximant chain for %r is not monotone" % (t.var,))
+            if algebra.equal(nxt, value):
+                stats.record(t.var, count)
+                return value
+            value = nxt
+            if self.limits.max_iter is not None and count >= self.limits.max_iter:
+                stats.record(t.var, count)
+                raise IterationCapError(t.var, self.limits.max_iter, stats)

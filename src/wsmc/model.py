@@ -150,7 +150,7 @@ class GlcsModel:
 
     def pre_perf(self, region: Region) -> Region:
         """Union over the rules into the locations of region."""
-        locs = dict(self.space.normalize(region).slices)
+        locs = self.space.normalize(region).encodings
         return self.space.union(*[self.pre_perf_rule(rule, region)
                                   for rule in self.rules if rule.target in locs])
 
@@ -175,7 +175,7 @@ class GlcsModel:
 
     def post_perf(self, region: Region) -> Region:
         """Union over the rules out of the locations of region."""
-        locs = dict(self.space.normalize(region).slices)
+        locs = self.space.normalize(region).encodings
         return self.space.union(*[self.post_perf_rule(rule, region)
                                   for rule in self.rules if rule.source in locs])
 

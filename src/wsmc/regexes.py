@@ -162,10 +162,8 @@ class _Parser:
             return [e]
         if kind == ".":
             self.pos += 1
-            any_sym = automata.Nfa.empty(self.alphabet)
-            for sym in self.alphabet.symbols:
-                any_sym = automata.union(any_sym, Nfa.symbol(self.alphabet, sym))
-            return [any_sym]
+            return [Nfa.derived(self.alphabet, 2, frozenset([0]), frozenset([1]),
+                                tuple((0, sym, 1) for sym in self.alphabet.symbols))]
         if kind == "{}":
             self.pos += 1
             return [Nfa.empty(self.alphabet)]

@@ -60,6 +60,12 @@ class Region:
     slices: Tuple[Tuple[str, Nfa], ...]
 
     @cached_property
+    def encodings(self) -> Dict[str, Nfa]:
+        """The slices as a map from location to encoding, built once; it
+        is shared, so never modify it."""
+        return dict(self.slices)
+
+    @cached_property
     def summands(self) -> Tuple[Product, ...]:
         """The region as a sum of products: per location, the
         Myhill-Nerode decomposition of its encoding DFA (see _decompose)."""
@@ -80,13 +86,13 @@ class RegionSpace:
     operation works location by location on the interned encodings.
     Unions, intersections, complements, closures and block edits of
     encodings are memoized per space, keyed on the operation and its
-    operand encodings; a complement is stored both ways.  The memo is
-    never evicted.  It keys on the operands, which are interned and
-    small.  Unions, intersections and complements are product walks
-    over the operands' DFAs (automata.union_all, intersection,
-    difference), which build no NFA; the NFAs of atoms, closures and
-    block edits are minimized with automata.minimize, which keeps no NFA
-    it minimized."""
+    operand encodings; a complement is stored both ways, and a closure
+    also as the closure of itself.  The memo is never evicted.  It keys
+    on the operands, which are interned and small.  Unions,
+    intersections and complements are product walks over the operands'
+    DFAs (automata.union_all, intersection, difference), which build no
+    NFA; the NFAs of atoms, closures and block edits are minimized with
+    automata.minimize, which keeps no NFA it minimized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -114,10 +120,16 @@ class RegionSpace:
             (loc, encodings[loc]) for loc in self.signature.locations
             if loc in encodings and encodings[loc].accepting))
 
-    def _slices(self, a: Region) -> Dict[str, Nfa]:
+    def _check(self, a: Region) -> Tuple[Tuple[str, Nfa], ...]:
+        """a's slices, once a's signature is checked."""
         if a.signature is not self.signature and a.signature != self.signature:
             raise RegionError("region of another signature")
-        return dict(a.slices)
+        return a.slices
+
+    def _slices(self, a: Region) -> Dict[str, Nfa]:
+        """a's encodings by location, once a's signature is checked."""
+        self._check(a)
+        return a.encodings
 
     # -- constructors ---------------------------------------------------
 
@@ -155,7 +167,7 @@ class RegionSpace:
         on their set."""
         parts: Dict[str, set] = {}
         for r in regions:
-            for loc, enc in self._slices(r).items():
+            for loc, enc in self._check(r):
                 parts.setdefault(loc, set()).add(enc)
         return self._region({
             loc: next(iter(encs)) if len(encs) == 1 else self._apply(
@@ -168,7 +180,7 @@ class RegionSpace:
             loc: x if x is other[loc] else self._apply(
                 ("&", frozenset((x, other[loc]))),
                 lambda x=x, y=other[loc]: automata.intersection(x, y))
-            for loc, x in self._slices(a).items() if loc in other})
+            for loc, x in self._check(a) if loc in other})
 
     def complement(self, a: Region) -> Region:
         """Per location, the well-formed encodings the slice lacks."""
@@ -198,11 +210,17 @@ class RegionSpace:
         under name; without channels there is no block to close."""
         if not self.signature.channels:
             return self.normalize(a)
-        return self._region({
-            loc: self._apply((name, enc), lambda enc=enc: automata.minimize(Nfa.derived(
+
+        def close(enc):
+            closed = self._apply((name, enc), lambda: automata.minimize(Nfa.derived(
                 self._ext_alphabet, enc.n_states, enc.initial, enc.accepting,
                 enc.transitions + extra(enc))))
-            for loc, enc in self._slices(a).items()})
+            self._memo[(name, closed)] = closed  # a closure is idempotent
+            return closed
+
+        # a closure of a nonempty slice is nonempty
+        return Region(self.signature, tuple((loc, close(enc))
+                                            for loc, enc in self._check(a)))
 
     def up_closure(self, a: Region) -> Region:
         """Superwords in every block: a self-loop on every message symbol
@@ -238,7 +256,7 @@ class RegionSpace:
         if kind is not None:
             enc = self._apply((kind, channel, symbol, enc), lambda: automata.minimize(
                 self._edit(enc, kind, channel, symbol)))
-        return self._region({target: enc})
+        return Region(self.signature, ((target, enc),) if enc.accepting else ())
 
     def _edit(self, enc: Nfa, kind: str, channel: str, symbol: str) -> Nfa:
         """An NFA of enc with channel's block i edited by symbol m (see edit).
@@ -284,7 +302,7 @@ class RegionSpace:
     # -- decisions ------------------------------------------------------
 
     def is_empty(self, a: Region) -> bool:
-        return not self._slices(a)
+        return not self._check(a)
 
     def member(self, config: Config, a: Region) -> bool:
         """Run w1 # ... # wc on the location's encoding DFA."""
@@ -301,14 +319,14 @@ class RegionSpace:
     def subset(self, a: Region, b: Region) -> bool:
         other = self._slices(b)
         return all(loc in other and (x is other[loc] or automata.subset(x, other[loc]))
-                   for loc, x in self._slices(a).items())
+                   for loc, x in self._check(a))
 
     def is_universal(self, a: Region) -> bool:
         return self.equal(a, self.full())
 
     def normalize(self, a: Region) -> Region:
         """Every region is in normal form already."""
-        self._slices(a)
+        self._check(a)
         return a
 
 

@@ -102,6 +102,18 @@ def children(t: Term):
     raise TermError("unknown term node %r" % (t,))
 
 
+def label(t: Term):
+    """The field of a node that is not a child: the variable, operator
+    or binder name; None for the other nodes."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, OpApp):
+        return t.op
+    if isinstance(t, (Mu, Nu)):
+        return t.var
+    return None
+
+
 def _rebuild(t: Term, kids):
     if isinstance(t, Var):
         return t

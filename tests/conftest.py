@@ -98,6 +98,8 @@ FIXTURE_COMMANDS = [
     ["check", "token_game.lcs", "prob-inv-pos", "--player", "A",
      "--target", "TOKENS"],
     ["check", "flags.lcs", "ctl", "--formula", "E(SAFE U GOAL)"],
+    ["eval", "token_game.lcs", "-f", "nu Y. mu X. GOAL | (confA & prep(up(X) & "
+     "kdown(Y))) | (confB & wprep(up(X) & kdown(Y)))", "--stats"],
     ["check", "token_game.lcs", "game-reach", "--player", "B",
      "--target", "GOAL", "--member", "b1 : t"],
     ["oracle", "reach", "token_game.lcs", "--from", "a0 : ",

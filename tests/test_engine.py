@@ -4,15 +4,17 @@ import pytest
 
 from wsmc import automata, oracle, terms
 from wsmc.automata import Alphabet, Nfa
+from wsmc.compilers import compile_game
 from wsmc.engine import (
-    AlgebraBinding, EvaluationError, IterationCapError, Limits,
+    AlgebraBinding, EvalStats, EvaluationError, IterationCapError, Limits,
     UnguardedTermError, WordAlgebra, evaluate)
+from wsmc.model import load_model
 from wsmc.regexes import compile_regex
 from wsmc.terms import (
     Down, Intersection, Kdown, Kup, Mu, Not, Nu, OpApp, Union, Up, Var,
     is_guarded, parse_term, unfold)
 
-from conftest import random_model, random_region_for
+from conftest import model_path, random_model, random_region_for
 
 AB = Alphabet(("a", "b"))
 
@@ -239,3 +241,124 @@ def test_engine_over_a_minimal_value_space_matches_finite_mc():
             assert value == oracle.finite_mc(model, t), terms.term_to_text(t)
             checked += 1
     assert checked == 60 * (len(GUARDED_LOCATION_TERMS) + 5)
+
+
+SPACE_METHODS = {Union: "union", Intersection: "intersection", Not: "complement",
+                 Up: "up_closure", Down: "down_closure", Kup: "up_kernel",
+                 Kdown: "down_kernel"}
+
+
+def naive_evaluate(t, algebra):
+    """The engine's iteration without a subterm cache: every node is
+    evaluated afresh, with the same space calls; returns (value, stats)."""
+    stats, space = EvalStats(), algebra.space
+
+    def ev(t, env):
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, (Mu, Nu)):
+            value = space.normalize(space.empty() if isinstance(t, Mu) else space.full())
+            count = 0
+            while True:
+                nxt = ev(t.body, {**env, t.var: value})
+                count += 1
+                if algebra.equal(nxt, value):
+                    stats.record(t.var, count)
+                    return value
+                value = nxt
+        args = [ev(child, env) for child in terms.children(t)]
+        value = (algebra.apply(t.op, args) if isinstance(t, OpApp)
+                 else getattr(space, SPACE_METHODS[type(t)])(*args))
+        value = space.normalize(value)
+        stats.observe(algebra.size(value))
+        return value
+
+    return ev(t, {}), stats
+
+
+def random_guarded_term(rng, depth, scope):
+    """A guarded term once every (variable, is_mu) of scope is bound: each
+    occurrence of a bound variable sits right under a guard of its
+    binder and under no complement.  Some subterms are drawn twice, as
+    separate but equal objects."""
+    if depth <= 0 or rng.random() < 0.2:
+        pick = rng.choice(["R0", "R1", "confA", "confB", "empty"] + ["var"] * len(scope))
+        if pick != "var":
+            return OpApp(pick)
+        var, is_mu = rng.choice(scope)
+        return rng.choice([Up, Kup] if is_mu else [Down, Kdown])(Var(var))
+    pick = rng.choice(["union", "inter", "twice", "not", "step", "closure", "mu", "nu"])
+    if pick in ("union", "inter"):
+        return (Union if pick == "union" else Intersection)(
+            random_guarded_term(rng, depth - 1, scope),
+            random_guarded_term(rng, depth - 1, scope))
+    if pick == "twice":
+        seed = rng.random()
+        left, right = (random_guarded_term(random.Random(seed), depth - 1, scope)
+                       for _ in range(2))
+        return rng.choice([Union, Intersection])(left, OpApp("pre", (right,)))
+    if pick == "not":
+        return Not(random_guarded_term(rng, depth - 1, []))
+    if pick == "step":
+        op = rng.choice(["pre", "prep", "wpre", "wprep", "post", "postp"])
+        return OpApp(op, (random_guarded_term(rng, depth - 1, scope),))
+    if pick == "closure":
+        return rng.choice([Up, Down, Kup, Kdown])(
+            random_guarded_term(rng, depth - 1, scope))
+    var = "V%d" % len(scope)
+    body = random_guarded_term(rng, depth - 1, scope + [(var, pick == "mu")])
+    return (Mu if pick == "mu" else Nu)(var, body)
+
+
+def binder_depth(t):
+    depth = max([binder_depth(child) for child in terms.children(t)], default=0)
+    return depth + isinstance(t, (Mu, Nu))
+
+
+def test_cached_evaluation_equals_the_naive_one():
+    rng = random.Random(1212)
+    depths = []
+    for _ in range(60):
+        model = random_model(rng, max_locations=3, max_channels=2, max_rules=4,
+                             game=True)
+        model.named_regions["R0"] = random_region_for(rng, model)
+        model.named_regions["R1"] = random_region_for(rng, model)
+        algebra = model.algebra()
+        for _ in range(4):
+            is_mu = rng.random() < 0.5
+            t = (Mu if is_mu else Nu)("V0", random_guarded_term(rng, 5, [("V0", is_mu)]))
+            assert is_guarded(t)
+            value, stats = evaluate(t, {}, algebra)
+            expected, ref = naive_evaluate(t, algebra)
+            text = terms.term_to_text(t)
+            assert value == expected, text
+            assert stats.iterations == ref.iterations, text
+            assert stats.max_value_size == ref.max_value_size, text
+            depths.append(binder_depth(t))
+    assert sum(depth >= 2 for depth in depths) >= 60
+
+
+def counting(algebra, name):
+    """Count the applications of the algebra's operator name."""
+    calls = []
+    arity, fn = algebra.operators[name]
+    algebra.add_operator(name, arity, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_shared_and_closed_subterms_are_evaluated_once():
+    model = load_model(model_path("token_game.lcs"))
+    target = model.named_regions["GOAL"]
+    # mu X. V | (confB & pre(up X)) | (confA & wpre(V | pre(up X)))
+    reach = compile_game("reach", model, "B", target)
+    pre_calls, conf_calls = counting(reach.algebra, "pre"), counting(reach.algebra, "confA")
+    _, stats = reach.run()
+    assert len(pre_calls) == sum(stats.iterations["X"]) > 1
+    assert len(conf_calls) == 1
+    # nu Y. mu X. V' | (confB & pre(up X)) | (confA & wpre(V' | pre(up X))),
+    # V' = V & ((confB & pre(up(wpre(kdown Y)))) | (confA & wpre(kdown Y))):
+    # one wpre per X iteration and one per Y iteration
+    buchi = compile_game("buchi", model, "B", target)
+    wpre_calls = counting(buchi.algebra, "wpre")
+    _, stats = buchi.run()
+    assert len(wpre_calls) == sum(stats.iterations["X"]) + sum(stats.iterations["Y"])

@@ -81,3 +81,13 @@ def test_rendered_regex_is_deterministic(ab, rng):
     for _ in range(10):
         a = random_nfa(rng, ab)
         assert nfa_to_regex(a) == nfa_to_regex(automata.canonical_nfa(a))
+
+
+@pytest.mark.parametrize("symbols", [("a",), ("a", "b"), ("m0", "m1", "m2")])
+def test_any_symbol_is_the_alternation_of_all_symbols(symbols):
+    al = Alphabet(symbols)
+    alternation = "(%s)" % "|".join(symbols)
+    for pattern, spelled in ((".", alternation), (". .*", "%s %s*" % (alternation, alternation)),
+                             ("~.", "~" + alternation)):
+        assert (automata.canonicalize(compile_regex(pattern, al))
+                is automata.canonicalize(compile_regex(spelled, al)))

@@ -287,3 +287,15 @@ def test_union_is_the_minimized_nfa_union_of_the_slices(max_channels):
 def test_alphabet_with_the_separator_is_rejected():
     with pytest.raises(RegionError, match="'#' is the channel separator"):
         Signature(Alphabet(("a", "#")), ("c",), ("p",))
+
+
+@pytest.mark.parametrize("op", ["up_closure", "down_closure"])
+def test_closing_a_closed_region_minimizes_nothing(op, space, rng, monkeypatch):
+    calls = []
+    minimize = automata.minimize
+    monkeypatch.setattr(automata, "minimize", lambda nfa: calls.append(nfa) or minimize(nfa))
+    for _ in range(10):
+        closed = getattr(space, op)(random_region(rng, space, 3))
+        del calls[:]
+        assert getattr(space, op)(closed) == closed
+        assert calls == []
