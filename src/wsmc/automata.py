@@ -3,19 +3,19 @@
 This is the word-level region algebra: NFAs with epsilon transitions,
 the usual boolean and rational operations, subword closures/kernels,
 and a canonical form: one interned Nfa per language, its minimal DFA
-with its table, memoized so that each distinct NFA is minimized once
-per process.  The boolean operations, the residuals and the decisions
-run on the operands' canonical forms: one breadth-first walk over the
-state tuples of any number of them (_tuples) serves union_all,
-intersection, difference, subset and left_residual, with no subset
-construction.  Only the rational constructions (union among them) and
-the closures build NFAs.
+with its table, held in one intern table.  canonicalize is the one
+path to it: an interned Nfa is its own, any other runs the subset
+construction and minimal_dfa.  The boolean operations, the residuals
+and the decisions run on the operands' canonical forms: one
+breadth-first walk over the state tuples of any number of them
+(_tuples) serves union_all, intersection, difference, subset and
+left_residual, with no subset construction.  Only the rational
+constructions (union among them) and the closures build NFAs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import WsmcError
@@ -54,14 +54,16 @@ class Alphabet:
         return Alphabet(self.symbols + (extra,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Nfa:
     """Nondeterministic finite automaton with epsilon transitions.
 
     States are dense indices 0..n_states-1.  Transitions are triples
     (src, symbol-or-None, dst); None is epsilon.  A canonical form (see
-    canonicalize) also keeps its table[state][symbol index] -> state,
-    which takes no part in equality or hashing; other Nfas have None.
+    canonicalize) also keeps its table[state][symbol index] -> state;
+    other Nfas have None.  An Nfa equals and hashes only as itself: the
+    canonical form of a language is one object, so two automata have
+    the same language iff their canonical forms are identical.
     """
 
     alphabet: Alphabet
@@ -70,7 +72,7 @@ class Nfa:
     accepting: frozenset
     transitions: Tuple[Tuple[int, Optional[str], int], ...]
     table: Optional[Tuple[Tuple[int, ...], ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         for (p, a, q) in self.transitions:
@@ -78,6 +80,9 @@ class Nfa:
                 raise AutomatonError("transition symbol %r not in alphabet" % (a,))
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise AutomatonError("transition endpoint out of range")
+        for kind, states in (("initial", self.initial), ("accepting", self.accepting)):
+            if not all(0 <= q < self.n_states for q in states):
+                raise AutomatonError("%s state out of range" % kind)
 
     @classmethod
     def derived(cls, alphabet: Alphabet, n_states: int, initial: frozenset,
@@ -88,15 +93,6 @@ class Nfa:
         nfa.__dict__.update(alphabet=alphabet, n_states=n_states, initial=initial,
                             accepting=accepting, transitions=transitions, table=table)
         return nfa
-
-    # Intern-table keys are hashed on every lookup: hash the fields once.
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.alphabet, self.n_states, self.initial, self.accepting,
-                     self.transitions))
 
     # -- convenience constructors -------------------------------------
 
@@ -139,7 +135,8 @@ class Nfa:
     # -- basic queries -------------------------------------------------
 
     def accepts(self, w: Sequence[str]) -> bool:
-        """Run w on the canonical form; a symbol outside the alphabet rejects."""
+        """Run w on the canonical form, which a raw Nfa builds anew on
+        each call; a symbol outside the alphabet rejects."""
         if not all(sym in self.alphabet for sym in w):
             return False
         dfa, state = canonicalize(self), 0
@@ -290,16 +287,20 @@ def right_residual(a: Nfa, b: Nfa) -> Nfa:
 
 # -- subword closures and kernels --------------------------------------
 
-def up_closure(a: Nfa) -> Nfa:
-    """Superwords under the scattered-subword order: self-loop every symbol."""
-    loops = tuple((q, sym, q) for q in range(a.n_states) for sym in a.alphabet.symbols)
+def up_closure(a: Nfa, symbols: Optional[Sequence[str]] = None) -> Nfa:
+    """Superwords under the scattered-subword order: a self-loop on every
+    symbol, or on every one of symbols, at every state."""
+    loops = tuple((q, sym, q) for q in range(a.n_states)
+                  for sym in (a.alphabet.symbols if symbols is None else symbols))
     return Nfa.derived(a.alphabet, a.n_states, a.initial, a.accepting,
                        a.transitions + loops)
 
 
-def down_closure(a: Nfa) -> Nfa:
-    """Subwords: every symbol transition also becomes an epsilon move."""
-    skips = tuple((p, EPSILON, q) for (p, x, q) in a.transitions if x is not EPSILON)
+def down_closure(a: Nfa, symbols: Optional[Sequence[str]] = None) -> Nfa:
+    """Subwords: an epsilon move beside every symbol move, or beside every
+    move on one of symbols."""
+    skips = tuple((p, EPSILON, q) for (p, x, q) in a.transitions
+                  if x is not EPSILON and (symbols is None or x in symbols))
     return Nfa.derived(a.alphabet, a.n_states, a.initial, a.accepting,
                        a.transitions + skips)
 
@@ -326,6 +327,7 @@ def is_universal(a: Nfa) -> bool:
 
 
 def equal(a: Nfa, b: Nfa) -> bool:
+    """Identity of the canonical forms (a raw Nfa's is built per call)."""
     _check_same_alphabet(a, b)
     return canonicalize(a) is canonicalize(b)
 
@@ -395,22 +397,20 @@ def _determinize(a: Nfa):
     return table, accepting
 
 
-# Per-process tables, never evicted: the canonical form of every input
-# NFA seen (an interned value is its own), and the one interned value
-# per language, keyed on (alphabet, table, accepting).
-_CANONICAL: Dict[Nfa, Nfa] = {}
+# The one intern table, per process and never evicted: the canonical
+# form of every language built, keyed on (alphabet, table, accepting).
+# No table is keyed on a raw Nfa.
 _INTERNED: Dict[tuple, Nfa] = {}
 
 
 def canonicalize(a: Nfa) -> Nfa:
-    """The canonical form of a, memoized on the (structural) value of a:
-    its complete minimal DFA, with initial state 0 and states numbered
-    by breadth-first discovery in alphabet order, as the one interned
-    Nfa of its language."""
-    nfa = _CANONICAL.get(a)
-    if nfa is None:
-        nfa = _CANONICAL[a] = minimize(a)
-    return nfa
+    """The one interned Nfa of a's language: its complete minimal DFA,
+    states numbered breadth-first from 0 in alphabet order.  An interned
+    Nfa (it has a table) is its own; any other runs the subset
+    construction and minimal_dfa on each call."""
+    if a.table is not None:
+        return a
+    return minimal_dfa(a.alphabet, *_determinize(a))
 
 
 canonical_nfa = canonicalize  # the name the package exports
@@ -424,14 +424,7 @@ def _intern(alphabet: Alphabet, table, accepting: frozenset) -> Nfa:
                       for i, q in enumerate(row))
         nfa = _INTERNED[key] = Nfa.derived(alphabet, len(table), frozenset([0]),
                                            accepting, trans, table)
-        _CANONICAL[nfa] = nfa
     return nfa
-
-
-def minimize(a: Nfa) -> Nfa:
-    """The canonical form of a, without memoizing a: subset construction,
-    then minimal_dfa."""
-    return minimal_dfa(a.alphabet, *_determinize(a))
 
 
 def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],

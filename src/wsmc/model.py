@@ -12,11 +12,12 @@ which the model's region space memoizes.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import regexes, terms
-from .automata import Alphabet, AutomatonError, Word
+from . import automata, regexes, terms
+from .automata import Alphabet, AutomatonError, Nfa, Word
 from .engine import AlgebraBinding
 from .errors import WsmcError
 from .regions import Config, Region, RegionSpace, Signature
@@ -92,6 +93,8 @@ class GlcsModel:
                     raise ModelError("rule channel %r not declared" % (rule.channel,))
                 if rule.symbol not in self.alphabet:
                     raise ModelError("rule symbol %r not in alphabet" % (rule.symbol,))
+            if rule.guard is not None and rule.guard.signature != self.signature:
+                raise ModelError("rule %s: guard of another signature" % rule.describe())
         self.rules = tuple(rules)
 
     @property
@@ -223,22 +226,21 @@ class ConfigAlgebra(AlgebraBinding):
 
 # -- text formats ------------------------------------------------------
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
+def parse_word(text: str, alphabet: Alphabet, offset: int = 0) -> Word:
     """A channel word: whitespace-separated symbols, each token split
-    greedily into alphabet symbols (so "ab" over {a,b} is the word ab)."""
+    greedily into alphabet symbols (so "ab" over {a,b} is the word ab).
+    offset is the position of text in its input, which errors report."""
     out = []
-    for token in text.split():
-        out.extend(regexes._split_symbols(token, alphabet, 0))
+    for token in re.finditer(r"\S+", text):
+        out.extend(regexes._split_symbols(token.group(), alphabet,
+                                          offset + token.start()))
     return tuple(out)
 
 
 def parse_config(text: str, model: GlcsModel) -> Config:
     """Config text: "location : word, word, ..." with one word per channel."""
-    if ":" in text:
-        loc, _, rest = text.partition(":")
-        parts = rest.split(",")
-    else:
-        loc, parts = text, []
+    loc, _, rest = text.partition(":")
+    parts, offset = rest.split(","), len(loc) + 1  # where the next part starts
     loc = loc.strip()
     if loc not in model.locations:
         raise ModelError("unknown location %r" % (loc,))
@@ -249,7 +251,11 @@ def parse_config(text: str, model: GlcsModel) -> Config:
     if len(parts) != len(model.channels):
         raise ModelError("expected %d channel words, got %d"
                          % (len(model.channels), len(parts)))
-    return Config(loc, tuple(parse_word(p, model.alphabet) for p in parts))
+    words = []
+    for part in parts:
+        words.append(parse_word(part, model.alphabet, offset))
+        offset += len(part) + 1
+    return Config(loc, tuple(words))
 
 
 def parse_region_text(text: str, model: GlcsModel) -> Region:
@@ -304,8 +310,15 @@ def _parse_region_atom(atom: str, model: GlcsModel) -> Region:
     if len(patterns) != len(model.channels):
         raise ModelError("region atom %r needs %d channel languages"
                          % (atom, len(model.channels)))
-    langs = tuple(regexes.compile_regex(p, model.alphabet) for p in patterns)
-    return model.space.atom(loc, langs)
+    return model.space.atom(loc, tuple(_channel_language(p, model.alphabet)
+                                       for p in patterns))
+
+
+@functools.lru_cache(maxsize=None)
+def _channel_language(pattern: str, alphabet: Alphabet) -> Nfa:
+    """The canonical form of a channel pattern, compiled once per process:
+    models repeat their patterns across regions and guards."""
+    return automata.canonicalize(regexes.compile_regex(pattern, alphabet))
 
 
 def region_to_text(region: Region, model: GlcsModel) -> str:

@@ -91,16 +91,17 @@ class RegionSpace:
     on the operands, which are interned and small.  Unions,
     intersections and complements are product walks over the operands'
     DFAs (automata.union_all, intersection, difference), which build no
-    NFA; the NFAs of atoms, closures and block edits are minimized with
-    automata.minimize, which keeps no NFA it minimized."""
+    NFA.  Closures are automata.up_closure and down_closure on the
+    message symbols.  The NFAs of atoms, closures and block edits go
+    through automata.canonicalize, which keeps no NFA it canonicalized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
         self._ext_alphabet = signature.alphabet.extend(SEPARATOR)
         self._memo: Dict[tuple, Nfa] = {}
-        sigma_star = Nfa.universal(signature.alphabet)
         # every well-formed word: the full slice of a location
-        self._all = automata.minimize(self._join([sigma_star] * len(signature.channels)))
+        self._all = automata.canonicalize(self._join(
+            [Nfa.universal(signature.alphabet)] * len(signature.channels)))
 
     def _join(self, langs) -> Nfa:
         """An NFA of L1 # L2 # ... # Lc over the extended alphabet."""
@@ -120,16 +121,11 @@ class RegionSpace:
             (loc, encodings[loc]) for loc in self.signature.locations
             if loc in encodings and encodings[loc].accepting))
 
-    def _check(self, a: Region) -> Tuple[Tuple[str, Nfa], ...]:
-        """a's slices, once a's signature is checked."""
+    def _check(self, a: Region) -> Region:
+        """a, once its signature is checked."""
         if a.signature is not self.signature and a.signature != self.signature:
             raise RegionError("region of another signature")
-        return a.slices
-
-    def _slices(self, a: Region) -> Dict[str, Nfa]:
-        """a's encodings by location, once a's signature is checked."""
-        self._check(a)
-        return a.encodings
+        return a
 
     # -- constructors ---------------------------------------------------
 
@@ -147,7 +143,7 @@ class RegionSpace:
                               % (len(self.signature.channels), len(langs)))
         if any(lang.alphabet != self.signature.alphabet for lang in langs):
             raise RegionError("channel language over another alphabet")
-        enc = automata.minimize(self._join(map(automata.canonicalize, langs)))
+        enc = automata.canonicalize(self._join(map(automata.canonicalize, langs)))
         return self._region({loc: enc})
 
     def location_region(self, locs) -> Region:
@@ -167,7 +163,7 @@ class RegionSpace:
         on their set."""
         parts: Dict[str, set] = {}
         for r in regions:
-            for loc, enc in self._check(r):
+            for loc, enc in self._check(r).slices:
                 parts.setdefault(loc, set()).add(enc)
         return self._region({
             loc: next(iter(encs)) if len(encs) == 1 else self._apply(
@@ -175,16 +171,16 @@ class RegionSpace:
             for loc, encs in parts.items()})
 
     def intersection(self, a: Region, b: Region) -> Region:
-        other = self._slices(b)
+        other = self._check(b).encodings
         return self._region({
             loc: x if x is other[loc] else self._apply(
                 ("&", frozenset((x, other[loc]))),
                 lambda x=x, y=other[loc]: automata.intersection(x, y))
-            for loc, x in self._check(a) if loc in other})
+            for loc, x in self._check(a).slices if loc in other})
 
     def complement(self, a: Region) -> Region:
         """Per location, the well-formed encodings the slice lacks."""
-        slices = self._slices(a)
+        slices = self._check(a).encodings
         return self._region({loc: self._complement(slices[loc]) if loc in slices
                              else self._all for loc in self.signature.locations})
 
@@ -205,35 +201,31 @@ class RegionSpace:
 
     # -- closures and kernels -------------------------------------------
 
-    def _map_encodings(self, a: Region, name: str, extra) -> Region:
-        """Add extra(enc) to the transitions of every encoding, memoized
-        under name; without channels there is no block to close."""
+    def _map_encodings(self, a: Region, name: str, closure) -> Region:
+        """closure(enc, message symbols) of every encoding, memoized under
+        name; without channels there is no block to close."""
         if not self.signature.channels:
             return self.normalize(a)
 
         def close(enc):
-            closed = self._apply((name, enc), lambda: automata.minimize(Nfa.derived(
-                self._ext_alphabet, enc.n_states, enc.initial, enc.accepting,
-                enc.transitions + extra(enc))))
+            closed = self._apply((name, enc), lambda: automata.canonicalize(
+                closure(enc, self.signature.alphabet.symbols)))
             self._memo[(name, closed)] = closed  # a closure is idempotent
             return closed
 
         # a closure of a nonempty slice is nonempty
         return Region(self.signature, tuple((loc, close(enc))
-                                            for loc, enc in self._check(a)))
+                                            for loc, enc in self._check(a).slices))
 
     def up_closure(self, a: Region) -> Region:
         """Superwords in every block: a self-loop on every message symbol
         at every state; separators stay fixed."""
-        symbols = self.signature.alphabet.symbols
-        return self._map_encodings(a, "up", lambda enc: tuple(
-            (q, x, q) for q in range(enc.n_states) for x in symbols))
+        return self._map_encodings(a, "up", automata.up_closure)
 
     def down_closure(self, a: Region) -> Region:
         """Subwords in every block: an epsilon move beside every message
         move; separators stay fixed."""
-        return self._map_encodings(a, "down", lambda enc: tuple(
-            (p, EPSILON, q) for (p, x, q) in enc.transitions if x != SEPARATOR))
+        return self._map_encodings(a, "down", automata.down_closure)
 
     def up_kernel(self, a: Region) -> Region:
         return self.complement(self.down_closure(self.complement(a)))
@@ -250,11 +242,11 @@ class RegionSpace:
         a leading one), "append" it or "curtail" (drop a trailing one), or
         kept if kind is None.  Memoized per (kind, channel, symbol, slice),
         so rules with the same edit share one result per slice."""
-        enc = self._slices(a).get(source)
+        enc = self._check(a).encodings.get(source)
         if enc is None:
             return self.empty()
         if kind is not None:
-            enc = self._apply((kind, channel, symbol, enc), lambda: automata.minimize(
+            enc = self._apply((kind, channel, symbol, enc), lambda: automata.canonicalize(
                 self._edit(enc, kind, channel, symbol)))
         return Region(self.signature, ((target, enc),) if enc.accepting else ())
 
@@ -302,32 +294,31 @@ class RegionSpace:
     # -- decisions ------------------------------------------------------
 
     def is_empty(self, a: Region) -> bool:
-        return not self._check(a)
+        return not self._check(a).slices
 
     def member(self, config: Config, a: Region) -> bool:
         """Run w1 # ... # wc on the location's encoding DFA."""
         if len(config.contents) != len(self.signature.channels):
             raise RegionError("config channel count mismatch")
-        enc = self._slices(a).get(config.location)
+        enc = self._check(a).encodings.get(config.location)
         if enc is None or any(SEPARATOR in w for w in config.contents):
             return False
         return enc.accepts(sum(((SEPARATOR,) + tuple(w) for w in config.contents), ())[1:])
 
     def equal(self, a: Region, b: Region) -> bool:
-        return self._slices(a) == self._slices(b)
+        return self._check(a).slices == self._check(b).slices
 
     def subset(self, a: Region, b: Region) -> bool:
-        other = self._slices(b)
+        other = self._check(b).encodings
         return all(loc in other and (x is other[loc] or automata.subset(x, other[loc]))
-                   for loc, x in self._check(a))
+                   for loc, x in self._check(a).slices)
 
     def is_universal(self, a: Region) -> bool:
         return self.equal(a, self.full())
 
     def normalize(self, a: Region) -> Region:
         """Every region is in normal form already."""
-        self._check(a)
-        return a
+        return self._check(a)
 
 
 @functools.cache

@@ -270,7 +270,7 @@ def test_minimal_dfa_matches_brzozowski(rng, shape):
     assert shape != "random" or nontrivial >= 100
 
 
-# -- interning: the memo tables against the uncached construction ------------
+# -- interning: the one intern table against a test-local construction -------
 
 def same_language_rewrites(a, ab):
     """Structurally different NFAs with the language of a."""
@@ -280,13 +280,56 @@ def same_language_rewrites(a, ab):
             automata.intersection(a, Nfa.universal(ab))]
 
 
-def test_memoized_canonicalize_equals_uncached(ab, rng):
+def subset_dfa(nfa):
+    """The subset construction of nfa, independent of automata: the table
+    and the accepting states of a complete DFA with initial state 0."""
+    def close(states):
+        out, stack = set(states), list(states)
+        while stack:
+            p = stack.pop()
+            for (q, x, r) in nfa.transitions:
+                if q == p and x is None and r not in out:
+                    out.add(r)
+                    stack.append(r)
+        return frozenset(out)
+
+    start = close(nfa.initial)
+    ids, order, table = {start: 0}, [start], []
+    for states in order:
+        row = []
+        for sym in nfa.alphabet.symbols:
+            succ = close({r for (q, x, r) in nfa.transitions if q in states and x == sym})
+            if succ not in ids:
+                ids[succ] = len(order)
+                order.append(succ)
+            row.append(ids[succ])
+        table.append(row)
+    return table, {i for i, states in enumerate(order) if states & nfa.accepting}
+
+
+def count_determinize(monkeypatch):
+    """The list of the NFAs that automata's subset construction runs on
+    from now on."""
+    runs = []
+    real = automata._determinize
+    monkeypatch.setattr(automata, "_determinize", lambda a: runs.append(a) or real(a))
+    return runs
+
+
+def test_canonicalize_is_the_minimal_dfa_of_the_subset_construction(ab, rng,
+                                                                    monkeypatch):
+    runs = count_determinize(monkeypatch)
     for _ in range(60):
         a = random_nfa(rng, ab)
+        del runs[:]
         dfa = automata.canonicalize(a)
-        assert dfa is automata.minimize(a)
+        assert dfa is automata.minimal_dfa(ab, *subset_dfa(a))
+        assert dfa.n_states == len(brzozowski(*subset_dfa(a))[0])
+        # no table is keyed on a raw NFA: each call determinizes it again,
+        # and interning returns the same object
         assert automata.canonicalize(a) is dfa
-        assert automata.canonicalize(dfa) is automata.minimize(dfa) is dfa
+        assert runs == [a, a]
+        assert automata.minimal_dfa(ab, dfa.table, dfa.accepting) is dfa
         assert automata.complement(automata.complement(a)) is dfa
         # a complete DFA from state 0 whose transitions are its table
         assert dfa.initial == {0} and len(dfa.table) == dfa.n_states
@@ -296,18 +339,29 @@ def test_memoized_canonicalize_equals_uncached(ab, rng):
 
 
 def test_canonical_nfa_is_identical_iff_languages_equal(ab, rng):
-    equal_pairs = 0
+    # "Same language" is decided without canonicalize: by a walk over the
+    # product of the test-local subset DFAs.  A shortest word in the
+    # symmetric difference visits each pair of that product at most once,
+    # so where it has at most 9 pairs the slices up to length 8 decide
+    # it too, and must agree.
+    equal_pairs = sliced = 0
     for _ in range(60):
         a = random_nfa(rng, ab)
         others = same_language_rewrites(a, ab) + [random_nfa(rng, ab)]
+        (ta, fa), slice_a = subset_dfa(a), lang(a, 8)
         for b in others:
-            same = automata.minimize(a) == automata.minimize(b)
+            tb, fb = subset_dfa(b)
+            same = same_language(ta, fa, tb, fb)
+            if len(ta) * len(tb) <= 9:
+                sliced += 1
+                assert (slice_a == lang(b, 8)) == same
             assert (automata.canonical_nfa(a) is automata.canonical_nfa(b)) == same
             assert (automata.canonicalize(a) is automata.canonicalize(b)) == same
             if same:
                 equal_pairs += 1
                 assert lang(a, 5) == lang(b, 5)
     assert equal_pairs >= 4 * 60
+    assert sliced >= 150
     one = Alphabet(("a",))
     assert automata.canonical_nfa(Nfa.universal(one)).alphabet == one
     assert automata.canonical_nfa(Nfa.universal(ab)).alphabet == ab
@@ -334,6 +388,18 @@ def test_memoized_subset_matches_oracle_inclusion(ab, rng):
     assert outcomes[True] >= 300 and outcomes[False] >= 150
 
 
+def test_canonicalize_of_an_interned_form_runs_no_subset_construction(ab, rng,
+                                                                      monkeypatch):
+    forms = [automata.canonicalize(random_nfa(rng, ab)) for _ in range(30)]
+    forms += [automata.complement(a) for a in forms]
+    runs = count_determinize(monkeypatch)
+    for dfa in forms:
+        assert automata.canonicalize(dfa) is automata.canonical_nfa(dfa) is dfa
+        assert automata.union_all([dfa]) is dfa and automata.equal(dfa, dfa)
+        assert automata.complement(automata.complement(dfa)) is dfa
+    assert runs == []
+
+
 class CountingTuple(tuple):
     """A tuple that counts how often it is hashed."""
 
@@ -344,25 +410,24 @@ class CountingTuple(tuple):
         return tuple.__hash__(self)
 
 
-def test_hash_is_structural_and_computed_once(ab, rng):
+def test_nfa_equals_and_hashes_only_as_itself(ab, rng):
     for _ in range(30):
         a = random_nfa(rng, ab)
         copy = Nfa(a.alphabet, a.n_states, frozenset(a.initial), frozenset(a.accepting),
                    tuple(list(a.transitions)))
-        assert copy == a and copy is not a
-        assert hash(copy) == hash(a) == hash(
-            (a.alphabet, a.n_states, a.initial, a.accepting, a.transitions))
-        # one canonical object per language, whichever way it is reached
-        canon = automata.minimize(a)
-        assert canon is automata.minimize(copy) is automata.canonicalize(a) \
-            is automata.canonical_nfa(a)
+        assert copy != a and a == a
+        assert hash(a) == object.__hash__(a) and len({a, copy}) == 2
+        # yet one canonical object per language, whichever way it is reached
+        canon = automata.canonicalize(a)
+        assert canon is automata.canonicalize(copy) is automata.canonical_nfa(a)
 
+    # no table keyed on a raw NFA: canonicalizing it hashes none of its fields
     nfa = Nfa(ab, 2, frozenset([0]), frozenset([1]), CountingTuple(((0, "a", 1),)))
     CountingTuple.hashes = 0
     for _ in range(5):
         hash(nfa)
         automata.canonicalize(nfa)
-    assert CountingTuple.hashes == 1
+    assert CountingTuple.hashes == 0
 
 
 @pytest.mark.parametrize("transitions", [((0, "c", 0),), ((0, "a", 1),),
@@ -370,6 +435,15 @@ def test_hash_is_structural_and_computed_once(ab, rng):
 def test_caller_built_nfa_is_checked(ab, transitions):
     with pytest.raises(AutomatonError):
         Nfa(ab, 1, frozenset([0]), frozenset([0]), transitions)
+
+
+@pytest.mark.parametrize("initial, accepting, message", [
+    ({3}, {0}, "initial state out of range"),
+    ({0}, {7}, "accepting state out of range"),
+    ({-1}, {0}, "initial state out of range")])
+def test_caller_built_nfa_states_are_range_checked(ab, initial, accepting, message):
+    with pytest.raises(AutomatonError, match=message):
+        Nfa(ab, 2, frozenset(initial), frozenset(accepting), ())
 
 
 def test_derived_automata_are_not_checked_again(ab, rng, monkeypatch):

@@ -233,6 +233,14 @@ def test_check_member_yes_no(capsys):
     assert (code, out) == (1, "no\n")
 
 
+def test_check_member_word_error_points_into_the_configuration(capsys):
+    code = cli.main(["check", model_path("token_game.lcs"), "prestar",
+                     "--target", "GOAL", "--member", "a0 : tt n q"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: symbol 'q' not in alphabet (at position 10)\n")
+
+
 def test_check_member_matches_bounded_oracle(capsys):
     # criterion: prestar membership agrees with explicit bounded search
     code, out = run_cli(capsys, "oracle", "reach", model_path("token_game.lcs"),

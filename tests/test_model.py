@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from wsmc import automata, compilers, oracle
+from wsmc import automata, compilers, model as model_module, oracle, regexes
 from wsmc.automata import Alphabet, Nfa
 from wsmc.model import (
     LOSSY, PERFECT, GlcsModel, ModelError, Rule, SEND, RECV, INTERNAL,
-    parse_config, parse_model, parse_region_text, parse_word, region_to_text)
-from wsmc.regexes import compile_regex
+    load_model, parse_config, parse_model, parse_region_text, parse_word, region_to_text)
+from wsmc.regexes import RegexError, compile_regex
 from wsmc.regions import Config, RegionError, RegionSpace
 
 from conftest import model_path, random_model, random_region_for
@@ -148,6 +148,21 @@ def test_parse_word_and_config():
     assert sigma == Config("p", (("a", "b"),))
     with pytest.raises(ModelError):
         parse_config("nowhere : a", model)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("a0 : t x", 7), ("a0 : tt n q", 10), ("a0:x", 3)])
+def test_config_word_errors_point_into_the_configuration(text, position):
+    game = load_model(model_path("token_game.lcs"))
+    with pytest.raises(RegexError, match=r"\(at position %d\)$" % position) as info:
+        parse_config(text, game)
+    assert text[position] == info.value.args[0].split("'")[1][0]
+
+
+def test_config_word_errors_point_into_each_channel_word():
+    model = tiny_model([], channels=("c", "d"))
+    with pytest.raises(RegexError, match=r"symbol 'x' not in alphabet \(at position 12\)"):
+        parse_config("p : a b, ba x", model)
 
 
 def test_region_text_roundtrip():
@@ -388,12 +403,14 @@ def test_every_slice_encoding_is_its_own_canonical_form(max_channels):
         r = random_region_for(rng, model, 3)
         results = [getattr(model, op)(r, mode) for op, mode in steps]
         results += [getattr(space, op)(r) for op in ops]
+        # canonicalize returns any interned form as it is: minimize again
         for region in results:
             for _, enc in region.slices:
-                assert automata.canonicalize(enc) is enc
+                assert automata.minimal_dfa(enc.alphabet, enc.table, enc.accepting) is enc
             for product in region.summands:
                 for lang in product.channel_langs:
-                    assert automata.canonicalize(lang) is lang
+                    assert automata.minimal_dfa(
+                        lang.alphabet, lang.table, lang.accepting) is lang
 
 
 def test_unknown_step_mode_is_an_error():
@@ -423,6 +440,39 @@ def test_steps_refuse_a_region_of_another_signature():
         for step in steps:
             with pytest.raises(RegionError, match="region of another signature"):
                 step(foreign)
+
+
+def test_api_model_refuses_a_guard_of_another_signature():
+    other = tiny_model([], locations=("p", "r"))
+    guard = other.space.location_region(["p"])
+    with pytest.raises(ModelError, match=r"^rule p -> q : c!a: guard of another "
+                                         r"signature$"):
+        tiny_model([Rule("p", "q", INTERNAL), Rule("p", "q", SEND, "c", "a", guard)])
+    # a guard built in an equal signature is the model's own
+    rule = Rule("p", "q", SEND, "c", "a", tiny_model([]).space.location_region(["p"]))
+    assert tiny_model([rule]).rules == (rule,)
+
+
+def test_a_pattern_repeated_across_regions_is_compiled_once(monkeypatch):
+    model_module._channel_language.cache_clear()
+    compiled = []
+    real = regexes.compile_regex
+    monkeypatch.setattr(regexes, "compile_regex",
+                        lambda pattern, alphabet: compiled.append(pattern)
+                        or real(pattern, alphabet))
+    text = ("alphabet: a b\nchannels: c d\nlocations: p q\n"
+            "region R = (p; a*; b) + (q; a*; b) + (q; b; a*)\n"
+            "region S = (p; a*; ()) + R\n"
+            "rule p -> q : c!a guard (q; b; b)\n"
+            "rule q -> p : nop guard (p; a*; b)\n")
+    first = parse_model(text)
+    assert sorted(compiled) == ["()", "a*", "b"]
+    second = parse_model(text)
+    assert sorted(compiled) == ["()", "a*", "b"]
+    assert second.named_regions == first.named_regions
+    # the alphabet is part of the key
+    parse_model(text.replace("alphabet: a b", "alphabet: a b x"))
+    assert sorted(compiled) == ["()", "()", "a*", "a*", "b", "b"]
 
 
 def test_parse_model_builds_one_region_space(monkeypatch):
@@ -470,9 +520,9 @@ def test_steps_share_block_edits_and_repeat_without_minimizing(monkeypatch):
     for op, mode in calls[:4]:
         assert op(at["p"], mode) == op(space.intersection(both, at["p"]), mode)
     minimized = []
-    real_minimize = automata.minimize
-    monkeypatch.setattr(automata, "minimize",
-                        lambda a: minimized.append(a) or real_minimize(a))
+    real_determinize = automata._determinize
+    monkeypatch.setattr(automata, "_determinize",
+                        lambda a: minimized.append(a) or real_determinize(a))
     again = space.union(at["q"], at["p"])
     assert again == both and again is not both
     for op, mode in calls:

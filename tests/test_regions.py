@@ -280,7 +280,7 @@ def test_union_is_the_minimized_nfa_union_of_the_slices(max_channels):
             union = dict(space.union(*operands).slices)
             assert union.keys() == encodings.keys()
             for loc, encs in encodings.items():
-                assert union[loc] is automata.minimize(
+                assert union[loc] is automata.canonicalize(
                     functools.reduce(automata.union, encs))
 
 
@@ -292,10 +292,37 @@ def test_alphabet_with_the_separator_is_rejected():
 @pytest.mark.parametrize("op", ["up_closure", "down_closure"])
 def test_closing_a_closed_region_minimizes_nothing(op, space, rng, monkeypatch):
     calls = []
-    minimize = automata.minimize
-    monkeypatch.setattr(automata, "minimize", lambda nfa: calls.append(nfa) or minimize(nfa))
+    determinize = automata._determinize
+    monkeypatch.setattr(automata, "_determinize",
+                        lambda nfa: calls.append(nfa) or determinize(nfa))
     for _ in range(10):
         closed = getattr(space, op)(random_region(rng, space, 3))
         del calls[:]
         assert getattr(space, op)(closed) == closed
         assert calls == []
+
+
+def closure_by_moves(enc, op):
+    """The closure of an encoding as the region algebra once built it on
+    its own: a self-loop on every message symbol at every state (up), or
+    an epsilon move beside every message move (down); # moves stay."""
+    if op == "up_closure":
+        extra = tuple((q, x, q) for q in range(enc.n_states)
+                      for x in enc.alphabet.symbols if x != "#")
+    else:
+        extra = tuple((p, None, q) for (p, x, q) in enc.transitions if x != "#")
+    return automata.canonicalize(Nfa(enc.alphabet, enc.n_states, enc.initial,
+                                     enc.accepting, enc.transitions + extra))
+
+
+@pytest.mark.parametrize("op", ["up_closure", "down_closure"])
+def test_closures_equal_the_closure_by_moves_on_every_encoding(op):
+    rng = random.Random(5300)
+    for max_channels in (1, 2, 3):
+        for _ in range(10):
+            model = random_model(rng, max_channels=max_channels)
+            region = random_region_for(rng, model, 3)
+            closed = getattr(model.space, op)(region).encodings
+            assert closed.keys() == region.encodings.keys()
+            for loc, enc in region.slices:
+                assert closed[loc] is closure_by_moves(enc, op)
