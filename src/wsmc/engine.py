@@ -175,11 +175,11 @@ def evaluate(t: Term, env, algebra: AlgebraBinding, limits: Optional[Limits] = N
     return value, stats
 
 
-# term node -> the value-space method applied to its children's values
+# term kind -> the value-space method applied to its children's values
 _SPACE_METHODS = {
-    terms.Union: "union", terms.Intersection: "intersection",
-    terms.Not: "complement", terms.Up: "up_closure", terms.Down: "down_closure",
-    terms.Kup: "up_kernel", terms.Kdown: "down_kernel",
+    "union": "union", "intersection": "intersection", "not": "complement",
+    "up": "up_closure", "down": "down_closure", "kup": "up_kernel",
+    "kdown": "down_kernel",
 }
 
 class _Evaluation:
@@ -197,17 +197,16 @@ class _Evaluation:
     def _index(self, t: Term, ids: Dict[tuple, int]):
         """Enter t and its subterms in the node table; returns t's
         structural id, free variables and whether it contains a binder."""
-        kids = [self._index(child, ids) for child in terms.children(t)]
-        sid = ids.setdefault((type(t), terms.label(t), tuple(k[0] for k in kids)),
-                             len(ids))
-        binder = isinstance(t, (terms.Mu, terms.Nu))
+        kids = [self._index(child, ids) for child in t.args]
+        sid = ids.setdefault((t.kind, t.name, tuple(k[0] for k in kids)), len(ids))
+        binder = t.kind in terms.BINDERS
         free = frozenset().union(*(k[1] for k in kids))
-        if isinstance(t, terms.Var):
+        if t.kind == "var":
             free = frozenset([t.name])
         elif binder:
-            free -= {t.var}
+            free -= {t.name}
         nested = binder or any(k[2] for k in kids)
-        cached = not (nested or isinstance(t, terms.Var))
+        cached = not (nested or t.kind == "var")
         self.nodes[id(t)] = (sid if cached else None, tuple(sorted(free)))
         return sid, free, nested
 
@@ -225,42 +224,41 @@ class _Evaluation:
         return value
 
     def _compute(self, t: Term, env):
-        if isinstance(t, terms.Var):
+        if t.kind == "var":
             if t.name not in env:
                 raise EvaluationError("unknown free variable %r" % (t.name,))
             return env[t.name]
-        if isinstance(t, (terms.Mu, terms.Nu)):
+        if t.kind in terms.BINDERS:
             return self._fixpoint(t, env)
-        # terms.children rejects any node type it does not know
-        args = [self.eval(child, env) for child in terms.children(t)]
+        args = [self.eval(child, env) for child in t.args]
         algebra = self.algebra
-        if isinstance(t, terms.OpApp):
-            value = algebra.apply(t.op, args)
-        else:
-            value = getattr(algebra.space, _SPACE_METHODS[type(t)])(*args)
+        if t.kind == "opapp":
+            value = algebra.apply(t.name, args)
+        else:  # Term admits no kind that _SPACE_METHODS lacks
+            value = getattr(algebra.space, _SPACE_METHODS[t.kind])(*args)
         value = algebra.space.normalize(value)
         self.stats.observe(algebra.size(value))
         return value
 
     def _fixpoint(self, t, env):
-        ascending = isinstance(t, terms.Mu)
+        ascending = t.kind == "mu"
         algebra, stats = self.algebra, self.stats
         space = algebra.space
         value = space.normalize(space.empty() if ascending else space.full())
         count = 0
         inner = dict(env)
         while True:
-            inner[t.var] = value
-            nxt = self.eval(t.body, inner)
+            inner[t.name] = value
+            nxt = self.eval(t.args[0], inner)
             count += 1
             lo, hi = (value, nxt) if ascending else (nxt, value)
             if not algebra.subset(lo, hi):
                 raise EvaluationError(
-                    "approximant chain for %r is not monotone" % (t.var,))
+                    "approximant chain for %r is not monotone" % (t.name,))
             if algebra.equal(nxt, value):
-                stats.record(t.var, count)
+                stats.record(t.name, count)
                 return value
             value = nxt
             if self.limits.max_iter is not None and count >= self.limits.max_iter:
-                stats.record(t.var, count)
-                raise IterationCapError(t.var, self.limits.max_iter, stats)
+                stats.record(t.name, count)
+                raise IterationCapError(t.name, self.limits.max_iter, stats)

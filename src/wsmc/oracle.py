@@ -390,31 +390,30 @@ def finite_mc(model: GlcsModel, term: terms.Term,
         operators[name] = (lambda locs=frozenset(locs): locs)
 
     def ev(node, env):
-        if isinstance(node, terms.Var):
+        kind = node.kind
+        if kind == "var":
             return env[node.name]
-        if isinstance(node, terms.OpApp):
-            args = [ev(a, env) for a in node.args]
-            if node.op in operators:
-                return operators[node.op](*args)
-            raise OracleError("unknown operator %r" % (node.op,))
-        if isinstance(node, terms.Union):
-            return ev(node.left, env) | ev(node.right, env)
-        if isinstance(node, terms.Intersection):
-            return ev(node.left, env) & ev(node.right, env)
-        if isinstance(node, terms.Not):
-            return locations - ev(node.child, env)
-        if isinstance(node, (terms.Up, terms.Down, terms.Kup, terms.Kdown)):
-            return ev(node.child, env)  # identity without channels
-        if isinstance(node, (terms.Mu, terms.Nu)):
-            current = frozenset() if isinstance(node, terms.Mu) else locations
+        if kind in terms.BINDERS:
+            current = frozenset() if kind == "mu" else locations
             for _ in range(2 ** len(locations) + 2):
                 inner = dict(env)
-                inner[node.var] = current
-                nxt = ev(node.body, inner)
+                inner[node.name] = current
+                nxt = ev(node.args[0], inner)
                 if nxt == current:
                     return current
                 current = nxt
             raise OracleError("fixpoint iteration did not converge")
-        raise OracleError("unknown term node %r" % (node,))
+        args = [ev(a, env) for a in node.args]
+        if kind == "opapp":
+            if node.name in operators:
+                return operators[node.name](*args)
+            raise OracleError("unknown operator %r" % (node.name,))
+        if kind == "union":
+            return args[0] | args[1]
+        if kind == "intersection":
+            return args[0] & args[1]
+        if kind == "not":
+            return locations - args[0]
+        return args[0]  # up, down, kup, kdown: the identity without channels
 
     return ev(term, dict(env or {}))

@@ -1,17 +1,21 @@
 """Fixpoint terms: abstract syntax, parsing, guardedness, unfolding.
 
-Terms combine named monotonic operators, union/intersection/complement,
-the four closure/kernel operators, and mu/nu binders.  Binder names are
-freshened on construction so no two binders share a name and no name is
-both bound and free.  Bound variables must sit under an even number of
-complements; mu-bound variables must be upward-guarded and nu-bound ones
-downward-guarded for the iterative evaluator to be guaranteed to stop.
+A term is one node type, `Term(kind, name, args)`.  The kind is one of
+"var", "opapp" (a named monotonic operator), "union", "intersection",
+"not", the closures "up" and "down", the kernels "kup" and "kdown", and
+the binders "mu" and "nu"; the name is the variable, operator or binder
+name (None for the other kinds); the args are the children.  `Var`,
+`OpApp`, `Union`, ... `Nu` build one node each.  Parsing freshens binder
+names so no two binders share a name and no name is both bound and free.
+Bound variables must sit under an even number of complements; mu-bound
+variables must be upward-guarded and nu-bound ones downward-guarded for
+the iterative evaluator to be guaranteed to stop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from .errors import WsmcError
 
@@ -20,130 +24,50 @@ class TermError(WsmcError):
     pass
 
 
+# kind -> number of children; None for any number
+_ARITY = {"var": 0, "opapp": None, "union": 2, "intersection": 2, "not": 1,
+         "up": 1, "down": 1, "kup": 1, "kdown": 1, "mu": 1, "nu": 1}
+BINDERS = ("mu", "nu")
+
+
 @dataclass(frozen=True)
 class Term:
-    pass
-
-
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-
-
-@dataclass(frozen=True)
-class OpApp(Term):
-    op: str
+    kind: str
+    name: Optional[str] = None
     args: Tuple[Term, ...] = ()
 
-
-@dataclass(frozen=True)
-class Union(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Intersection(Term):
-    left: Term
-    right: Term
+    def __post_init__(self):
+        if self.kind not in _ARITY:
+            raise TermError("unknown term kind %r" % (self.kind,))
+        arity = _ARITY[self.kind]
+        if arity is not None and len(self.args) != arity:
+            raise TermError("a %s node takes %d children, got %d"
+                            % (self.kind, arity, len(self.args)))
 
 
-@dataclass(frozen=True)
-class Not(Term):
-    child: Term
-
-
-@dataclass(frozen=True)
-class Up(Term):
-    child: Term
-
-
-@dataclass(frozen=True)
-class Down(Term):
-    child: Term
-
-
-@dataclass(frozen=True)
-class Kup(Term):
-    child: Term
-
-
-@dataclass(frozen=True)
-class Kdown(Term):
-    child: Term
-
-
-@dataclass(frozen=True)
-class Mu(Term):
-    var: str
-    body: Term
-
-
-@dataclass(frozen=True)
-class Nu(Term):
-    var: str
-    body: Term
-
-
-_UNARY = {Up, Down, Kup, Kdown, Not}
-
-
-def children(t: Term):
-    if isinstance(t, Var):
-        return ()
-    if isinstance(t, OpApp):
-        return t.args
-    if isinstance(t, (Union, Intersection)):
-        return (t.left, t.right)
-    if type(t) in _UNARY:
-        return (t.child,)
-    if isinstance(t, (Mu, Nu)):
-        return (t.body,)
-    raise TermError("unknown term node %r" % (t,))
-
-
-def label(t: Term):
-    """The field of a node that is not a child: the variable, operator
-    or binder name; None for the other nodes."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, OpApp):
-        return t.op
-    if isinstance(t, (Mu, Nu)):
-        return t.var
-    return None
-
-
-def _rebuild(t: Term, kids):
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, OpApp):
-        return OpApp(t.op, tuple(kids))
-    if isinstance(t, (Union, Intersection)):
-        return type(t)(kids[0], kids[1])
-    if type(t) in _UNARY:
-        return type(t)(kids[0])
-    if isinstance(t, (Mu, Nu)):
-        return type(t)(t.var, kids[0])
-    raise TermError("unknown term node %r" % (t,))
+def Var(name): return Term("var", name)
+def OpApp(op, args=()): return Term("opapp", op, tuple(args))
+def Union(left, right): return Term("union", None, (left, right))
+def Intersection(left, right): return Term("intersection", None, (left, right))
+def Not(child): return Term("not", None, (child,))
+def Up(child): return Term("up", None, (child,))
+def Down(child): return Term("down", None, (child,))
+def Kup(child): return Term("kup", None, (child,))
+def Kdown(child): return Term("kdown", None, (child,))
+def Mu(var, body): return Term("mu", var, (body,))
+def Nu(var, body): return Term("nu", var, (body,))
 
 
 def free_vars(t: Term) -> set:
-    if isinstance(t, Var):
+    if t.kind == "var":
         return {t.name}
-    if isinstance(t, (Mu, Nu)):
-        return free_vars(t.body) - {t.var}
-    out = set()
-    for c in children(t):
-        out |= free_vars(c)
-    return out
+    out = set().union(*map(free_vars, t.args))
+    return out - {t.name} if t.kind in BINDERS else out
 
 
 def bound_vars(t: Term) -> List[str]:
-    out = []
-    if isinstance(t, (Mu, Nu)):
-        out.append(t.var)
-    for c in children(t):
+    out = [t.name] if t.kind in BINDERS else []
+    for c in t.args:
         out.extend(bound_vars(c))
     return out
 
@@ -152,20 +76,17 @@ def rename_binders(t: Term, taken: set) -> Term:
     """Freshen binder names so all binders are distinct and avoid `taken`."""
 
     def walk(node, mapping):
-        if isinstance(node, Var):
+        if node.kind == "var":
             return Var(mapping.get(node.name, node.name))
-        if isinstance(node, (Mu, Nu)):
-            name = node.var
-            fresh = name
-            i = 0
+        if node.kind in BINDERS:
+            fresh, i = node.name, 0
             while fresh in taken:
                 i += 1
-                fresh = "%s_%d" % (name, i)
+                fresh = "%s_%d" % (node.name, i)
             taken.add(fresh)
-            new_mapping = dict(mapping)
-            new_mapping[name] = fresh
-            return type(node)(fresh, walk(node.body, new_mapping))
-        return _rebuild(node, [walk(c, mapping) for c in children(node)])
+            return replace(node, name=fresh,
+                           args=(walk(node.args[0], {**mapping, node.name: fresh}),))
+        return replace(node, args=tuple(walk(c, mapping) for c in node.args))
 
     return walk(t, {})
 
@@ -178,13 +99,13 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
     taken = set(bound_vars(t)) | free_vars(t) | free_vars(replacement)
 
     def walk(node):
-        if isinstance(node, Var):
+        if node.kind == "var":
             if node.name == name:
                 return rename_binders(replacement, taken)
             return node
-        if isinstance(node, (Mu, Nu)) and node.var == name:
+        if node.kind in BINDERS and node.name == name:
             return node
-        return _rebuild(node, [walk(c) for c in children(node)])
+        return replace(node, args=tuple(map(walk, node.args)))
 
     return walk(t)
 
@@ -194,10 +115,11 @@ def unfold(t: Term, binder: str) -> Term:
     found = [False]
 
     def walk(node):
-        if isinstance(node, (Mu, Nu)) and node.var == binder:
+        if node.kind in BINDERS and node.name == binder:
             found[0] = True
-            return type(node)(binder, substitute(node.body, binder, node.body))
-        return _rebuild(node, [walk(c) for c in children(node)])
+            body = node.args[0]
+            return replace(node, args=(substitute(body, binder, body),))
+        return replace(node, args=tuple(map(walk, node.args)))
 
     out = walk(t)
     if not found[0]:
@@ -212,22 +134,23 @@ def check_parity(t: Term):
     between its binder and the occurrence."""
 
     def walk(node, depth, bound):
-        if isinstance(node, Var):
+        if node.kind == "var":
             if node.name in bound and (depth - bound[node.name]) % 2 != 0:
                 raise TermError(
                     "bound variable %r occurs under an odd number of complements"
                     % (node.name,))
-            return
-        if isinstance(node, Not):
-            walk(node.child, depth + 1, bound)
-            return
-        if isinstance(node, (Mu, Nu)):
-            walk(node.body, depth, {**bound, node.var: depth})
-            return
-        for c in children(node):
+        elif node.kind == "not":
+            depth += 1
+        elif node.kind in BINDERS:
+            bound = {**bound, node.name: depth}
+        for c in node.args:
             walk(c, depth, bound)
 
     walk(t, 0, {})
+
+
+# binder kind -> the kinds that guard its variable
+_GUARDS = {"mu": ("up", "kup"), "nu": ("down", "kdown")}
 
 
 def check_guarded(t: Term) -> List[Tuple[str, str]]:
@@ -240,24 +163,22 @@ def check_guarded(t: Term) -> List[Tuple[str, str]]:
     offenders = []
 
     def walk(node):
-        if isinstance(node, Mu):
-            _scan(node.body, node.var, (Up, Kup), "")
-        elif isinstance(node, Nu):
-            _scan(node.body, node.var, (Down, Kdown), "")
-        for c in children(node):
+        if node.kind in BINDERS:
+            _scan(node.args[0], node.name, _GUARDS[node.kind], "")
+        for c in node.args:
             walk(c)
 
     def _scan(node, name, guards, path):
-        if isinstance(node, guards):
+        if node.kind in guards:
             return  # every occurrence below is guarded
-        if isinstance(node, Var):
+        if node.kind == "var":
             if node.name == name:
                 offenders.append((name, path or "."))
             return
-        if isinstance(node, (Mu, Nu)) and node.var == name:
+        if node.kind in BINDERS and node.name == name:
             return
-        for i, c in enumerate(children(node)):
-            _scan(c, name, guards, "%s/%s[%d]" % (path, type(node).__name__.lower(), i))
+        for i, c in enumerate(node.args):
+            _scan(c, name, guards, "%s/%s[%d]" % (path, node.kind, i))
 
     walk(t)
     return offenders
@@ -305,22 +226,28 @@ class _Parser:
     then "&", then prefix "!" and the closure operators.
     """
 
-    def __init__(self, tokens, binding, free_ok):
+    def __init__(self, tokens, binding, free_ok, length):
         self.tokens = tokens
         self.binding = binding  # maps operator name -> arity
         self.free_ok = free_ok
         self.pos = 0
+        self.end = (None, None, length)  # the token past the last one
 
     def peek(self):
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
-        return (None, None, -1)
+        return self.end
+
+    @staticmethod
+    def found(tok) -> str:
+        """What an error message says about the unexpected token tok."""
+        what = "end of formula" if tok[0] is None else repr(tok[1])
+        return "found %s at position %d" % (what, tok[2])
 
     def expect(self, kind):
         tok = self.peek()
         if tok[0] != kind:
-            raise TermError("expected %r, found %r at position %d"
-                            % (kind, tok[1], tok[2]))
+            raise TermError("expected %r, %s" % (kind, self.found(tok)))
         self.pos += 1
         return tok
 
@@ -350,38 +277,33 @@ class _Parser:
         if kind == "!":
             self.pos += 1
             return Not(self.unary(scope))
-        if kind == "ident" and value in ("mu", "nu"):
+        if kind == "ident" and value in BINDERS:
             self.pos += 1
             var = self.expect("ident")[1]
             if var in KEYWORDS:
                 raise TermError("%r cannot be a variable name" % (var,))
             self.expect(".")
-            body = self.alternation(scope | {var})
-            return (Mu if value == "mu" else Nu)(var, body)
+            return Term(value, var, (self.alternation(scope | {var}),))
         return self.atom(scope)
 
-    _CLOSURES = {"up": Up, "down": Down, "kup": Kup, "kdown": Kdown}
-
     def atom(self, scope):
-        kind, value, pos = self.peek()
+        tok = self.peek()
+        kind, value, _ = tok
         if kind == "(":
             self.pos += 1
             t = self.alternation(scope)
             self.expect(")")
             return t
         if kind != "ident":
-            raise TermError("expected a formula, found %r at position %d"
-                            % (value, pos))
+            raise TermError("expected a formula, %s" % self.found(tok))
         self.pos += 1
-        if value == "empty":
-            return OpApp("empty")
-        if value == "all":
-            return OpApp("all")
-        if value in self._CLOSURES:
+        if value in ("empty", "all"):
+            return OpApp(value)
+        if value in ("up", "down", "kup", "kdown"):
             self.expect("(")
             t = self.alternation(scope)
             self.expect(")")
-            return self._CLOSURES[value](t)
+            return Term(value, None, (t,))
         if self.peek()[0] == "(":
             # operator application
             self.pos += 1
@@ -398,7 +320,7 @@ class _Parser:
             if arity != len(args):
                 raise TermError("operator %r expects %d arguments, got %d"
                                 % (value, arity, len(args)))
-            return OpApp(value, tuple(args))
+            return OpApp(value, args)
         if value in scope:
             return Var(value)
         arity = self.binding.get(value)
@@ -420,35 +342,34 @@ def parse_term(text: str, binding, free_ok: bool = False) -> Term:
     if not text.strip():
         raise TermError("empty formula")
     arities = binding.arities() if hasattr(binding, "arities") else dict(binding)
-    t = _Parser(tokenize(text), arities, free_ok).parse(frozenset())
+    t = _Parser(tokenize(text), arities, free_ok, len(text)).parse(frozenset())
     t = rename_binders(t, set(free_vars(t)))
     check_parity(t)
     return t
 
 
+def _operand_text(t: Term) -> str:
+    """t's text as an operand of "|" or "&", where a binder's body, also
+    under "!", would extend over the rest of the formula."""
+    inner = t
+    while inner.kind == "not":
+        inner = inner.args[0]
+    text = term_to_text(t)
+    return "(%s)" % text if inner.kind in BINDERS else text
+
+
+_INFIX = {"union": "|", "intersection": "&"}
+
+
 def term_to_text(t: Term) -> str:
-    if isinstance(t, Var):
+    if t.kind in _INFIX:
+        return "(%s %s %s)" % (_operand_text(t.args[0]), _INFIX[t.kind],
+                               _operand_text(t.args[1]))
+    args = [term_to_text(a) for a in t.args]
+    if t.kind == "not":
+        return "!" + args[0]
+    if t.kind in BINDERS:
+        return "%s %s. %s" % (t.kind, t.name, args[0])
+    if not args:  # a variable or a constant
         return t.name
-    if isinstance(t, OpApp):
-        if not t.args:
-            return t.op
-        return "%s(%s)" % (t.op, ", ".join(term_to_text(a) for a in t.args))
-    if isinstance(t, Union):
-        return "(%s | %s)" % (term_to_text(t.left), term_to_text(t.right))
-    if isinstance(t, Intersection):
-        return "(%s & %s)" % (term_to_text(t.left), term_to_text(t.right))
-    if isinstance(t, Not):
-        return "!%s" % term_to_text(t.child)
-    if isinstance(t, Up):
-        return "up(%s)" % term_to_text(t.child)
-    if isinstance(t, Down):
-        return "down(%s)" % term_to_text(t.child)
-    if isinstance(t, Kup):
-        return "kup(%s)" % term_to_text(t.child)
-    if isinstance(t, Kdown):
-        return "kdown(%s)" % term_to_text(t.child)
-    if isinstance(t, Mu):
-        return "mu %s. %s" % (t.var, term_to_text(t.body))
-    if isinstance(t, Nu):
-        return "nu %s. %s" % (t.var, term_to_text(t.body))
-    raise TermError("unknown term node %r" % (t,))
+    return "%s(%s)" % (t.name or t.kind, ", ".join(args))

@@ -197,20 +197,20 @@ def test_criterion_5_substitution_fixpoint():
         regions = list(model.named_regions.values())
         target, safe = regions[0], regions[-1]
         for prop in all_compiled(model, target, safe):
-            if not isinstance(prop.term, (Mu, Nu)):
+            if prop.term.kind not in ("mu", "nu"):
                 continue
             value, _ = evaluate(prop.term, {}, prop.algebra, Limits())
-            again, _ = evaluate(prop.term.body, {prop.term.var: value},
+            again, _ = evaluate(prop.term.args[0], {prop.term.name: value},
                                 prop.algebra, Limits())
             assert prop.algebra.equal(again, value), (name, prop.name)
     # the closing word-algebra example
     t, alg = closing_example("(a|b)*", "a b*")
     value, _ = evaluate(t, {}, alg)
-    outer, _ = evaluate(t.body, {"X": value}, alg)
+    outer, _ = evaluate(t.args[0], {"X": value}, alg)
     assert alg.equal(outer, value)
-    inner_t = t.body
+    inner_t = t.args[0]
     inner_value, _ = evaluate(inner_t, {"X": value}, alg)
-    inner_again, _ = evaluate(inner_t.body, {"X": value, "Y": inner_value}, alg)
+    inner_again, _ = evaluate(inner_t.args[0], {"X": value, "Y": inner_value}, alg)
     assert alg.equal(inner_again, inner_value)
     passed(5, "substitution fixpoint")
 
@@ -244,7 +244,7 @@ def test_criterion_7_unfolding_law():
         for player in ("A", "B"):
             prop = compilers.compile_game("reach", model, player, target)
             v1, _ = prop.run(Limits())
-            unfolded = unfold(prop.term, prop.term.var)
+            unfolded = unfold(prop.term, prop.term.name)
             v2, _ = evaluate(unfolded, {}, prop.algebra, Limits())
             assert model.space.equal(v1, v2)
             # the unsimplified fixpoint equation holds for the result

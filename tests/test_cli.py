@@ -188,6 +188,19 @@ def test_eval_unguarded_exits_2(capsys):
     assert "unguarded binder" in err and "X" in err
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("GOAL(", "expected a formula, found end of formula at position 5"),
+    ("up", "expected '(', found end of formula at position 2"),
+    ("mu X", "expected '.', found end of formula at position 4"),
+    ("(GOAL", "expected ')', found end of formula at position 5"),
+])
+def test_formula_ending_early_exits_2_naming_its_end(capsys, formula, message):
+    code = cli.main(["eval", model_path("token_game.lcs"), "-f", formula])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_complemented_fixpoint_prints_the_complement_of_prestar(capsys):
     model = load_model(model_path("abp.lcs"))
     prestar, _ = compilers.compile_pre_star(

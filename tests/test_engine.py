@@ -71,8 +71,8 @@ def fixpoint_substitution_holds(t, alg, env=None):
     """Substituting the evaluated value for the bound variable reproduces it."""
     value, _ = evaluate(t, env or {}, alg)
     inner = dict(env or {})
-    inner[t.var] = value
-    again, _ = evaluate(t.body, inner, alg)
+    inner[t.name] = value
+    again, _ = evaluate(t.args[0], inner, alg)
     return alg.equal(again, value)
 
 
@@ -107,14 +107,14 @@ def test_closing_example_terminates_and_is_a_fixpoint():
     # outer binder: substituting the result reproduces it
     assert fixpoint_substitution_holds(t, alg)
     # inner binder: with X fixed at the result, the nu value is a fixpoint too
-    assert fixpoint_substitution_holds(t.body, alg, env={"X": value})
+    assert fixpoint_substitution_holds(t.args[0], alg, env={"X": value})
 
 
 def test_unfolding_preserves_value():
     alg = word_algebra(V="a b | b")
     t = parse_term("mu X. V | up(X)", alg)
     v1, _ = evaluate(t, {}, alg)
-    v2, _ = evaluate(unfold(t, t.var), {}, alg)
+    v2, _ = evaluate(unfold(t, t.name), {}, alg)
     assert automata.equal(v1, v2)
     t2, alg2 = closing_example("(a|b)*", "a b*")
     w1, _ = evaluate(t2, {}, alg2)
@@ -243,9 +243,9 @@ def test_engine_over_a_minimal_value_space_matches_finite_mc():
     assert checked == 60 * (len(GUARDED_LOCATION_TERMS) + 5)
 
 
-SPACE_METHODS = {Union: "union", Intersection: "intersection", Not: "complement",
-                 Up: "up_closure", Down: "down_closure", Kup: "up_kernel",
-                 Kdown: "down_kernel"}
+SPACE_METHODS = {"union": "union", "intersection": "intersection",
+                 "not": "complement", "up": "up_closure", "down": "down_closure",
+                 "kup": "up_kernel", "kdown": "down_kernel"}
 
 
 def naive_evaluate(t, algebra):
@@ -254,21 +254,21 @@ def naive_evaluate(t, algebra):
     stats, space = EvalStats(), algebra.space
 
     def ev(t, env):
-        if isinstance(t, Var):
+        if t.kind == "var":
             return env[t.name]
-        if isinstance(t, (Mu, Nu)):
-            value = space.normalize(space.empty() if isinstance(t, Mu) else space.full())
+        if t.kind in ("mu", "nu"):
+            value = space.normalize(space.empty() if t.kind == "mu" else space.full())
             count = 0
             while True:
-                nxt = ev(t.body, {**env, t.var: value})
+                nxt = ev(t.args[0], {**env, t.name: value})
                 count += 1
                 if algebra.equal(nxt, value):
-                    stats.record(t.var, count)
+                    stats.record(t.name, count)
                     return value
                 value = nxt
-        args = [ev(child, env) for child in terms.children(t)]
-        value = (algebra.apply(t.op, args) if isinstance(t, OpApp)
-                 else getattr(space, SPACE_METHODS[type(t)])(*args))
+        args = [ev(child, env) for child in t.args]
+        value = (algebra.apply(t.name, args) if t.kind == "opapp"
+                 else getattr(space, SPACE_METHODS[t.kind])(*args))
         value = space.normalize(value)
         stats.observe(algebra.size(value))
         return value
@@ -311,8 +311,8 @@ def random_guarded_term(rng, depth, scope):
 
 
 def binder_depth(t):
-    depth = max([binder_depth(child) for child in terms.children(t)], default=0)
-    return depth + isinstance(t, (Mu, Nu))
+    depth = max([binder_depth(child) for child in t.args], default=0)
+    return depth + (t.kind in ("mu", "nu"))
 
 
 def test_cached_evaluation_equals_the_naive_one():

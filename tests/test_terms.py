@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from wsmc import terms
 from wsmc.terms import (
-    Down, Intersection, Kdown, Kup, Mu, Not, Nu, OpApp, TermError, Union, Up,
-    Var, check_guarded, check_parity, free_vars, is_guarded, parse_term,
+    Down, Intersection, Kdown, Kup, Mu, Not, Nu, OpApp, Term, TermError, Union,
+    Up, Var, check_guarded, check_parity, free_vars, is_guarded, parse_term,
     rename_binders, substitute, term_to_text, unfold)
+
+from conftest import random_model
+from test_acceptance import random_zero_channel_term
+from test_engine import random_guarded_term, random_location_term
 
 ARITIES = {"empty": 0, "all": 0, "pre": 1, "wpre": 1, "V": 0, "concat": 2}
 
@@ -15,18 +21,18 @@ def parse(text, free_ok=False):
 
 def test_parse_precedence():
     t = parse("V | V & !V")
-    assert isinstance(t, Union)
-    assert isinstance(t.right, Intersection)
-    assert isinstance(t.right.right, Not)
+    assert t.kind == "union"
+    assert t.args[1].kind == "intersection"
+    assert t.args[1].args[1].kind == "not"
 
 
 def test_parse_fixpoint_bodies_extend_maximally():
     t = parse("mu X. V | pre(up(X))")
-    assert isinstance(t, Mu)
-    assert isinstance(t.body, Union)
+    assert t.kind == "mu"
+    assert t.args[0].kind == "union"
     t = parse("nu Y. V & wpre(kdown(Y))")
-    assert isinstance(t, Nu)
-    assert isinstance(t.body, Intersection)
+    assert t.kind == "nu"
+    assert t.args[0].kind == "intersection"
 
 
 def test_parse_operator_arity_checks():
@@ -55,6 +61,44 @@ def test_roundtrip_text():
         assert term_to_text(parse(term_to_text(t))) == term_to_text(t)
 
 
+def roundtrip(t, binding):
+    """Whether t's text parses back to t, up to the binder renaming that
+    parsing applies."""
+    back = parse_term(term_to_text(t), binding, free_ok=True)
+    return back == rename_binders(t, free_vars(t))
+
+
+@pytest.mark.parametrize("t, text", [
+    (Union(Mu("X", Up(Var("X"))), OpApp("V")), "((mu X. up(X)) | V)"),
+    (Intersection(Not(Nu("X", Down(Var("X")))), OpApp("V")),
+     "((!nu X. down(X)) & V)"),
+    (Union(OpApp("V"), Not(Not(Mu("X", Up(Var("X")))))), "(V | (!!mu X. up(X)))"),
+    (Mu("X", Union(OpApp("V"), Up(Var("X")))), "mu X. (V | up(X))"),
+])
+def test_binder_operands_keep_their_scope_in_text(t, text):
+    assert term_to_text(t) == text
+    assert roundtrip(t, ARITIES)
+
+
+LOCATION_ARITIES = {name: 0 for name in ("R0", "R1", "confA", "confB", "empty", "all")}
+LOCATION_ARITIES.update((name, 1) for name in (
+    "pre", "prep", "wpre", "wprep", "post", "postp"))
+
+
+def test_random_terms_roundtrip_through_text():
+    rng = random.Random(1414)
+    for _ in range(100):
+        assert roundtrip(random_location_term(rng, 5, []), LOCATION_ARITIES)
+        is_mu = rng.random() < 0.5
+        t = (Mu if is_mu else Nu)("V0", random_guarded_term(rng, 5, [("V0", is_mu)]))
+        assert roundtrip(t, LOCATION_ARITIES)
+    for _ in range(30):
+        model = random_model(rng, max_channels=0, game=True, with_guards=False)
+        algebra = model.algebra()
+        t = random_zero_channel_term(rng, algebra, model, 4, [])
+        assert roundtrip(t, algebra)
+
+
 def test_free_and_bound_vars():
     t = parse("mu X. V | pre(up(X))")
     assert free_vars(t) == set()
@@ -65,28 +109,29 @@ def test_free_and_bound_vars():
 def test_rename_binders_freshens_clashes():
     t = Mu("X", Union(Var("X"), Mu("X", Up(Var("X")))))
     fresh = rename_binders(t, set())
-    assert isinstance(fresh.body.right, Mu)
-    assert fresh.body.right.var != fresh.var
+    left, right = fresh.args[0].args
+    assert right.kind == "mu"
+    assert right.name != fresh.name
     # outer variable occurrence still refers to the outer binder
-    assert fresh.body.left == Var(fresh.var)
+    assert left == Var(fresh.name)
 
 
 def test_substitute_capture_avoiding():
     body = Mu("Y", Union(Var("X"), Up(Var("Y"))))
     replaced = substitute(body, "X", Var("Y"))
     # the free Y being substituted in must not be captured by mu Y
-    assert isinstance(replaced, Mu)
-    assert replaced.var != "Y" or replaced.body.left != Var("Y")
+    assert replaced.kind == "mu"
+    assert replaced.name != "Y" or replaced.args[0].args[0] != Var("Y")
 
 
 def test_unfold():
     t = Mu("X", Union(OpApp("V"), OpApp("pre", (Up(Var("X")),))))
     u = unfold(t, "X")
-    assert isinstance(u, Mu)
+    assert u.kind == "mu"
     # the body now contains a nested copy of itself
-    inner = u.body.right.args[0].child
-    assert isinstance(inner, Union)
-    assert term_to_text(inner.left) == term_to_text(OpApp("V"))
+    inner = u.args[0].args[1].args[0].args[0]
+    assert inner.kind == "union"
+    assert term_to_text(inner.args[0]) == term_to_text(OpApp("V"))
     with pytest.raises(TermError):
         unfold(t, "Z")
 
@@ -125,6 +170,19 @@ def test_guardedness():
     assert is_guarded(parse("mu X. pre(pre(up(pre(X))))"))
 
 
+@pytest.mark.parametrize("text, offenders", [
+    ("mu X. V | pre(X)", [("X", "/union[1]/opapp[0]")]),
+    ("nu Y. mu X. (V | pre(up(X) & Y))",
+     [("Y", "/mu[0]/union[1]/opapp[0]/intersection[1]")]),
+    ("mu X. !!X", [("X", "/not[0]/not[0]")]),
+    ("nu X. V & (wpre(X) | up(X))",
+     [("X", "/intersection[1]/union[0]/opapp[0]"),
+      ("X", "/intersection[1]/union[1]/up[0]")]),
+])
+def test_offender_paths_name_the_node_kinds(text, offenders):
+    assert check_guarded(parse(text)) == offenders
+
+
 def test_guardedness_of_nested_binders():
     t = parse("nu Y. mu X. (V | pre(up(X) & kdown(Y)))")
     assert is_guarded(t)
@@ -136,3 +194,45 @@ def test_guardedness_of_nested_binders():
 def test_empty_formula_is_named(text):
     with pytest.raises(terms.TermError, match="^empty formula$"):
         terms.parse_term(text, {})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("GOAL(", "expected a formula, found end of formula at position 5"),
+    ("up", "expected '(', found end of formula at position 2"),
+    ("mu X", "expected '.', found end of formula at position 4"),
+    ("(GOAL", "expected ')', found end of formula at position 5"),
+    ("GOAL | ", "expected a formula, found end of formula at position 7"),
+    ("GOAL )", "unexpected ')' at position 5"),
+    ("pre(,)", "expected a formula, found ',' at position 4"),
+])
+def test_errors_name_the_end_of_the_formula(text, message):
+    with pytest.raises(TermError) as info:
+        parse_term(text, {"GOAL": 0, "pre": 1})
+    assert str(info.value) == message
+
+
+def test_constructors_compare_and_hash_structurally():
+    a = Mu("X", Union(OpApp("V"), OpApp("pre", [Up(Var("X"))])))
+    b = Mu("X", Union(OpApp("V"), OpApp("pre", (Up(Var("X")),))))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, parse("mu X. V | pre(up(X))")}) == 1
+    assert Up(Var("X")) != Down(Var("X"))
+    assert Kup(Var("X")) != Up(Var("X")) and Kdown(Var("X")) != Down(Var("X"))
+    assert Mu("X", Up(Var("X"))) != Nu("X", Up(Var("X")))
+    assert Var("V") != OpApp("V")
+    assert Union(OpApp("V"), OpApp("W")) != Intersection(OpApp("V"), OpApp("W"))
+
+
+@pytest.mark.parametrize("kind, name, args, message", [
+    ("lambda", None, (), "unknown term kind 'lambda'"),
+    ("Union", None, (Var("X"), Var("Y")), "unknown term kind 'Union'"),
+    ("union", None, (Var("X"),), "a union node takes 2 children, got 1"),
+    ("not", None, (), "a not node takes 1 children, got 0"),
+    ("var", "X", (Var("X"),), "a var node takes 0 children, got 1"),
+    ("mu", "X", (Var("X"), Var("X")), "a mu node takes 1 children, got 2"),
+])
+def test_term_rejects_unknown_kinds_and_child_counts(kind, name, args, message):
+    with pytest.raises(TermError, match="^%s$" % message):
+        Term(kind, name, args)
+    # any number of operator arguments
+    assert len(Term("opapp", "f", (Var("X"),) * 3).args) == 3
