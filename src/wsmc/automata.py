@@ -10,7 +10,10 @@ and the decisions run on the operands' canonical forms: one
 breadth-first walk over the state tuples of any number of them
 (_tuples) serves union_all, intersection, difference, subset and
 left_residual, with no subset construction.  Only the rational
-constructions (union among them) and the closures build NFAs.
+constructions (union among them) and the closures build NFAs; of the
+region algebra's block edits, only append does (see
+regions.RegionSpace._edit), the others hand their edited tables to
+minimal_dfa, the one minimizer, as the product walks do.
 """
 
 from __future__ import annotations
@@ -428,10 +431,10 @@ def _intern(alphabet: Alphabet, table, accepting: frozenset) -> Nfa:
 
 
 def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],
-                accepting) -> Nfa:
-    """The canonical form of the complete DFA with initial state 0 and
+                accepting, start: int = 0) -> Nfa:
+    """The canonical form of the complete DFA with initial state start and
     table[state][symbol index] -> state: Moore refinement, breadth-first
-    renumbering."""
+    renumbering from start.  States start does not reach drop out."""
     # Moore partition refinement with deterministic block numbering:
     # a round only splits blocks, so one that adds no block is stable.
     block = [1 if q in accepting else 0 for q in range(len(table))]
@@ -451,8 +454,8 @@ def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],
     rep = {}
     for q, b in enumerate(block):
         rep.setdefault(b, q)
-    renum = {block[0]: 0}
-    order = [block[0]]
+    renum = {block[start]: 0}
+    order = [block[start]]
     for b in order:
         for t in table[rep[b]]:
             if block[t] not in renum:

@@ -132,52 +132,49 @@ class CtlError(CompileError):
 
 
 def parse_ctl(text: str):
-    """Formulas over region atoms with !, &, EX, and E(_ U _)."""
-    tokens = [value for _, value, _ in terms.tokenize(text, "!&()", CtlError)]
-    formula, rest = _ctl_parse(tokens, 0)
-    if rest != len(tokens):
-        raise CtlError("unexpected %r" % (tokens[rest],))
+    """Formulas over region atoms with !, &, EX, and E(_ U _).  Errors
+    give the position of the token they stop at, as formulas do."""
+    tokens = terms.tokenize(text, "!&()", CtlError) + [(None, None, len(text))]
+    formula, i = _ctl_parse(tokens, 0)
+    if tokens[i][0] is not None:
+        raise CtlError("unexpected %r at position %d" % tokens[i][1:])
     return formula
+
+
+def _ctl_expect(tokens, i, value, what):
+    """The index past tokens[i], which must be value."""
+    if tokens[i][1] != value:
+        raise CtlError("expected %s, %s" % (what, terms.found(tokens[i])))
+    return i + 1
 
 
 def _ctl_parse(tokens, i):
     left, i = _ctl_unary(tokens, i)
-    while i < len(tokens) and tokens[i] == "&":
+    while tokens[i][1] == "&":
         right, i = _ctl_unary(tokens, i + 1)
         left = ("and", left, right)
     return left, i
 
 
 def _ctl_unary(tokens, i):
-    if i >= len(tokens):
-        raise CtlError("formula ended unexpectedly")
-    tok = tokens[i]
-    if tok == "!":
+    kind, tok, _ = tokens[i]
+    if tok in ("!", "EX"):
         child, i = _ctl_unary(tokens, i + 1)
-        return ("not", child), i
-    if tok == "EX":
-        child, i = _ctl_unary(tokens, i + 1)
-        return ("ex", child), i
+        return ("not" if tok == "!" else "ex", child), i
     if tok == "E":
-        if i + 1 >= len(tokens) or tokens[i + 1] != "(":
-            raise CtlError("expected '(' after E")
-        left, i = _ctl_parse(tokens, i + 2)
-        if i >= len(tokens) or tokens[i] != "U":
-            raise CtlError("expected 'U' in E(_ U _)")
-        right, i = _ctl_parse(tokens, i + 1)
-        if i >= len(tokens) or tokens[i] != ")":
-            raise CtlError("expected ')' closing E(_ U _)")
-        return ("eu", left, right), i + 1
+        left, i = _ctl_parse(tokens, _ctl_expect(tokens, i + 1, "(", "'(' after E"))
+        right, i = _ctl_parse(tokens, _ctl_expect(tokens, i, "U", "'U' in E(_ U _)"))
+        return ("eu", left, right), _ctl_expect(tokens, i, ")", "')' closing E(_ U _)")
     if tok == "(":
         inner, i = _ctl_parse(tokens, i + 1)
-        if i >= len(tokens) or tokens[i] != ")":
-            raise CtlError("expected ')'")
-        return inner, i + 1
+        return inner, _ctl_expect(tokens, i, ")", "')'")
     if tok in ("AF", "AG", "EF", "EG", "A", "U"):
         if tok == "AF":
             refuse_noneffective("forall-eventually")
         raise CtlError("%r is outside the supported fragment "
                        "(atoms, !, &, EX, E(_ U _))" % (tok,))
+    if kind != "ident":
+        raise CtlError("expected a formula, %s" % terms.found(tokens[i]))
     return ("atom", tok), i + 1
 
 

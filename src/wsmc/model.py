@@ -6,7 +6,11 @@ send, receive, or do nothing, each optionally guarded by a region
 evaluated on the pre-step configuration.  Message losses shrink channel
 contents to arbitrary subwords after each perfect step.  A perfect step
 through a rule is a block edit of a region's slice (RegionSpace.edit),
-which the model's region space memoizes.
+which the model's region space memoizes.  The union of a region's
+perfect-step predecessors through every rule (GlcsModel.pre_perf), which
+every pre and wpre ends in, is memoized per model on the region's
+slices, so nested binders and later queries that step an equal region
+again look it up; new rules start a new memo.
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ class GlcsModel:
             if rule.guard is not None and rule.guard.signature != self.signature:
                 raise ModelError("rule %s: guard of another signature" % rule.describe())
         self.rules = tuple(rules)
+        self._pre_perf: Dict[tuple, Region] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -152,10 +157,17 @@ class GlcsModel:
         return step if rule.guard is None else self.space.intersection(rule.guard, step)
 
     def pre_perf(self, region: Region) -> Region:
-        """Union over the rules into the locations of region."""
-        locs = self.space.normalize(region).encodings
-        return self.space.union(*[self.pre_perf_rule(rule, region)
-                                  for rule in self.rules if rule.target in locs])
+        """Union over the rules into the locations of region.  Memoized
+        on the region's slices, since nested binders and later queries
+        step equal approximants again; new rules start a new memo."""
+        key = self.space.normalize(region).slices
+        step = self._pre_perf.get(key)
+        if step is None:
+            locs = region.encodings
+            step = self._pre_perf[key] = self.space.union(*[
+                self.pre_perf_rule(rule, region)
+                for rule in self.rules if rule.target in locs])
+        return step
 
     def pre(self, region: Region, mode: str = LOSSY) -> Region:
         """Predecessors: the perfect ones of region or, when lossy, of its

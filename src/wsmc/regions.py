@@ -92,8 +92,10 @@ class RegionSpace:
     intersections and complements are product walks over the operands'
     DFAs (automata.union_all, intersection, difference), which build no
     NFA.  Closures are automata.up_closure and down_closure on the
-    message symbols.  The NFAs of atoms, closures and block edits go
-    through automata.canonicalize, which keeps no NFA it canonicalized."""
+    message symbols.  Block edits write the edited table of the slice's
+    DFA and hand it to automata.minimal_dfa, except append, whose NFA
+    goes through automata.canonicalize with those of atoms and closures;
+    canonicalize keeps no NFA it canonicalized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -246,18 +248,24 @@ class RegionSpace:
         if enc is None:
             return self.empty()
         if kind is not None:
-            enc = self._apply((kind, channel, symbol, enc), lambda: automata.canonicalize(
-                self._edit(enc, kind, channel, symbol)))
+            enc = self._apply((kind, channel, symbol, enc),
+                              lambda: self._edit(enc, kind, channel, symbol))
         return Region(self.signature, ((target, enc),) if enc.accepting else ())
 
     def _edit(self, enc: Nfa, kind: str, channel: str, symbol: str) -> Nfa:
-        """An NFA of enc with channel's block i edited by symbol m (see edit).
+        """The canonical form of enc with channel's block i edited by
+        symbol m (see edit).
 
         On enc, a minimal DFA, each live state lies in one block: the
         number of separators read to reach it.  Entering at the initial
         state counts as a separator move from START in block -1, and
         accepting as one to END in block c, so every block starts and
-        ends at separator moves.  The dead state stays dead.
+        ends at separator moves.  The dead state stays dead.  Every edit
+        but append only redirects separator moves or adds states with a
+        single m move, so each state keeps one move per symbol: the
+        edited table, with a dead row for the moves it leaves out, goes
+        to minimal_dfa as it is.  append gives a state of block i an m
+        move beside its own, so it builds an NFA for canonicalize.
         """
         table, symbols, n = enc.table, enc.alphabet.symbols, enc.n_states
         sep, m = len(symbols) - 1, enc.alphabet.index(symbol)
@@ -269,27 +277,37 @@ class RegionSpace:
                 if t not in block:
                     block[t] = block[p] + (x == sep)
                     stack.append(t)
-        moves = [(p, x, t) for p in range(n) for x, t in enumerate(table[p][:sep])]
         seps = {p: row[sep] for p, row in enumerate(table)}
         seps.update((p, END) for p in enc.accepting)  # their separators are dead
         seps[START] = 0
         before = dict(seps)
-        for p in [p for p in before if block[p] == i - (kind in ("prepend", "behead"))]:
+        edited = [p for p in before if block[p] == i - (kind in ("prepend", "behead"))]
+        if kind == "append":  # separator moves out of block i
+            moves = [(p, symbols[x], t) for p in range(n)
+                     for x, t in enumerate(table[p][:sep])]
+            for p in edited:
+                moves.append((p, symbol, n))
+                seps[n], n = seps.pop(p), n + 1
+            moves.extend((p, SEPARATOR, t) for p, t in seps.items() if p >= 0 <= t)
+            return automata.canonicalize(Nfa.derived(
+                enc.alphabet, n, frozenset([seps[START]]),
+                frozenset(p for p, t in seps.items() if t == END), tuple(moves)))
+        heads = []  # prepend: the m move of each added state n, n + 1, ...
+        for p in edited:
             if kind == "prepend":  # separator moves into block i
-                moves.append((n, m, seps[p]))
-                seps[p], n = n, n + 1
+                seps[p] = n + len(heads)
+                heads.append(before[p])
             elif kind == "behead":
                 seps[p] = table[seps[p]][m]
-            elif kind == "append":  # separator moves out of block i
-                moves.append((p, m, n))
-                seps[n], n = seps.pop(p), n + 1
             else:
                 seps[p] = before[table[p][m]]
-        trans = [(p, symbols[x], t) for (p, x, t) in moves]
-        trans.extend((p, symbols[sep], t) for p, t in seps.items() if p >= 0 <= t)
-        return Nfa.derived(enc.alphabet, n, frozenset([seps[START]]),
-                           frozenset(p for p, t in seps.items() if t == END),
-                           tuple(trans))
+        dead = n + len(heads)
+        rows = [row[:sep] + (dead if seps[p] == END else seps[p],)
+                for p, row in enumerate(table)]
+        rows += [(dead,) * m + (t,) + (dead,) * (sep - m) for t in heads]
+        rows.append((dead,) * (sep + 1))
+        return automata.minimal_dfa(enc.alphabet, rows,
+                                    {p for p, t in seps.items() if t == END}, seps[START])
 
     # -- decisions ------------------------------------------------------
 

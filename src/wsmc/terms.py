@@ -72,6 +72,15 @@ def bound_vars(t: Term) -> List[str]:
     return out
 
 
+def _fresh(name: str, taken) -> str:
+    """name, or the first of name_1, name_2, ... that is not taken."""
+    fresh, i = name, 0
+    while fresh in taken:
+        i += 1
+        fresh = "%s_%d" % (name, i)
+    return fresh
+
+
 def rename_binders(t: Term, taken: set) -> Term:
     """Freshen binder names so all binders are distinct and avoid `taken`."""
 
@@ -79,10 +88,7 @@ def rename_binders(t: Term, taken: set) -> Term:
         if node.kind == "var":
             return Var(mapping.get(node.name, node.name))
         if node.kind in BINDERS:
-            fresh, i = node.name, 0
-            while fresh in taken:
-                i += 1
-                fresh = "%s_%d" % (node.name, i)
+            fresh = _fresh(node.name, taken)
             taken.add(fresh)
             return replace(node, name=fresh,
                            args=(walk(node.args[0], {**mapping, node.name: fresh}),))
@@ -219,6 +225,13 @@ def tokenize(text: str, punctuation: str = "|&!().,", error=TermError):
     return tokens
 
 
+def found(tok) -> str:
+    """What an error message says about the unexpected token tok; the
+    token past the last one is (None, None, length of the text)."""
+    what = "end of formula" if tok[0] is None else repr(tok[1])
+    return "found %s at position %d" % (what, tok[2])
+
+
 class _Parser:
     """Recursive descent for the formula grammar.
 
@@ -238,16 +251,10 @@ class _Parser:
             return self.tokens[self.pos]
         return self.end
 
-    @staticmethod
-    def found(tok) -> str:
-        """What an error message says about the unexpected token tok."""
-        what = "end of formula" if tok[0] is None else repr(tok[1])
-        return "found %s at position %d" % (what, tok[2])
-
     def expect(self, kind):
         tok = self.peek()
         if tok[0] != kind:
-            raise TermError("expected %r, %s" % (kind, self.found(tok)))
+            raise TermError("expected %r, %s" % (kind, found(tok)))
         self.pos += 1
         return tok
 
@@ -295,7 +302,7 @@ class _Parser:
             self.expect(")")
             return t
         if kind != "ident":
-            raise TermError("expected a formula, %s" % self.found(tok))
+            raise TermError("expected a formula, %s" % found(tok))
         self.pos += 1
         if value in ("empty", "all"):
             return OpApp(value)
@@ -361,15 +368,31 @@ def _operand_text(t: Term) -> str:
 _INFIX = {"union": "|", "intersection": "&"}
 
 
+def _subterms(t: Term):
+    yield t
+    for c in t.args:
+        yield from _subterms(c)
+
+
 def term_to_text(t: Term) -> str:
+    """The formula text of t.  A bound variable and a nullary operator
+    print alike, and the parser reads a name in a binder's scope as its
+    variable; so a binder whose body applies a nullary operator of its
+    own name prints under a fresh name, and the text reads back as t up
+    to binder names."""
     if t.kind in _INFIX:
         return "(%s %s %s)" % (_operand_text(t.args[0]), _INFIX[t.kind],
                                _operand_text(t.args[1]))
+    if t.kind in BINDERS:
+        body = t.args[0]
+        nodes = list(_subterms(body))
+        if OpApp(t.name) in nodes:
+            fresh = _fresh(t.name, {node.name for node in nodes})
+            t = Term(t.kind, fresh, (substitute(body, t.name, Var(fresh)),))
+        return "%s %s. %s" % (t.kind, t.name, term_to_text(t.args[0]))
     args = [term_to_text(a) for a in t.args]
     if t.kind == "not":
         return "!" + args[0]
-    if t.kind in BINDERS:
-        return "%s %s. %s" % (t.kind, t.name, args[0])
     if not args:  # a variable or a constant
         return t.name
     return "%s(%s)" % (t.name or t.kind, ", ".join(args))

@@ -201,6 +201,23 @@ def test_formula_ending_early_exits_2_naming_its_end(capsys, formula, message):
     assert captured.err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("GOAL GOAL", "unexpected 'GOAL' at position 5"),
+    ("GOAL &", "expected a formula, found end of formula at position 6"),
+    ("E(GOAL U", "expected a formula, found end of formula at position 8"),
+    ("E(GOAL U GOAL", "expected ')' closing E(_ U _), found end of formula at position 13"),
+    ("E GOAL", "expected '(' after E, found 'GOAL' at position 2"),
+    ("E(GOAL)", "expected 'U' in E(_ U _), found ')' at position 6"),
+    ("!(GOAL", "expected ')', found end of formula at position 6"),
+    ("GOAL & )", "expected a formula, found ')' at position 7"),
+])
+def test_ctl_syntax_errors_exit_2_naming_their_position(capsys, formula, message):
+    code = cli.main(["check", model_path("abp.lcs"), "ctl", "--formula", formula])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_complemented_fixpoint_prints_the_complement_of_prestar(capsys):
     model = load_model(model_path("abp.lcs"))
     prestar, _ = compilers.compile_pre_star(

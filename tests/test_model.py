@@ -382,13 +382,21 @@ def test_memoized_step_operators_equal_fresh_model(max_channels):
     for _ in range(8):
         model = random_model(rng, max_channels=max_channels)
         regions = [random_region_for(rng, model, 3) for _ in range(3)]
-        for r in regions:  # warm the region memo
+        for r in regions:  # warm the region and step memos
             for op, mode in calls:
                 getattr(model, op)(r, mode)
         for r in regions:
             for op, mode in calls:
                 fresh = GlcsModel(model.alphabet, model.channels, model.locations,
                                   model.owners, model.rules)
+                assert getattr(model, op)(r, mode) == getattr(fresh, op)(r, mode)
+            assert model.pre_perf(r) is model.pre_perf(r)
+        rules = model.rules[1:]  # new rules start a new step memo
+        model._set_rules(rules)
+        for r in regions:
+            fresh = GlcsModel(model.alphabet, model.channels, model.locations,
+                              model.owners, rules)
+            for op, mode in calls:
                 assert getattr(model, op)(r, mode) == getattr(fresh, op)(r, mode)
 
 
@@ -528,3 +536,36 @@ def test_steps_share_block_edits_and_repeat_without_minimizing(monkeypatch):
     for op, mode in calls:
         assert op(again, mode) == want[op, mode]
     assert minimized == []
+
+
+@pytest.mark.parametrize("name", ["abp.lcs", "abp4.lcs", "token_game.lcs", "flags.lcs"])
+def test_step_memo_on_a_bundled_model_matches_a_freshly_parsed_copy(name):
+    with open(model_path(name), encoding="utf-8") as handle:
+        text = handle.read()
+    model = parse_model(text, name)
+    space = model.space
+    regions = [space.full(), *model.named_regions.values()]
+    regions += [space.complement(r) for r in regions]
+    regions += [space.up_closure(r) for r in regions]
+    for _ in range(2):
+        for r in regions:
+            fresh = parse_model(text, name)
+            for mode in (LOSSY, PERFECT):
+                assert model.pre(r, mode) == fresh.pre(r, mode)
+                assert model.wpre(r, mode) == fresh.wpre(r, mode)
+            assert model.pre_perf(r) == fresh.pre_perf(r)
+
+
+def test_step_memo_keys_on_slices_and_checks_the_signature():
+    model = tiny_model([Rule("p", "q", RECV, "c", "a"), Rule("q", "p", SEND, "c", "b")])
+    first, second = atom(model, "q", "b*"), atom(model, "q", "a")
+    assert model.pre_perf(first) == atom(model, "p", "ab*")
+    # the same location, another slice
+    assert model.pre_perf(second) == atom(model, "p", "aa")
+    assert model.pre_perf(model.space.union(first, atom(model, "p", "b"))) == \
+        model.space.union(atom(model, "p", "ab*"), atom(model, "q", "()"))
+    # a foreign region is refused even where its slices are in the memo
+    assert model.pre_perf(model.space.empty()) == model.space.empty()
+    other = parse_model("alphabet: a b\nchannels: d\nlocations: p q\n")
+    with pytest.raises(RegionError, match="region of another signature"):
+        model.pre_perf(other.space.empty())

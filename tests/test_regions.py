@@ -6,6 +6,7 @@ import pytest
 
 from wsmc import automata, oracle
 from wsmc.automata import Alphabet, Nfa
+from wsmc.model import parse_model
 from wsmc.regexes import compile_regex
 from wsmc.regions import Config, RegionError, RegionSpace, Signature
 
@@ -326,3 +327,121 @@ def test_closures_equal_the_closure_by_moves_on_every_encoding(op):
             assert closed.keys() == region.encodings.keys()
             for loc, enc in region.slices:
                 assert closed[loc] is closure_by_moves(enc, op)
+
+
+# -- channel-block edits --------------------------------------------------
+
+EDITS = ("prepend", "behead", "append", "curtail")
+
+
+def reference_edit_nfa(space, enc, kind, channel, symbol):
+    """The block edit of enc as an NFA, built move by move: the
+    reference that RegionSpace._edit's tables are checked against."""
+    table, symbols, n = enc.table, enc.alphabet.symbols, enc.n_states
+    sep, m = len(symbols) - 1, enc.alphabet.index(symbol)
+    i, START, END = space.signature.channels.index(channel), -1, -2
+    block, stack = {START: -1, END: len(space.signature.channels), 0: 0}, [0]
+    while stack:
+        p = stack.pop()
+        for x, t in enumerate(table[p]):
+            if t not in block:
+                block[t] = block[p] + (x == sep)
+                stack.append(t)
+    moves = [(p, x, t) for p in range(n) for x, t in enumerate(table[p][:sep])]
+    seps = {p: row[sep] for p, row in enumerate(table)}
+    seps.update((p, END) for p in enc.accepting)
+    seps[START] = 0
+    before = dict(seps)
+    for p in [p for p in before if block[p] == i - (kind in ("prepend", "behead"))]:
+        if kind == "prepend":
+            moves.append((n, m, seps[p]))
+            seps[p], n = n, n + 1
+        elif kind == "behead":
+            seps[p] = table[seps[p]][m]
+        elif kind == "append":
+            moves.append((p, m, n))
+            seps[n], n = seps.pop(p), n + 1
+        else:
+            seps[p] = before[table[p][m]]
+    trans = [(p, symbols[x], t) for (p, x, t) in moves]
+    trans.extend((p, symbols[sep], t) for p, t in seps.items() if p >= 0 <= t)
+    return Nfa(enc.alphabet, n, frozenset([seps[START]]),
+               frozenset(p for p, t in seps.items() if t == END), tuple(trans))
+
+
+def edit_configs(signature, max_len):
+    ws = words(max_len)
+    return [Config("p", contents)
+            for contents in itertools.product(ws, repeat=len(signature.channels))]
+
+
+def edit_regions(rng, space):
+    """Random regions with a nonempty slice at p, and the atoms on which an
+    edit moves the start state or makes it accepting."""
+    c = len(space.signature.channels)
+    regions = [space.atom("p", (compile_regex(pattern, AB),) * c)
+               for pattern in ("()", "a", "b", "a*b", "(ab)*")]
+    while len(regions) < 9:
+        region = space.union(*[space.atom("p", tuple(random_nfa(rng, AB, 3)
+                                                     for _ in range(c)))
+                               for _ in range(rng.randint(1, 3))])
+        if "p" in region.encodings:
+            regions.append(region)
+    return regions
+
+
+@pytest.mark.parametrize("channels", [("c",), ("c", "d"), ("c", "d", "e")])
+def test_block_edits_are_the_canonical_form_of_the_nfa_construction(channels):
+    signature = Signature(AB, channels, ("p", "q"))
+    space = RegionSpace(signature)
+    max_len = 3 if len(channels) < 3 else 2
+    short, long = edit_configs(signature, max_len), edit_configs(signature, max_len + 1)
+    for region in edit_regions(random.Random(5800 + len(channels)), space):
+        enc = region.encodings["p"]
+        inside = {config for config in long if oracle.region_member(region, config)}
+        for kind, channel, symbol in itertools.product(EDITS, channels, AB.symbols):
+            got = space.edit(region, "p", "p", kind, channel, symbol)
+            want = automata.canonicalize(
+                reference_edit_nfa(space, enc, kind, channel, symbol))
+            assert got.slices == ((("p", want),) if want.accepting else ())
+            # the word-level step of the one rule p -> p the edit stands for
+            op = "%s%s%s" % (channel, "?" if kind in ("prepend", "behead") else "!", symbol)
+            rule_model = parse_model("alphabet: a b\nchannels: %s\nlocations: p q\n"
+                                     "rule p -> p : %s\n" % (" ".join(channels), op))
+            if kind in ("prepend", "curtail"):  # predecessors
+                for config in short:
+                    assert space.member(config, got) == any(
+                        s in inside for s in oracle.perfect_successors(rule_model, config))
+            else:  # successors
+                image = {s for config in inside
+                         for s in oracle.perfect_successors(rule_model, config)}
+                for config in short:
+                    assert space.member(config, got) == (config in image)
+
+
+def test_edits_that_move_or_accept_at_the_start_state():
+    space = RegionSpace(Signature(AB, ("c",), ("p", "q")))
+
+    def at(loc, pattern):
+        return space.atom(loc, (compile_regex(pattern, AB),))
+
+    # prepending into channel 0 enters at a new start state
+    assert space.edit(at("p", "b*"), "p", "q", "prepend", "c", "a") == at("q", "ab*")
+    assert space.edit(at("p", "ab*"), "p", "q", "behead", "c", "a") == at("q", "b*")
+    assert space.edit(at("p", "b*"), "p", "q", "behead", "c", "a") == space.empty()
+    # dropping the last symbol of the only channel accepts at the start
+    got = space.edit(at("p", "a"), "p", "q", "curtail", "c", "a")
+    assert got == at("q", "()") and 0 in got.encodings["q"].accepting
+    assert space.edit(at("p", "a|ba"), "p", "q", "curtail", "c", "a") == at("q", "()|b")
+    assert space.edit(at("p", "()"), "p", "q", "append", "c", "b") == at("q", "b")
+
+
+def test_only_append_runs_the_subset_construction(monkeypatch):
+    space = RegionSpace(SIG)
+    region = space.atom("p", (compile_regex("a*b", AB), compile_regex("(ab)*", AB)))
+    runs = []
+    real = automata._determinize
+    monkeypatch.setattr(automata, "_determinize", lambda a: runs.append(a) or real(a))
+    for kind in EDITS:
+        space.edit(region, "p", "q", kind, "d", "a")
+    assert len(runs) == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wsmc import terms
+from wsmc import compilers, engine, parse_model, terms
 from wsmc.terms import (
     Down, Intersection, Kdown, Kup, Mu, Not, Nu, OpApp, Term, TermError, Union,
     Up, Var, check_guarded, check_parity, free_vars, is_guarded, parse_term,
@@ -66,6 +66,48 @@ def roundtrip(t, binding):
     parsing applies."""
     back = parse_term(term_to_text(t), binding, free_ok=True)
     return back == rename_binders(t, free_vars(t))
+
+
+def alpha(t, env=None, count=None):
+    """t with its binders renamed by position, to compare terms up to
+    binder names."""
+    env, count = env or {}, count if count is not None else [0]
+    if t.kind == "var":
+        return Var(env.get(t.name, t.name))
+    if t.kind in terms.BINDERS:
+        name, count[0] = "#%d" % count[0], count[0] + 1
+        return Term(t.kind, name, (alpha(t.args[0], {**env, t.name: name}, count),))
+    return Term(t.kind, t.name, tuple(alpha(c, env, count) for c in t.args))
+
+
+@pytest.mark.parametrize("t, text", [
+    (Mu("X", Union(OpApp("X"), Up(Var("X")))), "mu X_1. (X | up(X_1))"),
+    (Mu("X", Union(OpApp("X"), Mu("X_1", Union(Var("X"), Up(Var("X_1")))))),
+     "mu X_2. (X | (mu X_1. (X_2 | up(X_1))))"),
+    (Nu("X", Intersection(OpApp("X_1"), Intersection(OpApp("X"), Down(Var("X"))))),
+     "nu X_2. (X_1 & (X & down(X_2)))"),
+    (Mu("X", Union(OpApp("X"), Up(Mu("X", Union(OpApp("X"), Up(Var("X"))))))),
+     "mu X_1. (X | up(mu X_2. (X | up(X_2))))"),
+    (Mu("X", Union(OpApp("V"), Up(Var("X")))), "mu X. (V | up(X))"),
+])
+def test_a_binder_named_like_an_operator_of_its_body_reads_back(t, text):
+    assert term_to_text(t) == text
+    back = parse_term(text, {"X": 0, "X_1": 0, "V": 0})
+    assert alpha(back) == alpha(t)
+    assert term_to_text(back) == text
+
+
+def test_ctl_terms_read_back_on_a_model_with_a_region_named_like_a_binder():
+    model = parse_model("alphabet: a\nchannels: c\nlocations: p q\n"
+                        "region X0 = (p; a*)\nregion GOAL = (q; ())\n"
+                        "rule p -> q : c!a\nrule q -> p : c?a\nrule q -> q : nop\n")
+    for formula in ("E(X0 U GOAL)", "E(X0 U E(!X0 U GOAL)) & !X0", "EX E(GOAL U X0)"):
+        prop = compilers.compile_ctl(model, formula)
+        text = term_to_text(prop.term)
+        back = parse_term(text, prop.algebra)
+        assert alpha(back) == alpha(prop.term), text
+        value, _ = engine.evaluate(back, {}, prop.algebra)
+        assert value == prop.run()[0], text
 
 
 @pytest.mark.parametrize("t, text", [
