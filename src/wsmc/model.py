@@ -11,13 +11,19 @@ perfect-step predecessors through every rule (GlcsModel.pre_perf), which
 every pre and wpre ends in, is memoized per model on the region's
 slices, so nested binders and later queries that step an equal region
 again look it up; new rules start a new memo.
+
+A lossy pre steps only upward-closed slices L, where the steps of rules
+between two locations nest: a receive gives a subset of L, a nop L, a
+send a superset, and a guard only shrinks a step.  So the lossy pre
+skips the rules an unguarded rule between the same locations covers
+(_uncovered); perfect steps keep every rule.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import automata, regexes, terms
@@ -100,6 +106,7 @@ class GlcsModel:
             if rule.guard is not None and rule.guard.signature != self.signature:
                 raise ModelError("rule %s: guard of another signature" % rule.describe())
         self.rules = tuple(rules)
+        self._lossy_rules = _uncovered(self.rules)
         self._pre_perf: Dict[tuple, Region] = {}
 
     @property
@@ -160,19 +167,27 @@ class GlcsModel:
         """Union over the rules into the locations of region.  Memoized
         on the region's slices, since nested binders and later queries
         step equal approximants again; new rules start a new memo."""
+        return self._pre_perf_through(self.rules, region)
+
+    def _pre_perf_through(self, rules: Tuple[Rule, ...], region: Region) -> Region:
+        """pre_perf of region, as the union over rules, which must give
+        the same region."""
         key = self.space.normalize(region).slices
         step = self._pre_perf.get(key)
         if step is None:
             locs = region.encodings
             step = self._pre_perf[key] = self.space.union(*[
                 self.pre_perf_rule(rule, region)
-                for rule in self.rules if rule.target in locs])
+                for rule in rules if rule.target in locs])
         return step
 
     def pre(self, region: Region, mode: str = LOSSY) -> Region:
         """Predecessors: the perfect ones of region or, when lossy, of its
-        upward closure."""
-        return self.pre_perf(self.space.up_closure(region) if _lossy(mode) else region)
+        upward closure, to which covered rules add nothing."""
+        if _lossy(mode):
+            return self._pre_perf_through(self._lossy_rules,
+                                          self.space.up_closure(region))
+        return self.pre_perf(region)
 
     def wpre(self, region: Region, mode: str = LOSSY) -> Region:
         return self.space.complement(self.pre(self.space.complement(region), mode))
@@ -361,6 +376,25 @@ def _identifiers(kind: str, names, earlier=()) -> Tuple[str, ...]:
         if name in earlier or name in names[:i]:
             raise ModelError("duplicate %s %r" % (kind, name))
     return names
+
+
+_RANK = {RECV: 0, INTERNAL: 1, SEND: 2}  # steps of an upward-closed slice by size
+
+
+def _uncovered(rules: Tuple[Rule, ...]) -> Tuple[Rule, ...]:
+    """rules without those covered by an unguarded rule between the same
+    locations: one of higher _RANK, or the same one without a guard."""
+    top: Dict[Tuple[str, str], int] = {}
+    unguarded = set()
+    for rule in rules:
+        if rule.guard is None:
+            key = (rule.source, rule.target)
+            top[key] = max(top.get(key, 0), _RANK[rule.kind])
+            unguarded.add(rule)
+    return tuple(rule for rule in rules
+                 if top.get((rule.source, rule.target), 0) <= _RANK[rule.kind]
+                 and (rule.guard is None
+                      or replace(rule, guard=None) not in unguarded))
 
 
 def _lossy(mode: str) -> bool:

@@ -153,23 +153,21 @@ class RegionSpace:
                                             for q in self.signature.locations
                                             if q in locs))
 
-    def config_region(self, config: Config) -> Region:
-        langs = tuple(Nfa.word(self.signature.alphabet, w) for w in config.contents)
-        return self.atom(config.location, langs)
-
     # -- boolean operations ---------------------------------------------
 
     def union(self, *regions: Region) -> Region:
         """The union of any number of regions: per location where they
         differ, one product walk over the distinct encodings, memoized
-        on their set."""
+        on their set.  The full slice absorbs the others without a walk
+        or a memo entry."""
         parts: Dict[str, set] = {}
         for r in regions:
             for loc, enc in self._check(r).slices:
                 parts.setdefault(loc, set()).add(enc)
         return self._region({
-            loc: next(iter(encs)) if len(encs) == 1 else self._apply(
-                frozenset(encs), lambda encs=encs: automata.union_all(encs))
+            loc: self._all if self._all in encs
+            else next(iter(encs)) if len(encs) == 1
+            else self._apply(frozenset(encs), lambda encs=encs: automata.union_all(encs))
             for loc, encs in parts.items()})
 
     def intersection(self, a: Region, b: Region) -> Region:

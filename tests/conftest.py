@@ -73,6 +73,12 @@ def random_region_for(rng, model, n_summands=2):
     return region
 
 
+def config_region(space, config):
+    """The region of the one configuration config."""
+    langs = tuple(Nfa.word(space.signature.alphabet, w) for w in config.contents)
+    return space.atom(config.location, langs)
+
+
 # canonical CLI invocations over the bundled models; byte-identical
 # output across runs is part of the contract
 FIXTURE_COMMANDS = [

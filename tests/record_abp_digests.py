@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/record_abp_digests.py
     PYTHONPATH=src python tests/record_abp_digests.py --check 3 4 5 6
     PYTHONPATH=src python tests/record_abp_digests.py --nested --check
+    PYTHONPATH=src python tests/record_abp_digests.py --faithful --check
 
 ABP-n is the alternating-bit protocol with n sequence numbers that
 perfbench/gen.py generates (`abp_text`).  For each n, the script
@@ -12,12 +13,19 @@ sizes (by default 3 to 7) to tests/goldens/abp_prestar_sha256.json.
 Re-record only for an intended change of printed regions, and say in
 CHANGES.md why they changed.  With --check it compares the given sizes
 with that file and exits 1 on any mismatch.  The solve time of each
-size goes to stderr; nothing gates on it.
+size goes to stderr with the iterations of each binder
+(`EvalStats.iterations`); nothing gates on them.
 
 With --nested the script does the same for the nested-binder term
 NESTED (by default on ABP-3 to ABP-5), whose inner binder restarts on
 every outer iteration, with its digests in
 tests/goldens/abp_nested_sha256.json.
+
+On ABP-n the pre* of GOAL is the whole configuration space, so those
+digests only show that the result is still the full space.  With
+--faithful the script does the same for the pre* of BAD on the faithful
+ABP-n of `faithful_abp_text` (by default n = 3 to 7), which is not the
+whole space, with its digests in tests/goldens/abp_faithful_sha256.json.
 """
 
 import argparse
@@ -40,41 +48,95 @@ SIZES = (3, 4, 5, 6, 7)
 NESTED = "nu Y. mu X. (GOAL & pre(up(Y))) | pre(up(X))"
 NESTED_DIGESTS = os.path.join(HERE, "goldens", "abp_nested_sha256.json")
 NESTED_SIZES = (3, 4, 5)
+FAITHFUL_DIGESTS = os.path.join(HERE, "goldens", "abp_faithful_sha256.json")
+FAITHFUL_SIZES = (3, 4, 5, 6, 7)
+
+
+def faithful_abp_text(n: int) -> str:
+    """Alternating-bit protocol with n sequence numbers whose receiver
+    accepts only the expected message.
+
+    The sender is that of gen.abp_text.  The receiver waiting in w<j>
+    accepts only m<j>, into x<j>; on any other message it goes to
+    x<j-1>, so it acknowledges a<j-1> again.  From x<j> it sends a<j>
+    and waits in w<j+1>.  BAD holds where the number the receiver
+    expects (j in w<j>, j+1 in x<j>) is neither the sender's number nor
+    the next one; for n >= 3 the initial configuration s0w0 with empty
+    channels cannot reach it.  2n^2 locations.
+    """
+    ms = ["m%d" % i for i in range(n)]
+    acks = ["a%d" % i for i in range(n)]
+    # (receiver state, the number it expects)
+    recv_states = [(r + str(j), (j + (r == "x")) % n) for j in range(n) for r in "wx"]
+    lines = ["# faithful ABP-%d" % n,
+             "alphabet: %s" % " ".join(ms + acks),
+             "channels: c d",
+             "locations: %s" % " ".join("s%d%s" % (i, r) for i in range(n)
+                                        for r, _ in recv_states)]
+    for i in range(n):
+        for r, _ in recv_states:
+            lines.append("rule s%d%s -> s%d%s : c!m%d" % (i, r, i, r, i))
+            lines.append("rule s%d%s -> s%d%s : d?a%d" % (i, r, (i + 1) % n, r, i))
+            for j in range(n):
+                if j != i:
+                    lines.append("rule s%d%s -> s%d%s : d?a%d" % (i, r, i, r, j))
+        for j in range(n):
+            for k in range(n):
+                lines.append("rule s%dw%d -> s%dx%d : c?m%d"
+                             % (i, j, i, j if k == j else (j - 1) % n, k))
+            lines.append("rule s%dx%d -> s%dw%d : d!a%d" % (i, j, i, (j + 1) % n, j))
+    lines.append("region BAD = %s" % " + ".join(
+        "(s%d%s; .*; .*)" % (i, r) for i in range(n) for r, e in recv_states
+        if e not in (i, (i + 1) % n)))
+    return "\n".join(lines) + "\n"
 
 
 def _digest(region, model) -> str:
     return hashlib.sha256(region_to_text(region, model).encode("utf-8")).hexdigest()
 
 
-def prestar_digest(n: int) -> str:
-    model = parse_model(gen.abp_text(n), "ABP-%d" % n)
-    region, _ = compile_pre_star(model, parse_region_text("GOAL", model)).run(Limits())
-    return _digest(region, model)
+def _prestar(text: str, name: str, target: str):
+    model = parse_model(text, name)
+    region, stats = compile_pre_star(model, parse_region_text(target, model)).run(Limits())
+    return _digest(region, model), stats
 
 
-def nested_digest(n: int) -> str:
+def prestar_digest(n: int):
+    return _prestar(gen.abp_text(n), "ABP-%d" % n, "GOAL")
+
+
+def faithful_digest(n: int):
+    return _prestar(faithful_abp_text(n), "faithful ABP-%d" % n, "BAD")
+
+
+def nested_digest(n: int):
     model = parse_model(gen.abp_text(n), "ABP-%d" % n)
     algebra = model.algebra()
     # Y occurs under up, not under kdown, so NESTED is not guarded and the
     # engine evaluates it only under an iteration cap; it converges far
     # below this one
-    region, _ = evaluate(parse_term(NESTED, algebra), {}, algebra, Limits(max_iter=1000))
-    return _digest(region, model)
+    region, stats = evaluate(parse_term(NESTED, algebra), {}, algebra,
+                             Limits(max_iter=1000))
+    return _digest(region, model), stats
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the recorded digests instead of writing them")
-    parser.add_argument("--nested", action="store_true",
+    family = parser.add_mutually_exclusive_group()
+    family.add_argument("--nested", action="store_true",
                         help="the nested-binder term NESTED instead of pre*")
+    family.add_argument("--faithful", action="store_true",
+                        help="pre* of BAD on the faithful ABP-n instead")
     parser.add_argument("sizes", nargs="*", type=int,
                         help="sequence numbers n of the ABP-n models "
                              "(default 3 to 7, or 3 to 5 with --nested)")
     args = parser.parse_args(argv)
     name, path, sizes, digest = (
         ("nested", NESTED_DIGESTS, NESTED_SIZES, nested_digest) if args.nested
-        else ("pre*", DIGESTS, SIZES, prestar_digest))
+        else ("faithful pre*", FAITHFUL_DIGESTS, FAITHFUL_SIZES, faithful_digest)
+        if args.faithful else ("pre*", DIGESTS, SIZES, prestar_digest))
     recorded = {}
     if args.check:
         with open(path, encoding="utf-8") as handle:
@@ -82,8 +144,9 @@ def main(argv=None) -> int:
     digests, mismatches = {}, 0
     for n in args.sizes or sizes:
         start = time.process_time()
-        digests[str(n)] = digest(n)
-        print("ABP-%d %s: %.2f s" % (n, name, time.process_time() - start),
+        digests[str(n)], stats = digest(n)
+        print("ABP-%d %s: %.2f s, iterations %s"
+              % (n, name, time.process_time() - start, stats.iterations),
               file=sys.stderr)
         if args.check and recorded.get(str(n)) != digests[str(n)]:
             print("ABP-%d %s region text: sha256 %s, recorded %s"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,8 @@ from wsmc.model import (
 from wsmc.regexes import RegexError, compile_regex
 from wsmc.regions import Config, RegionError, RegionSpace
 
-from conftest import model_path, random_model, random_region_for
+import record_abp_digests
+from conftest import config_region, model_path, random_model, random_region_for
 
 AB = Alphabet(("a", "b"))
 
@@ -302,10 +304,10 @@ def check_galois_on_explicit_states(rng, n_channels, max_len, n_models):
                 successors = (set(oracle.perfect_successors(model, sigma))
                               if mode == PERFECT
                               else oracle.lossy_successors(model, sigma))
-                post_sigma = model.post(model.space.config_region(sigma), mode)
+                post_sigma = model.post(config_region(model.space, sigma), mode)
                 for rho in sample:
                     fwd = rho in successors
-                    pre_rho = model.pre(model.space.config_region(rho), mode)
+                    pre_rho = model.pre(config_region(model.space, rho), mode)
                     assert model.space.member(sigma, pre_rho) == fwd
                     assert model.space.member(rho, post_sigma) == fwd
 
@@ -373,6 +375,137 @@ def test_batched_step_operators_equal_per_rule_fold(rng):
         assert space.equal(model.post(region, PERFECT), post_fold)
         assert space.equal(model.post(region, LOSSY), space.down_closure(post_fold))
     assert guarded >= 10
+
+
+def covering_model(rng, n_channels):
+    """A random model whose rules repeat two (source, target) pairs with
+    mixed operations, some guarded and some repeated, so that rules
+    cover one another on upward-closed regions."""
+    locations = ("p", "q", "r")
+    channels = tuple("c%d" % i for i in range(n_channels))
+    model = GlcsModel(AB, channels, locations, {loc: None for loc in locations}, ())
+    pairs = [(rng.choice(locations), rng.choice(locations)) for _ in range(2)]
+    ops = [(INTERNAL, None, None)] + [(kind, c, x) for kind in (SEND, RECV)
+                                      for c in channels for x in AB.symbols]
+    rules = []
+    for _ in range(rng.randint(2, 8)):
+        guard = random_region_for(rng, model) if rng.random() < 0.4 else None
+        rules.append(Rule(*rng.choice(pairs), *rng.choice(ops), guard))
+        if rng.random() < 0.3:  # the same operation again, guarded or not
+            rules.append(replace(rules[-1], guard=None if rng.random() < 0.5
+                                 else random_region_for(rng, model)))
+    return GlcsModel(AB, channels, locations, model.owners, tuple(rules))
+
+
+def check_lossy_steps_equal_the_all_rules_fold(model, region):
+    """Lossy pre and wpre of region, on a copy of model with an empty
+    step memo, give the encodings of the per-rule fold over every rule."""
+    space = model.space
+    copy = GlcsModel(model.alphabet, model.channels, model.locations,
+                     model.owners, model.rules)
+
+    def fold(r):
+        return per_rule_union_fold(model, space.up_closure(r), model.pre_perf_rule)
+
+    assert copy.pre(region, LOSSY) == fold(region)
+    assert copy.wpre(region, LOSSY) == space.complement(fold(space.complement(region)))
+
+
+@pytest.mark.parametrize("n_channels", [0, 1, 2, 3])
+def test_lossy_steps_skip_covered_rules_and_equal_the_all_rules_fold(n_channels):
+    rng = random.Random(5700 + n_channels)
+    skipped = 0
+    for _ in range(12):
+        model = covering_model(rng, n_channels)
+        skipped += len(model.rules) - len(model._lossy_rules)
+        for _ in range(2):
+            check_lossy_steps_equal_the_all_rules_fold(
+                model, random_region_for(rng, model, 3))
+    assert skipped >= 10
+
+
+def abp_model(name):
+    """A bundled model, or ABP-3 and the faithful ABP-3 of
+    tests/record_abp_digests.py."""
+    if name == "ABP-3":
+        return parse_model(record_abp_digests.gen.abp_text(3), name)
+    if name == "faithful ABP-3":
+        return parse_model(record_abp_digests.faithful_abp_text(3), name)
+    return load_model(model_path(name))
+
+
+@pytest.mark.parametrize("name", ["abp.lcs", "token_game.lcs", "flags.lcs", "ABP-3",
+                                  "faithful ABP-3"])
+def test_lossy_steps_of_a_bundled_or_abp_model_equal_the_all_rules_fold(name):
+    model = abp_model(name)
+    space = model.space
+    regions = [space.full(), *model.named_regions.values()]
+    regions += [space.complement(r) for r in regions]
+    regions += [space.up_closure(r) for r in regions]
+    for region in regions:
+        check_lossy_steps_equal_the_all_rules_fold(model, region)
+
+
+def test_lossy_rules_skip_only_rules_another_rule_covers():
+    guard = tiny_model([]).space.location_region(["p"])
+    rules = [
+        # p -> q: a guarded send covers nothing, a nop covers the receives
+        Rule("p", "q", SEND, "c", "a", guard), Rule("p", "q", INTERNAL),
+        Rule("p", "q", RECV, "c", "a"), Rule("p", "q", RECV, "c", "b", guard),
+        # q -> p: a send covers a nop; duplicate unguarded rules are both
+        # kept; a guarded send is covered by the same send only
+        Rule("q", "p", INTERNAL), Rule("q", "p", SEND, "c", "b"),
+        Rule("q", "p", SEND, "c", "b"), Rule("q", "p", SEND, "c", "a", guard),
+        Rule("q", "p", SEND, "c", "b", guard),
+        # q -> q: a guarded nop covers no receive
+        Rule("q", "q", RECV, "c", "a"), Rule("q", "q", INTERNAL, guard=guard),
+        # p -> p: a receive covers itself under a guard, but not another
+        # receive; rules between other locations cover nothing here
+        Rule("p", "p", RECV, "c", "a", guard), Rule("p", "p", RECV, "c", "a"),
+        Rule("p", "p", RECV, "c", "b"),
+    ]
+    model = tiny_model(rules)
+    assert model._lossy_rules == tuple(rules[i] for i in (0, 1, 5, 6, 7, 9, 10, 12, 13))
+    space = model.space
+    for region in (space.full(), atom(model, "q", "a*"), atom(model, "p", "()"),
+                   space.union(atom(model, "p", "ab"), atom(model, "q", "b"))):
+        check_lossy_steps_equal_the_all_rules_fold(model, region)
+
+
+def test_perfect_steps_use_every_rule(monkeypatch):
+    # on a region that is not upward closed, a receive adds to a nop
+    model = tiny_model([Rule("p", "q", RECV, "c", "a"), Rule("p", "q", INTERNAL),
+                        Rule("q", "p", INTERNAL), Rule("q", "p", SEND, "c", "b")])
+    assert model._lossy_rules == model.rules[1:2] + model.rules[3:]
+    empty_word = {loc: atom(model, loc, "()") for loc in model.locations}
+    assert model.pre(empty_word["q"], PERFECT) == \
+        model.space.union(empty_word["p"], atom(model, "p", "a"))
+    assert model.pre(atom(model, "p", "b"), PERFECT) == \
+        model.space.union(empty_word["q"], atom(model, "q", "b"))
+    both = model.space.union(*empty_word.values())
+    for op, mode, rules in (("pre", PERFECT, model.rules), ("wpre", PERFECT, model.rules),
+                            ("pre", LOSSY, model._lossy_rules),
+                            ("wpre", LOSSY, model._lossy_rules)):
+        copy = tiny_model(model.rules)  # with an empty step memo
+        stepped = []
+        real = copy.pre_perf_rule
+        monkeypatch.setattr(copy, "pre_perf_rule",
+                            lambda rule, r: stepped.append(rule) or real(rule, r))
+        getattr(copy, op)(both, mode)
+        assert stepped == list(rules)
+
+
+def test_faithful_abp_pre_star_of_bad_is_a_real_safety_answer():
+    model = abp_model("faithful ABP-3")
+    bad = model.named_regions["BAD"]
+    region, stats = compilers.compile_pre_star(model, bad).run()
+    assert stats.iterations == {"X": [6]}
+    assert not model.space.is_universal(region)
+    # a stale ack lets the sender run ahead of the receiver
+    assert not model.space.member(parse_config("s0w0 : ,", model), region)
+    stale = parse_config("s0w0 : , a0", model)
+    assert model.space.member(stale, region)
+    assert oracle.bounded_reach(model, stale, bad, 3) == "reachable"
 
 
 @pytest.mark.parametrize("max_channels", [0, 1, 2, 3])

@@ -10,7 +10,7 @@ from wsmc.model import parse_model
 from wsmc.regexes import compile_regex
 from wsmc.regions import Config, RegionError, RegionSpace, Signature
 
-from conftest import random_model, random_nfa, random_region_for
+from conftest import config_region, random_model, random_nfa, random_region_for
 
 AB = Alphabet(("a", "b"))
 SIG = Signature(AB, ("c", "d"), ("p", "q"))
@@ -61,7 +61,7 @@ def test_full_empty_universal(space):
 
 def test_config_region(space):
     sigma = Config("q", (("a",), ("b", "b")))
-    r = space.config_region(sigma)
+    r = config_region(space, sigma)
     assert space.member(sigma, r)
     assert not space.member(Config("q", (("a",), ("b",))), r)
 
@@ -283,6 +283,21 @@ def test_union_is_the_minimized_nfa_union_of_the_slices(max_channels):
             for loc, encs in encodings.items():
                 assert union[loc] is automata.canonicalize(
                     functools.reduce(automata.union, encs))
+
+
+def test_the_full_slice_absorbs_a_union_without_a_walk(space, rng, monkeypatch):
+    at_p = space.location_region(["p"])
+    walks = []
+    union_all = automata.union_all
+    monkeypatch.setattr(automata, "union_all",
+                        lambda encs: walks.append(encs) or union_all(encs))
+    for _ in range(10):
+        others = [space.intersection(random_region(rng, space, 3), at_p)
+                  for _ in range(3)]
+        memo, walks[:] = dict(space._memo), []
+        assert space.union(*others, at_p).slices == (("p", space._all),)
+        assert space.union(space.full(), *others) == space.full()
+        assert space._memo == memo and walks == []
 
 
 def test_alphabet_with_the_separator_is_rejected():
