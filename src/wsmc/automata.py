@@ -14,14 +14,17 @@ constructions (union among them) and the closures build NFAs; of the
 region algebra's block edits, only append does (see
 regions.RegionSpace._edit), the others hand their edited tables to
 minimal_dfa, the one minimizer, as the product walks do.
+
+Both classes are plain classes with slots: an Alphabet is a value
+(values.Value), an Nfa equals only itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import WsmcError
+from .values import Value
 
 Word = Tuple[str, ...]
 
@@ -32,20 +35,20 @@ class AutomatonError(WsmcError):
     pass
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered finite set of message symbols.
+class Alphabet(Value):
+    """Ordered finite set of message symbols; a value.
 
     The order is significant: canonical DFA state numbering follows it.
     """
 
-    symbols: Tuple[str, ...]
+    __slots__ = _fields = ("symbols",)
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols: Tuple[str, ...]):
+        if not symbols:
             raise AutomatonError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise AutomatonError("alphabet symbols must be distinct")
+        self.symbols = symbols
 
     def __contains__(self, sym: str) -> bool:
         return sym in self.symbols
@@ -57,7 +60,6 @@ class Alphabet:
         return Alphabet(self.symbols + (extra,))
 
 
-@dataclass(frozen=True, eq=False)
 class Nfa:
     """Nondeterministic finite automaton with epsilon transitions.
 
@@ -66,18 +68,25 @@ class Nfa:
     canonicalize) also keeps its table[state][symbol index] -> state;
     other Nfas have None.  An Nfa equals and hashes only as itself: the
     canonical form of a language is one object, so two automata have
-    the same language iff their canonical forms are identical.
+    the same language iff their canonical forms are identical.  Nfa(...)
+    checks its arguments (_validate); Nfa.derived does not.
     """
 
-    alphabet: Alphabet
-    n_states: int
-    initial: frozenset
-    accepting: frozenset
-    transitions: Tuple[Tuple[int, Optional[str], int], ...]
-    table: Optional[Tuple[Tuple[int, ...], ...]] = field(
-        default=None, init=False, repr=False)
+    __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions",
+                 "table")
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, n_states: int, initial: frozenset,
+                 accepting: frozenset,
+                 transitions: Tuple[Tuple[int, Optional[str], int], ...]):
+        self.alphabet = alphabet
+        self.n_states = n_states
+        self.initial = initial
+        self.accepting = accepting
+        self.transitions = transitions
+        self.table: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._validate()
+
+    def _validate(self):
         for (p, a, q) in self.transitions:
             if a is not EPSILON and a not in self.alphabet:
                 raise AutomatonError("transition symbol %r not in alphabet" % (a,))
@@ -93,8 +102,12 @@ class Nfa:
         """An Nfa built from automata that are already valid, so it is
         not checked again."""
         nfa = object.__new__(cls)
-        nfa.__dict__.update(alphabet=alphabet, n_states=n_states, initial=initial,
-                            accepting=accepting, transitions=transitions, table=table)
+        nfa.alphabet = alphabet
+        nfa.n_states = n_states
+        nfa.initial = initial
+        nfa.accepting = accepting
+        nfa.transitions = transitions
+        nfa.table = table
         return nfa
 
     # -- convenience constructors -------------------------------------

@@ -12,7 +12,6 @@ every binder guarded and every bound variable complement-free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import terms
@@ -50,7 +49,6 @@ def refuse_noneffective(goal: str):
     raise NonEffectiveGoalError("refusing %s: %s" % (goal, _REFUSALS[goal]))
 
 
-@dataclass
 class CompiledProperty:
     """A guarded term plus the algebra it is bound to.
 
@@ -58,10 +56,14 @@ class CompiledProperty:
     the term's value (the term itself stays guarded).
     """
 
-    name: str
-    term: Term
-    algebra: ConfigAlgebra
-    negate: bool = False
+    __slots__ = ("name", "term", "algebra", "negate")
+
+    def __init__(self, name: str, term: Term, algebra: ConfigAlgebra,
+                 negate: bool = False):
+        self.name = name
+        self.term = term
+        self.algebra = algebra
+        self.negate = negate
 
     def run(self, limits: Optional[Limits] = None):
         value, stats = evaluate(self.term, {}, self.algebra, limits)

@@ -25,7 +25,6 @@ returns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import automata, terms
@@ -135,7 +134,6 @@ class WordAlgebra(AlgebraBinding):
     def size(self, a): return a.n_states
 
 
-@dataclass
 class Limits:
     """Evaluation limits.
 
@@ -145,14 +143,20 @@ class Limits:
     is monotone.
     """
 
-    max_iter: Optional[int] = None
+    __slots__ = ("max_iter",)
+
+    def __init__(self, max_iter: Optional[int] = None):
+        self.max_iter = max_iter
 
 
-@dataclass
 class EvalStats:
-    iterations: Dict[str, List[int]] = field(default_factory=dict)
-    max_value_size: int = 0
-    wall_time: float = 0.0
+    __slots__ = ("iterations", "max_value_size", "wall_time")
+
+    def __init__(self, iterations: Optional[Dict[str, List[int]]] = None,
+                 max_value_size: int = 0, wall_time: float = 0.0):
+        self.iterations = {} if iterations is None else iterations
+        self.max_value_size = max_value_size
+        self.wall_time = wall_time
 
     def record(self, binder: str, count: int):
         self.iterations.setdefault(binder, []).append(count)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import automata, regexes, terms
@@ -31,6 +30,7 @@ from .automata import Alphabet, AutomatonError, Nfa, Word
 from .engine import AlgebraBinding
 from .errors import WsmcError
 from .regions import Config, Region, RegionSpace, Signature
+from .values import Value
 
 SEND, RECV, INTERNAL = "send", "recv", "internal"
 PERFECT, LOSSY = "perfect", "lossy"
@@ -57,14 +57,18 @@ class ModelError(WsmcError):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
-    source: str
-    target: str
-    kind: str  # send | recv | internal
-    channel: Optional[str] = None
-    symbol: Optional[str] = None
-    guard: Optional[Region] = None
+class Rule(Value):
+    __slots__ = _fields = ("source", "target", "kind", "channel", "symbol", "guard")
+
+    def __init__(self, source: str, target: str, kind: str,
+                 channel: Optional[str] = None, symbol: Optional[str] = None,
+                 guard: Optional[Region] = None):
+        self.source = source
+        self.target = target
+        self.kind = kind  # send | recv | internal
+        self.channel = channel
+        self.symbol = symbol
+        self.guard = guard
 
     def describe(self) -> str:
         if self.kind == SEND:
@@ -94,20 +98,23 @@ class GlcsModel:
 
     def _set_rules(self, rules: Tuple[Rule, ...]):
         """Check and install the rules."""
-        for rule in rules:
-            for loc in (rule.source, rule.target):
-                if loc not in self.locations:
-                    raise ModelError("rule endpoint %r is not a location" % (loc,))
-            if rule.kind in (SEND, RECV):
-                if rule.channel not in self.channels:
-                    raise ModelError("rule channel %r not declared" % (rule.channel,))
-                if rule.symbol not in self.alphabet:
-                    raise ModelError("rule symbol %r not in alphabet" % (rule.symbol,))
-            if rule.guard is not None and rule.guard.signature != self.signature:
-                raise ModelError("rule %s: guard of another signature" % rule.describe())
-        self.rules = tuple(rules)
+        self.rules = tuple(map(self._check_rule, rules))
         self._lossy_rules = _uncovered(self.rules)
         self._pre_perf: Dict[tuple, Region] = {}
+
+    def _check_rule(self, rule: Rule) -> Rule:
+        """rule, once its names and guard are checked against the model."""
+        for loc in (rule.source, rule.target):
+            if loc not in self.locations:
+                raise ModelError("rule endpoint %r is not a location" % (loc,))
+        if rule.kind in (SEND, RECV):
+            if rule.channel not in self.channels:
+                raise ModelError("rule channel %r not declared" % (rule.channel,))
+            if rule.symbol not in self.alphabet:
+                raise ModelError("rule symbol %r not in alphabet" % (rule.symbol,))
+        if rule.guard is not None and rule.guard.signature != self.signature:
+            raise ModelError("rule %s: guard of another signature" % rule.describe())
+        return rule
 
     @property
     def alphabet(self) -> Alphabet:
@@ -394,7 +401,8 @@ def _uncovered(rules: Tuple[Rule, ...]) -> Tuple[Rule, ...]:
     return tuple(rule for rule in rules
                  if top.get((rule.source, rule.target), 0) <= _RANK[rule.kind]
                  and (rule.guard is None
-                      or replace(rule, guard=None) not in unguarded))
+                      or Rule(rule.source, rule.target, rule.kind, rule.channel,
+                              rule.symbol) not in unguarded))
 
 
 def _lossy(mode: str) -> bool:
@@ -480,7 +488,7 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
     rules = []
     for lineno, body in pending_rules:
         try:
-            rules.append(_parse_rule(body, model))
+            rules.append(model._check_rule(_parse_rule(body, model)))
         except (ModelError, regexes.RegexError) as exc:
             raise ModelError("%s:%d: %s" % (name, lineno, exc))
     # one model, so the regions normalized while parsing stay in its memo

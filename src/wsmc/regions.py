@@ -7,18 +7,22 @@ and the region keeps the canonical form of that language (see
 automata.canonicalize).  Equal regions are therefore equal values and print
 identically.  The encoding's layout is known here alone: a step of a
 channel system edits one channel's block of it (RegionSpace.edit).
+
+Signature, Product, Region and Config are values (values.Value): equal
+fields make equal objects, and objects of different classes are never
+equal.  A Region caches its encodings and summands on first use.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from . import automata
 from .automata import EPSILON, Alphabet, Nfa, Word
 from .errors import WsmcError
+from .values import Value
 
 SEPARATOR = "#"  # fresh symbol between the channel blocks of an encoding
 
@@ -27,37 +31,42 @@ class RegionError(WsmcError):
     pass
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Typing context for regions: alphabet, channel order, locations."""
 
-    alphabet: Alphabet
-    channels: Tuple[str, ...]
-    locations: Tuple[str, ...]
+    __slots__ = _fields = ("alphabet", "channels", "locations")
 
-    def __post_init__(self):
-        if SEPARATOR in self.alphabet:
+    def __init__(self, alphabet: Alphabet, channels: Tuple[str, ...],
+                 locations: Tuple[str, ...]):
+        if SEPARATOR in alphabet:
             raise RegionError("alphabet symbol %r is the channel separator of "
                               "region encodings" % (SEPARATOR,))
+        self.alphabet = alphabet
+        self.channels = channels
+        self.locations = locations
 
 
-@dataclass(frozen=True)
-class Product:
-    location: str
-    channel_langs: Tuple[Nfa, ...]
+class Product(Value):
+    __slots__ = _fields = ("location", "channel_langs")
+
+    def __init__(self, location: str, channel_langs: Tuple[Nfa, ...]):
+        self.location = location
+        self.channel_langs = channel_langs
 
 
 Row = Tuple[Nfa, ...]  # one language per channel
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Value):
     """Per location with a nonempty slice, in signature order, the
     canonical form of the slice's encoding L1#...#Lc.
     The encodings accept only words with exactly c - 1 separators."""
 
-    signature: Signature
-    slices: Tuple[Tuple[str, Nfa], ...]
+    _fields = ("signature", "slices")  # no slots: cached_property needs a dict
+
+    def __init__(self, signature: Signature, slices: Tuple[Tuple[str, Nfa], ...]):
+        self.signature = signature
+        self.slices = slices
 
     @cached_property
     def encodings(self) -> Dict[str, Nfa]:
@@ -73,29 +82,33 @@ class Region:
                      for row in _decompose(self.signature, enc))
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Value):
     """One concrete configuration: location plus one word per channel."""
 
-    location: str
-    contents: Tuple[Word, ...]
+    __slots__ = _fields = ("location", "contents")
+
+    def __init__(self, location: str, contents: Tuple[Word, ...]):
+        self.location = location
+        self.contents = contents
 
 
 class RegionSpace:
     """The effective region algebra for one model signature.  Every
     operation works location by location on the interned encodings.
-    Unions, intersections, complements, closures and block edits of
-    encodings are memoized per space, keyed on the operation and its
-    operand encodings; a complement is stored both ways, and a closure
-    also as the closure of itself.  The memo is never evicted.  It keys
-    on the operands, which are interned and small.  Unions,
-    intersections and complements are product walks over the operands'
-    DFAs (automata.union_all, intersection, difference), which build no
-    NFA.  Closures are automata.up_closure and down_closure on the
-    message symbols.  Block edits write the edited table of the slice's
-    DFA and hand it to automata.minimal_dfa, except append, whose NFA
-    goes through automata.canonicalize with those of atoms and closures;
-    canonicalize keeps no NFA it canonicalized."""
+    Atoms, unions, intersections, complements, closures and block edits
+    of encodings are memoized per space, keyed on the operation and its
+    operand encodings (an atom's are its canonical channel languages, so
+    a pattern repeated at several locations is encoded once); a
+    complement is stored both ways, and a closure also as the closure of
+    itself.  The memo is never evicted.  It keys on the operands, which
+    are interned and small.  Unions, intersections and complements are
+    product walks over the operands' DFAs (automata.union_all,
+    intersection, difference), which build no NFA.  Closures are
+    automata.up_closure and down_closure on the message symbols.  Block
+    edits write the edited table of the slice's DFA and hand it to
+    automata.minimal_dfa, except append, whose NFA goes through
+    automata.canonicalize with those of atoms and closures; canonicalize
+    keeps no NFA it canonicalized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -145,8 +158,9 @@ class RegionSpace:
                               % (len(self.signature.channels), len(langs)))
         if any(lang.alphabet != self.signature.alphabet for lang in langs):
             raise RegionError("channel language over another alphabet")
-        enc = automata.canonicalize(self._join(map(automata.canonicalize, langs)))
-        return self._region({loc: enc})
+        langs = tuple(map(automata.canonicalize, langs))
+        return self._region({loc: self._apply(
+            ("atom", langs), lambda: automata.canonicalize(self._join(langs)))})
 
     def location_region(self, locs) -> Region:
         return Region(self.signature, tuple((q, self._all)

@@ -5,7 +5,8 @@ A term is one node type, `Term(kind, name, args)`.  The kind is one of
 "not", the closures "up" and "down", the kernels "kup" and "kdown", and
 the binders "mu" and "nu"; the name is the variable, operator or binder
 name (None for the other kinds); the args are the children.  `Var`,
-`OpApp`, `Union`, ... `Nu` build one node each.  Parsing freshens binder
+`OpApp`, `Union`, ... `Nu` build one node each.  A Term is a value (see
+values.Value).  Parsing freshens binder
 names so no two binders share a name and no name is both bound and free.
 Bound variables must sit under an even number of complements; mu-bound
 variables must be upward-guarded and nu-bound ones downward-guarded for
@@ -14,10 +15,10 @@ the iterative evaluator to be guaranteed to stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .errors import WsmcError
+from .values import Value
 
 
 class TermError(WsmcError):
@@ -30,19 +31,20 @@ _ARITY = {"var": 0, "opapp": None, "union": 2, "intersection": 2, "not": 1,
 BINDERS = ("mu", "nu")
 
 
-@dataclass(frozen=True)
-class Term:
-    kind: str
-    name: Optional[str] = None
-    args: Tuple[Term, ...] = ()
+class Term(Value):
+    __slots__ = _fields = ("kind", "name", "args")
 
-    def __post_init__(self):
-        if self.kind not in _ARITY:
-            raise TermError("unknown term kind %r" % (self.kind,))
-        arity = _ARITY[self.kind]
-        if arity is not None and len(self.args) != arity:
+    def __init__(self, kind: str, name: Optional[str] = None,
+                 args: Tuple[Term, ...] = ()):
+        if kind not in _ARITY:
+            raise TermError("unknown term kind %r" % (kind,))
+        arity = _ARITY[kind]
+        if arity is not None and len(args) != arity:
             raise TermError("a %s node takes %d children, got %d"
-                            % (self.kind, arity, len(self.args)))
+                            % (kind, arity, len(args)))
+        self.kind = kind
+        self.name = name
+        self.args = args
 
 
 def Var(name): return Term("var", name)
@@ -90,9 +92,9 @@ def rename_binders(t: Term, taken: set) -> Term:
         if node.kind in BINDERS:
             fresh = _fresh(node.name, taken)
             taken.add(fresh)
-            return replace(node, name=fresh,
-                           args=(walk(node.args[0], {**mapping, node.name: fresh}),))
-        return replace(node, args=tuple(walk(c, mapping) for c in node.args))
+            return Term(node.kind, fresh,
+                        (walk(node.args[0], {**mapping, node.name: fresh}),))
+        return Term(node.kind, node.name, tuple(walk(c, mapping) for c in node.args))
 
     return walk(t, {})
 
@@ -111,7 +113,7 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
             return node
         if node.kind in BINDERS and node.name == name:
             return node
-        return replace(node, args=tuple(map(walk, node.args)))
+        return Term(node.kind, node.name, tuple(map(walk, node.args)))
 
     return walk(t)
 
@@ -124,8 +126,8 @@ def unfold(t: Term, binder: str) -> Term:
         if node.kind in BINDERS and node.name == binder:
             found[0] = True
             body = node.args[0]
-            return replace(node, args=(substitute(body, binder, body),))
-        return replace(node, args=tuple(map(walk, node.args)))
+            return Term(node.kind, node.name, (substitute(body, binder, body),))
+        return Term(node.kind, node.name, tuple(map(walk, node.args)))
 
     out = walk(t)
     if not found[0]:

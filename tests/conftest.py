@@ -79,6 +79,17 @@ def config_region(space, config):
     return space.atom(config.location, langs)
 
 
+# malformed rules of a model with alphabet a, channel c and location p,
+# and the error each one gives
+BAD_RULES = [
+    ("p -> q : c!a", "rule endpoint 'q' is not a location"),
+    ("p -> p : d!a", "rule channel 'd' not declared"),
+    ("p -> p : c!b", "rule symbol 'b' not in alphabet"),
+    ("p -> p : c!", "rule symbol '' not in alphabet"),
+    ("p -> p : !a", "rule channel '' not declared"),
+]
+
+
 # canonical CLI invocations over the bundled models; byte-identical
 # output across runs is part of the contract
 FIXTURE_COMMANDS = [
@@ -112,6 +123,10 @@ FIXTURE_COMMANDS = [
      "--target", "GOAL", "--depth", "5"],
     ["oracle", "game", "token_game.lcs", "--from", "b1 : t",
      "--target", "GOAL", "--player", "B", "--depth", "5"],
+    # a real safety verdict: no run from the initial configuration reaches
+    # BAD, but a stale ack lets the sender run ahead
+    ["check", "abp3_safe.lcs", "prestar", "--target", "BAD", "--member", "s0w0 : ,"],
+    ["check", "abp3_safe.lcs", "prestar", "--target", "BAD", "--member", "s0w0 : , a0"],
 ]
 
 

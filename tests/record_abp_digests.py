@@ -24,7 +24,7 @@ tests/goldens/abp_nested_sha256.json.
 On ABP-n the pre* of GOAL is the whole configuration space, so those
 digests only show that the result is still the full space.  With
 --faithful the script does the same for the pre* of BAD on the faithful
-ABP-n of `faithful_abp_text` (by default n = 3 to 7), which is not the
+ABP-n of `faithful_abp_text` (by default n = 3 to 8), which is not the
 whole space, with its digests in tests/goldens/abp_faithful_sha256.json.
 """
 
@@ -49,7 +49,7 @@ NESTED = "nu Y. mu X. (GOAL & pre(up(Y))) | pre(up(X))"
 NESTED_DIGESTS = os.path.join(HERE, "goldens", "abp_nested_sha256.json")
 NESTED_SIZES = (3, 4, 5)
 FAITHFUL_DIGESTS = os.path.join(HERE, "goldens", "abp_faithful_sha256.json")
-FAITHFUL_SIZES = (3, 4, 5, 6, 7)
+FAITHFUL_SIZES = (3, 4, 5, 6, 7, 8)
 
 
 def faithful_abp_text(n: int) -> str:
@@ -131,7 +131,8 @@ def main(argv=None) -> int:
                         help="pre* of BAD on the faithful ABP-n instead")
     parser.add_argument("sizes", nargs="*", type=int,
                         help="sequence numbers n of the ABP-n models "
-                             "(default 3 to 7, or 3 to 5 with --nested)")
+                             "(default 3 to 7, 3 to 5 with --nested, "
+                             "3 to 8 with --faithful)")
     args = parser.parse_args(argv)
     name, path, sizes, digest = (
         ("nested", NESTED_DIGESTS, NESTED_SIZES, nested_digest) if args.nested

@@ -448,8 +448,8 @@ def test_caller_built_nfa_states_are_range_checked(ab, initial, accepting, messa
 
 def test_derived_automata_are_not_checked_again(ab, rng, monkeypatch):
     checked = []
-    real = Nfa.__post_init__
-    monkeypatch.setattr(Nfa, "__post_init__", lambda a: checked.append(a) or real(a))
+    real = Nfa._validate
+    monkeypatch.setattr(Nfa, "_validate", lambda a: checked.append(a) or real(a))
     x, y = random_nfa(rng, ab), random_nfa(rng, ab)
     del checked[:]
     for a in (automata.union(x, y), automata.intersection(x, y),

@@ -14,7 +14,7 @@ from wsmc.model import load_model, region_to_text
 from wsmc.oracle import OracleError
 from wsmc.regions import RegionError
 
-from conftest import FIXTURE_COMMANDS, fixture_argv, model_path
+from conftest import BAD_RULES, FIXTURE_COMMANDS, fixture_argv, model_path
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +85,18 @@ def test_unreadable_model_name_exits_2_with_one_line(tmp_path, capsys, lines,
     assert captured.err == (
         "error: %s:%d: %s name %r must consist of letters, digits and '_'\n"
         % (bad, lineno, kind, name))
+
+
+@pytest.mark.parametrize("rule, message", BAD_RULES)
+def test_bad_rule_exits_2_with_one_line_naming_its_line(tmp_path, capsys, rule,
+                                                         message):
+    bad = tmp_path / "bad.lcs"
+    bad.write_text("alphabet: a\nchannels: c\nlocations: p\nrule %s\n"
+                   "rule p -> p : nop\n" % rule)
+    code = cli.main(["validate", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s:4: %s\n" % (bad, message)
 
 
 @pytest.mark.parametrize("argv, name", [

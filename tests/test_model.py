@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -13,7 +12,7 @@ from wsmc.regexes import RegexError, compile_regex
 from wsmc.regions import Config, RegionError, RegionSpace
 
 import record_abp_digests
-from conftest import config_region, model_path, random_model, random_region_for
+from conftest import BAD_RULES, config_region, model_path, random_model, random_region_for
 
 AB = Alphabet(("a", "b"))
 
@@ -68,6 +67,14 @@ def test_parse_model_rejects_duplicate_declarations(lines, lineno, message):
     with pytest.raises(ModelError) as info:
         parse_model(text, name="m.lcs")
     assert str(info.value) == "m.lcs:%d: %s" % (lineno, message)
+
+
+@pytest.mark.parametrize("rule, message", BAD_RULES)
+def test_parse_model_rule_errors_carry_line_numbers(rule, message):
+    text = "alphabet: a\nchannels: c\nlocations: p\nrule %s\nrule p -> p : nop" % rule
+    with pytest.raises(ModelError) as info:
+        parse_model(text, name="m.lcs")
+    assert str(info.value) == "m.lcs:4: %s" % message
 
 
 @pytest.mark.parametrize("name", [
@@ -392,8 +399,10 @@ def covering_model(rng, n_channels):
         guard = random_region_for(rng, model) if rng.random() < 0.4 else None
         rules.append(Rule(*rng.choice(pairs), *rng.choice(ops), guard))
         if rng.random() < 0.3:  # the same operation again, guarded or not
-            rules.append(replace(rules[-1], guard=None if rng.random() < 0.5
-                                 else random_region_for(rng, model)))
+            last = rules[-1]
+            rules.append(Rule(last.source, last.target, last.kind, last.channel,
+                              last.symbol, None if rng.random() < 0.5
+                              else random_region_for(rng, model)))
     return GlcsModel(AB, channels, locations, model.owners, tuple(rules))
 
 
@@ -493,6 +502,11 @@ def test_perfect_steps_use_every_rule(monkeypatch):
                             lambda rule, r: stepped.append(rule) or real(rule, r))
         getattr(copy, op)(both, mode)
         assert stepped == list(rules)
+
+
+def test_bundled_safe_model_is_the_faithful_abp_3():
+    with open(model_path("abp3_safe.lcs"), encoding="utf-8") as handle:
+        assert handle.read() == record_abp_digests.faithful_abp_text(3)
 
 
 def test_faithful_abp_pre_star_of_bad_is_a_real_safety_answer():

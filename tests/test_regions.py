@@ -300,6 +300,25 @@ def test_the_full_slice_absorbs_a_union_without_a_walk(space, rng, monkeypatch):
         assert space._memo == memo and walks == []
 
 
+def test_a_repeated_atom_is_encoded_once(space, rng, monkeypatch):
+    joins = []
+    join = space._join
+    monkeypatch.setattr(space, "_join", lambda langs: joins.append(langs) or join(langs))
+    for _ in range(10):
+        langs = (random_nfa(rng, AB, 3), random_nfa(rng, AB, 3))
+        space.atom("p", langs)
+        # the encoding as atom built it without the memo
+        enc = automata.canonicalize(join(tuple(map(automata.canonicalize, langs))))
+        del joins[:]
+        copies = tuple(Nfa(a.alphabet, a.n_states, a.initial, a.accepting, a.transitions)
+                       for a in langs)
+        for loc in SIG.locations:
+            assert space.atom(loc, copies).encodings == ({loc: enc} if enc.accepting
+                                                         else {})
+            assert space.atom(loc, langs) == space.atom(loc, copies)
+        assert joins == []
+
+
 def test_alphabet_with_the_separator_is_rejected():
     with pytest.raises(RegionError, match="'#' is the channel separator"):
         Signature(Alphabet(("a", "#")), ("c",), ("p",))
