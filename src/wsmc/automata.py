@@ -3,7 +3,8 @@
 This is the word-level region algebra: NFAs with epsilon transitions,
 the usual boolean and rational operations, subword closures/kernels,
 and a canonical form: one interned Nfa per language, its minimal DFA
-with its table, held in one intern table.  canonicalize is the one
+with its table, held in one intern table; its transition triples are
+built from the table on their first read.  canonicalize is the one
 path to it: an interned Nfa is its own, any other runs the subset
 construction and minimal_dfa.  The boolean operations, the residuals
 and the decisions run on the operands' canonical forms: one
@@ -65,8 +66,9 @@ class Nfa:
 
     States are dense indices 0..n_states-1.  Transitions are triples
     (src, symbol-or-None, dst); None is epsilon.  A canonical form (see
-    canonicalize) also keeps its table[state][symbol index] -> state;
-    other Nfas have None.  An Nfa equals and hashes only as itself: the
+    canonicalize) also keeps its table[state][symbol index] -> state,
+    and builds its triples from the table on their first read; other
+    Nfas have table None.  An Nfa equals and hashes only as itself: the
     canonical form of a language is one object, so two automata have
     the same language iff their canonical forms are identical.  Nfa(...)
     checks its arguments (_validate); Nfa.derived does not.
@@ -86,6 +88,16 @@ class Nfa:
         self.table: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._validate()
 
+    def __getattr__(self, name):
+        """Reached only for a slot never set: the transitions of a
+        canonical form, read off its table once."""
+        if name != "transitions" or self.table is None:
+            raise AttributeError(name)
+        symbols = self.alphabet.symbols
+        self.transitions = tuple((p, symbols[i], q) for p, row in enumerate(self.table)
+                                 for i, q in enumerate(row))
+        return self.transitions
+
     def _validate(self):
         for (p, a, q) in self.transitions:
             if a is not EPSILON and a not in self.alphabet:
@@ -100,13 +112,15 @@ class Nfa:
     def derived(cls, alphabet: Alphabet, n_states: int, initial: frozenset,
                 accepting: frozenset, transitions, table=None) -> "Nfa":
         """An Nfa built from automata that are already valid, so it is
-        not checked again."""
+        not checked again.  A canonical form passes its table and no
+        transitions."""
         nfa = object.__new__(cls)
         nfa.alphabet = alphabet
         nfa.n_states = n_states
         nfa.initial = initial
         nfa.accepting = accepting
-        nfa.transitions = transitions
+        if transitions is not None:
+            nfa.transitions = transitions
         nfa.table = table
         return nfa
 
@@ -436,10 +450,8 @@ def _intern(alphabet: Alphabet, table, accepting: frozenset) -> Nfa:
     key = (alphabet, table, accepting)
     nfa = _INTERNED.get(key)
     if nfa is None:
-        trans = tuple((p, alphabet.symbols[i], q) for p, row in enumerate(table)
-                      for i, q in enumerate(row))
         nfa = _INTERNED[key] = Nfa.derived(alphabet, len(table), frozenset([0]),
-                                           accepting, trans, table)
+                                           accepting, None, table)
     return nfa
 
 

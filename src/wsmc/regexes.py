@@ -18,6 +18,8 @@ into alphabet symbols, so that e.g. "ab" over {a,b} means a.b.
 
 from __future__ import annotations
 
+import functools
+
 from . import automata
 from .automata import Alphabet, Nfa
 from .errors import WsmcError
@@ -262,8 +264,15 @@ def nfa_to_regex(a: Nfa) -> str:
 
     Works on the canonical form with the dead state trimmed, eliminating
     states in decreasing index order, so equal languages print equally.
+    The text is computed once per canonical form (_text).
     """
-    dfa = automata.canonicalize(a)
+    return _text(automata.canonicalize(a))
+
+
+@functools.cache
+def _text(dfa: Nfa) -> str:
+    """The regex text of the canonical form dfa (see nfa_to_regex);
+    keyed on the interned object, never on a raw Nfa."""
     if not dfa.accepting:
         return "{}"
     syms = dfa.alphabet.symbols

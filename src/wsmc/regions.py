@@ -10,7 +10,8 @@ channel system edits one channel's block of it (RegionSpace.edit).
 
 Signature, Product, Region and Config are values (values.Value): equal
 fields make equal objects, and objects of different classes are never
-equal.  A Region caches its encodings and summands on first use.
+equal.  A Region hashes on its slices alone and caches its encodings and
+summands on first use.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class Region(Value):
         self.signature = signature
         self.slices = slices
 
+    def __hash__(self):
+        # equal regions have equal slices; an Nfa hashes by identity
+        return hash(self.slices)
+
     @cached_property
     def encodings(self) -> Dict[str, Nfa]:
         """The slices as a map from location to encoding, built once; it
@@ -98,22 +103,25 @@ class RegionSpace:
     Atoms, unions, intersections, complements, closures and block edits
     of encodings are memoized per space, keyed on the operation and its
     operand encodings (an atom's are its canonical channel languages, so
-    a pattern repeated at several locations is encoded once); a
-    complement is stored both ways, and a closure also as the closure of
-    itself.  The memo is never evicted.  It keys on the operands, which
-    are interned and small.  Unions, intersections and complements are
-    product walks over the operands' DFAs (automata.union_all,
-    intersection, difference), which build no NFA.  Closures are
-    automata.up_closure and down_closure on the message symbols.  Block
-    edits write the edited table of the slice's DFA and hand it to
-    automata.minimal_dfa, except append, whose NFA goes through
-    automata.canonicalize with those of atoms and closures; canonicalize
-    keeps no NFA it canonicalized."""
+    a pattern repeated at several locations is encoded once).
+    Complements, closures and intersections of whole regions are
+    memoized too, under their own tags and keyed on the operands' slices
+    (an intersection on their unordered pair), so that one repeated on
+    an equal region costs one lookup.  On a miss, a complement is stored
+    both ways, and a closure also as the closure of itself.  The memo is
+    never evicted.  It keys on the operands, which are interned and
+    small.  Unions, intersections and complements are product walks over
+    the operands' DFAs (automata.union_all, intersection, difference),
+    which build no NFA.  Closures are automata.up_closure and
+    down_closure on the message symbols.  Block edits write the edited
+    table of the slice's DFA and hand it to automata.minimal_dfa, except
+    append, whose NFA goes through automata.canonicalize with those of
+    atoms and closures; canonicalize keeps no NFA it canonicalized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
         self._ext_alphabet = signature.alphabet.extend(SEPARATOR)
-        self._memo: Dict[tuple, Nfa] = {}
+        self._memo: Dict[tuple, object] = {}  # values: encodings or regions
         # every well-formed word: the full slice of a location
         self._all = automata.canonicalize(self._join(
             [Nfa.universal(signature.alphabet)] * len(signature.channels)))
@@ -185,30 +193,44 @@ class RegionSpace:
             for loc, encs in parts.items()})
 
     def intersection(self, a: Region, b: Region) -> Region:
-        other = self._check(b).encodings
+        return self._apply(("region &", frozenset((self._check(a).slices,
+                                                   self._check(b).slices))),
+                           lambda: self._intersection(a, b))
+
+    def _intersection(self, a: Region, b: Region) -> Region:
+        other = b.encodings
         return self._region({
             loc: x if x is other[loc] else self._apply(
                 ("&", frozenset((x, other[loc]))),
                 lambda x=x, y=other[loc]: automata.intersection(x, y))
-            for loc, x in self._check(a).slices if loc in other})
+            for loc, x in a.slices if loc in other})
 
     def complement(self, a: Region) -> Region:
         """Per location, the well-formed encodings the slice lacks."""
-        slices = self._check(a).encodings
-        return self._region({loc: self._complement(slices[loc]) if loc in slices
-                             else self._all for loc in self.signature.locations})
+        def compute():
+            slices = a.encodings
+            return self._region({loc: self._complement(slices[loc]) if loc in slices
+                                 else self._all for loc in self.signature.locations})
+
+        return self._apply(("region ~", self._check(a).slices), compute,
+                           lambda other: (("region ~", other.slices), a))
 
     def _complement(self, enc: Nfa) -> Nfa:
-        other = self._apply(("~", enc), lambda: automata.difference(self._all, enc))
-        self._memo[("~", other)] = enc
-        return other
+        return self._apply(("~", enc), lambda: automata.difference(self._all, enc),
+                           lambda other: (("~", other), enc))
 
-    def _apply(self, key, compute) -> Nfa:
-        """The interned encoding that compute() returns, memoized on key."""
-        enc = self._memo.get(key)
-        if enc is None:
-            enc = self._memo[key] = compute()
-        return enc
+    def _apply(self, key, compute, implied=None):
+        """The interned encoding or the region that compute() returns,
+        memoized on key.  On a miss, implied(value) gives one more
+        (key, value) entry that the result implies, such as the way back
+        of a complement."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+            if implied is not None:
+                other_key, other = implied(value)
+                self._memo[other_key] = other
+        return value
 
     def difference(self, a: Region, b: Region) -> Region:
         return self.intersection(a, self.complement(b))
@@ -221,15 +243,16 @@ class RegionSpace:
         if not self.signature.channels:
             return self.normalize(a)
 
-        def close(enc):
-            closed = self._apply((name, enc), lambda: automata.canonicalize(
-                closure(enc, self.signature.alphabet.symbols)))
-            self._memo[(name, closed)] = closed  # a closure is idempotent
-            return closed
+        def close(enc):  # a closure is idempotent
+            return self._apply((name, enc), lambda: automata.canonicalize(
+                closure(enc, self.signature.alphabet.symbols)),
+                lambda closed: ((name, closed), closed))
 
         # a closure of a nonempty slice is nonempty
-        return Region(self.signature, tuple((loc, close(enc))
-                                            for loc, enc in self._check(a).slices))
+        tag = "region " + name
+        return self._apply((tag, self._check(a).slices), lambda: Region(
+            self.signature, tuple((loc, close(enc)) for loc, enc in a.slices)),
+            lambda closed: ((tag, closed.slices), closed))
 
     def up_closure(self, a: Region) -> Region:
         """Superwords in every block: a self-loop on every message symbol

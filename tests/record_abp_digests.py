@@ -4,12 +4,14 @@
     PYTHONPATH=src python tests/record_abp_digests.py --check 3 4 5 6
     PYTHONPATH=src python tests/record_abp_digests.py --nested --check
     PYTHONPATH=src python tests/record_abp_digests.py --faithful --check
+    PYTHONPATH=src python tests/record_abp_digests.py --nested --faithful --check
 
 ABP-n is the alternating-bit protocol with n sequence numbers that
 perfbench/gen.py generates (`abp_text`).  For each n, the script
 computes pre* of its GOAL region and hashes the printed region text
-(`region_to_text`).  Without --check it writes the digests of the given
-sizes (by default 3 to 7) to tests/goldens/abp_prestar_sha256.json.
+(`region_to_text`).  Without --check it records the digests of the given
+sizes (by default 3 to 7) in tests/goldens/abp_prestar_sha256.json,
+keeping those of the other sizes recorded there.
 Re-record only for an intended change of printed regions, and say in
 CHANGES.md why they changed.  With --check it compares the given sizes
 with that file and exits 1 on any mismatch.  The solve time of each
@@ -26,6 +28,10 @@ digests only show that the result is still the full space.  With
 --faithful the script does the same for the pre* of BAD on the faithful
 ABP-n of `faithful_abp_text` (by default n = 3 to 8), which is not the
 whole space, with its digests in tests/goldens/abp_faithful_sha256.json.
+With both --nested and --faithful it does the same for the guarded
+nested term NESTED_FAITHFUL on the faithful ABP-n (by default n = 3 to
+6), whose outer binder iterates, with its digests in
+tests/goldens/abp_faithful_nested_sha256.json.
 """
 
 import argparse
@@ -50,6 +56,12 @@ NESTED_DIGESTS = os.path.join(HERE, "goldens", "abp_nested_sha256.json")
 NESTED_SIZES = (3, 4, 5)
 FAITHFUL_DIGESTS = os.path.join(HERE, "goldens", "abp_faithful_sha256.json")
 FAITHFUL_SIZES = (3, 4, 5, 6, 7, 8)
+# each outer step takes kdown(Y), a complement of a closure of a
+# complement; Y iterates 3 times and X 6 times per outer step, and the
+# answer lies strictly inside pre* of BAD
+NESTED_FAITHFUL = "nu Y. kdown(Y) & (mu X. BAD | pre(up(X)))"
+NESTED_FAITHFUL_DIGESTS = os.path.join(HERE, "goldens", "abp_faithful_nested_sha256.json")
+NESTED_FAITHFUL_SIZES = (3, 4, 5, 6)
 
 
 def faithful_abp_text(n: int) -> str:
@@ -120,26 +132,36 @@ def nested_digest(n: int):
     return _digest(region, model), stats
 
 
+def nested_faithful_digest(n: int):
+    model = parse_model(faithful_abp_text(n), "faithful ABP-%d" % n)
+    algebra = model.algebra()
+    region, stats = evaluate(parse_term(NESTED_FAITHFUL, algebra), {}, algebra, Limits())
+    return _digest(region, model), stats
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the recorded digests instead of writing them")
-    family = parser.add_mutually_exclusive_group()
-    family.add_argument("--nested", action="store_true",
-                        help="the nested-binder term NESTED instead of pre*")
-    family.add_argument("--faithful", action="store_true",
-                        help="pre* of BAD on the faithful ABP-n instead")
+    parser.add_argument("--nested", action="store_true",
+                        help="a nested-binder term instead of pre*")
+    parser.add_argument("--faithful", action="store_true",
+                        help="the faithful ABP-n instead")
     parser.add_argument("sizes", nargs="*", type=int,
                         help="sequence numbers n of the ABP-n models "
                              "(default 3 to 7, 3 to 5 with --nested, "
-                             "3 to 8 with --faithful)")
+                             "3 to 8 with --faithful, 3 to 6 with both)")
     args = parser.parse_args(argv)
-    name, path, sizes, digest = (
-        ("nested", NESTED_DIGESTS, NESTED_SIZES, nested_digest) if args.nested
-        else ("faithful pre*", FAITHFUL_DIGESTS, FAITHFUL_SIZES, faithful_digest)
-        if args.faithful else ("pre*", DIGESTS, SIZES, prestar_digest))
+    name, path, sizes, digest = {
+        (False, False): ("pre*", DIGESTS, SIZES, prestar_digest),
+        (True, False): ("nested", NESTED_DIGESTS, NESTED_SIZES, nested_digest),
+        (False, True): ("faithful pre*", FAITHFUL_DIGESTS, FAITHFUL_SIZES,
+                        faithful_digest),
+        (True, True): ("faithful nested", NESTED_FAITHFUL_DIGESTS,
+                       NESTED_FAITHFUL_SIZES, nested_faithful_digest),
+    }[args.nested, args.faithful]
     recorded = {}
-    if args.check:
+    if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             recorded = json.load(handle)
     digests, mismatches = {}, 0
@@ -155,8 +177,9 @@ def main(argv=None) -> int:
             mismatches += 1
     if args.check:
         return 1 if mismatches else 0
+    recorded.update(digests)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(digests, handle, indent=1, sort_keys=True)
+        json.dump(recorded, handle, indent=1, sort_keys=True)
         handle.write("\n")
     return 0
 

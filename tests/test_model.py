@@ -1,15 +1,18 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from wsmc import automata, compilers, model as model_module, oracle, regexes
 from wsmc.automata import Alphabet, Nfa
+from wsmc.engine import evaluate
 from wsmc.model import (
     LOSSY, PERFECT, GlcsModel, ModelError, Rule, SEND, RECV, INTERNAL,
     load_model, parse_config, parse_model, parse_region_text, parse_word, region_to_text)
 from wsmc.regexes import RegexError, compile_regex
 from wsmc.regions import Config, RegionError, RegionSpace
+from wsmc.terms import check_guarded, parse_term
 
 import record_abp_digests
 from conftest import BAD_RULES, config_region, model_path, random_model, random_region_for
@@ -520,6 +523,31 @@ def test_faithful_abp_pre_star_of_bad_is_a_real_safety_answer():
     stale = parse_config("s0w0 : , a0", model)
     assert model.space.member(stale, region)
     assert oracle.bounded_reach(model, stale, bad, 3) == "reachable"
+
+
+def test_faithful_abp_nested_term_iterates_its_outer_binder():
+    model = abp_model("faithful ABP-3")
+    algebra = model.algebra()
+    term = parse_term(record_abp_digests.NESTED_FAITHFUL, algebra)
+    assert check_guarded(term) == []
+    region, stats = evaluate(term, {}, algebra)
+    assert stats.iterations == {"Y": [3], "X": [6, 6, 6]}
+    pre_star, _ = compilers.compile_pre_star(model, model.named_regions["BAD"]).run()
+    space = model.space
+    assert not space.is_empty(region) and space.subset(region, pre_star)
+    assert len(region.slices) == 6 and len(pre_star.slices) == 18
+
+
+def test_recording_digests_keeps_the_other_sizes(tmp_path, monkeypatch):
+    with open(record_abp_digests.FAITHFUL_DIGESTS, "rb") as handle:
+        recorded = handle.read()
+    digests = json.loads(recorded)
+    assert set(digests) > {"3"}
+    copy = tmp_path / "digests.json"
+    copy.write_text(json.dumps({**digests, "3": "stale"}), encoding="utf-8")
+    monkeypatch.setattr(record_abp_digests, "FAITHFUL_DIGESTS", str(copy))
+    assert record_abp_digests.main(["--faithful", "3"]) == 0
+    assert copy.read_bytes() == recorded
 
 
 @pytest.mark.parametrize("max_channels", [0, 1, 2, 3])

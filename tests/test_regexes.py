@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from wsmc import automata, oracle
+from wsmc import automata, oracle, regexes
 from wsmc.automata import Alphabet
 from wsmc.regexes import RegexError, compile_regex, nfa_to_regex
 
@@ -91,3 +93,14 @@ def test_any_symbol_is_the_alternation_of_all_symbols(symbols):
                              ("~.", "~" + alternation)):
         assert (automata.canonicalize(compile_regex(pattern, al))
                 is automata.canonicalize(compile_regex(spelled, al)))
+
+
+def test_region_text_is_computed_once_per_canonical_form(ab):
+    rng = random.Random(2200)
+    for _ in range(60):
+        raw = random_nfa(rng, ab)
+        dfa = automata.canonicalize(raw)
+        text = nfa_to_regex(raw)
+        assert nfa_to_regex(dfa) == text
+        assert nfa_to_regex(raw) is text  # a second call reads the memo
+        assert regexes._text.__wrapped__(dfa) == text  # the uncached elimination

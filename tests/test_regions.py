@@ -8,7 +8,7 @@ from wsmc import automata, oracle
 from wsmc.automata import Alphabet, Nfa
 from wsmc.model import parse_model
 from wsmc.regexes import compile_regex
-from wsmc.regions import Config, RegionError, RegionSpace, Signature
+from wsmc.regions import Config, Region, RegionError, RegionSpace, Signature
 
 from conftest import config_region, random_model, random_nfa, random_region_for
 
@@ -245,7 +245,7 @@ def test_complement_is_pointwise_and_normal(rng, n_channels):
 @pytest.mark.parametrize("max_channels", [0, 1, 2, 3])
 def test_memoized_region_operations_equal_fresh_space(max_channels):
     rng = random.Random(4400 + max_channels)
-    ops = ("complement", "up_kernel", "down_kernel")
+    ops = ("complement", "up_kernel", "down_kernel", "up_closure", "down_closure")
     for _ in range(8):
         model = random_model(rng, max_channels=max_channels)
         space = model.space
@@ -253,13 +253,26 @@ def test_memoized_region_operations_equal_fresh_space(max_channels):
         for r in regions:  # warm the memo, complements included
             for op in ops:
                 getattr(space, op)(getattr(space, op)(r))
+            for other in regions:
+                space.intersection(r, other)
         for r in regions:
+            # an equal region that is a distinct object, with distinct slices
+            rebuilt = Region(r.signature, tuple(list(r.slices)))
+            assert rebuilt is not r and rebuilt == r and hash(rebuilt) == hash(r)
             for op in ops:
                 fresh = RegionSpace(model.signature)
-                assert getattr(space, op)(r) == getattr(fresh, op)(r)
+                assert getattr(space, op)(rebuilt) == getattr(fresh, op)(r)
+            for other in regions:
+                fresh = RegionSpace(model.signature)
+                assert space.intersection(other, rebuilt) == fresh.intersection(r, other)
             assert space.complement(space.complement(r)) == space.normalize(r)
             fresh = RegionSpace(model.signature)
             assert fresh.complement(fresh.complement(r)) == fresh.normalize(r)
+            for op in ("up_closure", "down_closure"):
+                closed = getattr(space, op)(rebuilt)
+                assert getattr(space, op)(closed) == closed
+                fresh = RegionSpace(model.signature)
+                assert getattr(fresh, op)(getattr(fresh, op)(r)) == closed
 
 
 @pytest.mark.parametrize("max_channels", [0, 1, 2, 3])
