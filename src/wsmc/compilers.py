@@ -1,9 +1,10 @@
 """Compilers from verification questions into guarded fixpoint terms.
 
 Each compiler binds its target regions as nullary constants of a fresh
-algebra of the model and builds the corresponding term (a CTL formula's
-atoms name regions directly); goals whose answer set is known not to be
-effectively computable are refused outright.
+algebra of the model and builds the corresponding term; a CTL formula is
+parsed straight into its term, whose atoms name regions directly.  Goals
+whose answer set is known not to be effectively computable are refused
+outright.
 Dual goals (invariants, persistence, positive-probability) evaluate the
 opposing player's term and complement once at top level, which keeps
 every binder guarded and every bound variable complement-free.
@@ -133,78 +134,70 @@ class CtlError(CompileError):
     pass
 
 
-def parse_ctl(text: str):
-    """Formulas over region atoms with !, &, EX, and E(_ U _).  Errors
-    give the position of the token they stop at, as formulas do."""
+def parse_ctl(text: str) -> Term:
+    """A formula over region atoms with !, &, EX and E(_ U _), parsed
+    straight into its guarded term: an atom is a nullary operator, ! is
+    complement, & intersection, EX is pre, and E(p U q) is the least
+    fixpoint mu X. q | (p & pre(up(X))), binding X0, X1, ... with inner
+    untils first.  Errors give the position of the token they stop at,
+    as formulas do."""
+    if not text.strip():
+        raise CtlError("empty formula")
     tokens = terms.tokenize(text, "!&()", CtlError) + [(None, None, len(text))]
-    formula, i = _ctl_parse(tokens, 0)
+    fresh = itertools.count()
+
+    def expect(i, value, what):  # the index past tokens[i], which must be value
+        if tokens[i][1] != value:
+            raise CtlError("expected %s, %s" % (what, terms.found(tokens[i])))
+        return i + 1
+
+    def conjunction(i):
+        left, i = unary(i)
+        while tokens[i][1] == "&":
+            right, i = unary(i + 1)
+            left = Intersection(left, right)
+        return left, i
+
+    def unary(i):
+        kind, tok, _ = tokens[i]
+        if tok in ("!", "EX"):
+            child, i = unary(i + 1)
+            return Not(child) if tok == "!" else OpApp("pre", (child,)), i
+        if tok == "E":
+            hold, i = conjunction(expect(i + 1, "(", "'(' after E"))
+            goal, i = conjunction(expect(i, "U", "'U' in E(_ U _)"))
+            i = expect(i, ")", "')' closing E(_ U _)")
+            var = "X%d" % next(fresh)
+            return Mu(var, Union(goal, Intersection(
+                hold, OpApp("pre", (Up(Var(var)),))))), i
+        if tok == "(":
+            inner, i = conjunction(i + 1)
+            return inner, expect(i, ")", "')'")
+        if tok in ("AF", "AG", "EF", "EG", "A", "U"):
+            if tok == "AF":
+                refuse_noneffective("forall-eventually")
+            raise CtlError("%r is outside the supported fragment "
+                           "(atoms, !, &, EX, E(_ U _))" % (tok,))
+        if kind != "ident":
+            raise CtlError("expected a formula, %s" % terms.found(tokens[i]))
+        return OpApp(tok), i + 1
+
+    term, i = conjunction(0)
     if tokens[i][0] is not None:
         raise CtlError("unexpected %r at position %d" % tokens[i][1:])
-    return formula
-
-
-def _ctl_expect(tokens, i, value, what):
-    """The index past tokens[i], which must be value."""
-    if tokens[i][1] != value:
-        raise CtlError("expected %s, %s" % (what, terms.found(tokens[i])))
-    return i + 1
-
-
-def _ctl_parse(tokens, i):
-    left, i = _ctl_unary(tokens, i)
-    while tokens[i][1] == "&":
-        right, i = _ctl_unary(tokens, i + 1)
-        left = ("and", left, right)
-    return left, i
-
-
-def _ctl_unary(tokens, i):
-    kind, tok, _ = tokens[i]
-    if tok in ("!", "EX"):
-        child, i = _ctl_unary(tokens, i + 1)
-        return ("not" if tok == "!" else "ex", child), i
-    if tok == "E":
-        left, i = _ctl_parse(tokens, _ctl_expect(tokens, i + 1, "(", "'(' after E"))
-        right, i = _ctl_parse(tokens, _ctl_expect(tokens, i, "U", "'U' in E(_ U _)"))
-        return ("eu", left, right), _ctl_expect(tokens, i, ")", "')' closing E(_ U _)")
-    if tok == "(":
-        inner, i = _ctl_parse(tokens, i + 1)
-        return inner, _ctl_expect(tokens, i, ")", "')'")
-    if tok in ("AF", "AG", "EF", "EG", "A", "U"):
-        if tok == "AF":
-            refuse_noneffective("forall-eventually")
-        raise CtlError("%r is outside the supported fragment "
-                       "(atoms, !, &, EX, E(_ U _))" % (tok,))
-    if kind != "ident":
-        raise CtlError("expected a formula, %s" % terms.found(tokens[i]))
-    return ("atom", tok), i + 1
+    return term
 
 
 def compile_ctl(model: GlcsModel, text: str) -> CompiledProperty:
-    """The formula as one guarded term: an atom is `all`, `empty` or a
-    named region, EX is pre, and E(p U q) is the least fixpoint
-    mu X. q | (p & pre(up(X))), with a fresh binder per until."""
-    fresh = itertools.count()
-
-    def term(formula):
-        kind = formula[0]
-        if kind == "atom":
-            name = formula[1]
-            if name not in ("all", "empty") and name not in model.named_regions:
-                raise CtlError("unknown region atom %r" % (name,))
-            return OpApp(name)
-        if kind == "not":
-            return Not(term(formula[1]))
-        if kind == "and":
-            return Intersection(term(formula[1]), term(formula[2]))
-        if kind == "ex":
-            return OpApp("pre", (term(formula[1]),))
-        hold, goal = term(formula[1]), term(formula[2])  # E(hold U goal)
-        var = "X%d" % next(fresh)
-        return Mu(var, Union(goal, Intersection(
-            hold, OpApp("pre", (Up(Var(var)),)))))
-
-    return CompiledProperty("ctl", term(parse_ctl(text)), model.algebra())
+    """The formula's guarded term, once each of its atoms, in text order,
+    is `all`, `empty` or a named region of the model."""
+    term = parse_ctl(text)
+    # once the text parses, every identifier but E, EX and U is an atom
+    known = {"E", "EX", "U", "all", "empty", *model.named_regions}
+    for kind, name, _ in terms.tokenize(text, "!&()", CtlError):
+        if kind == "ident" and name not in known:
+            raise CtlError("unknown region atom %r" % (name,))
+    return CompiledProperty("ctl", term, model.algebra())
 
 
 def eval_ctl(model: GlcsModel, text: str,

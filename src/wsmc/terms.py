@@ -192,10 +192,6 @@ def check_guarded(t: Term) -> List[Tuple[str, str]]:
     return offenders
 
 
-def is_guarded(t: Term) -> bool:
-    return not check_guarded(t)
-
-
 # -- concrete syntax ---------------------------------------------------
 
 KEYWORDS = {"mu", "nu", "up", "down", "kup", "kdown", "empty", "all"}

@@ -20,13 +20,13 @@ from wsmc.model import GlcsModel, LOSSY, load_model
 from wsmc.regions import Config
 from wsmc.terms import (
     Down, Intersection, Kdown, Kup, Mu, Nu, OpApp, Union, Up, Var,
-    check_guarded, is_guarded, unfold)
+    check_guarded, unfold)
 
 from conftest import (
     FIXTURE_COMMANDS, fixture_argv, model_path, random_model, random_nfa,
     random_region_for)
 from record_fixture_goldens import GOLDENS, run_fixture
-from test_compilers import all_compiled, ctl_explicit
+from test_compilers import all_compiled, ctl_explicit, ctl_tuple
 from test_engine import closing_example
 
 AB = Alphabet(("a", "b"))
@@ -168,7 +168,7 @@ def test_criterion_3_zero_channel_oracle_equivalence():
                 text = random_ctl(rng, 3)
                 got_region = compilers.eval_ctl(model, text)
                 assert locations_of(model, got_region) == \
-                    ctl_explicit(model, compilers.parse_ctl(text)), text
+                    ctl_explicit(model, ctl_tuple(text)), text
     passed(3, "zero-channel explicit-state equivalence")
 
 

@@ -222,6 +222,8 @@ def test_formula_ending_early_exits_2_naming_its_end(capsys, formula, message):
     ("E(GOAL)", "expected 'U' in E(_ U _), found ')' at position 6"),
     ("!(GOAL", "expected ')', found end of formula at position 6"),
     ("GOAL & )", "expected a formula, found ')' at position 7"),
+    ("", "empty formula"),
+    ("   ", "empty formula"),
 ])
 def test_ctl_syntax_errors_exit_2_naming_their_position(capsys, formula, message):
     code = cli.main(["check", model_path("abp.lcs"), "ctl", "--formula", formula])

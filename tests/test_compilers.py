@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from wsmc import compilers, oracle, terms
@@ -6,8 +8,9 @@ from wsmc.compilers import (
     compile_ctl, compile_forall_release, compile_game, compile_pre_star,
     compile_prob_game, eval_ctl, parse_ctl, refuse_noneffective)
 from wsmc.engine import Limits
-from wsmc.model import load_model
-from wsmc.terms import check_parity, is_guarded
+from wsmc.model import load_model, parse_model
+from wsmc.terms import (
+    Intersection, Mu, Not, OpApp, Union, Up, Var, check_guarded, check_parity)
 
 from conftest import model_path, random_model, random_region_for
 
@@ -59,11 +62,11 @@ def test_every_compiled_term_is_guarded(token_game, abp):
              token_game.named_regions["TOKENS"]),
             (abp, abp.named_regions["GOAL"], abp.named_regions["CLEAN0"])):
         for prop in all_compiled(model, target, safe):
-            assert is_guarded(prop.term), prop.name
+            assert check_guarded(prop.term) == [], prop.name
         a, b = sorted(model.named_regions)[:2]
         for text in CTL_FORMULAS:
             term = compile_ctl(model, text % {"a": a, "b": b}).term
-            assert is_guarded(term), text
+            assert check_guarded(term) == [], text
             check_parity(term)
 
 
@@ -73,7 +76,7 @@ def test_every_compiled_term_is_guarded_random_models(rng):
         target = random_region_for(rng, model)
         safe = random_region_for(rng, model)
         for prop in all_compiled(model, target, safe):
-            assert is_guarded(prop.term), prop.name
+            assert check_guarded(prop.term) == [], prop.name
 
 
 def test_refusals():
@@ -111,9 +114,10 @@ def test_game_compilation_needs_validated_model():
 
 
 def test_ctl_parsing():
-    assert parse_ctl("EX all") == ("ex", ("atom", "all"))
-    assert parse_ctl("E(GOAL U !SAFE)") == \
-        ("eu", ("atom", "GOAL"), ("not", ("atom", "SAFE")))
+    assert parse_ctl("EX all") == OpApp("pre", (OpApp("all"),))
+    assert parse_ctl("E(GOAL U !SAFE)") == Mu("X0", Union(
+        Not(OpApp("SAFE")),
+        Intersection(OpApp("GOAL"), OpApp("pre", (Up(Var("X0")),)))))
     with pytest.raises(NonEffectiveGoalError):
         parse_ctl("AF GOAL")
     for bad in ("AG x", "EF x", "EG x", "E(x U", "E x"):
@@ -121,9 +125,66 @@ def test_ctl_parsing():
             parse_ctl(bad)
 
 
+CTL_PIN_MODEL = """
+alphabet: a
+channels: c
+locations: p q
+region X0 = (p; a*)
+region GOAL = (q; ())
+region SAFE = (p; ())
+rule p -> q : c!a
+rule q -> p : c?a
+rule q -> q : nop
+"""
+
+
+def test_compiled_ctl_terms_are_pinned():
+    """The compiled terms, binder names included, and which error a
+    formula with both a syntax error and an unknown atom reports."""
+    model = parse_model(CTL_PIN_MODEL)
+    safe, goal, x0 = OpApp("SAFE"), OpApp("GOAL"), OpApp("X0")
+
+    def pre(t):
+        return OpApp("pre", (t,))
+
+    want = {
+        "E(SAFE U GOAL)":
+            Mu("X0", Union(goal, Intersection(safe, pre(Up(Var("X0")))))),
+        "!E(SAFE U !GOAL)":
+            Not(Mu("X0", Union(Not(goal),
+                               Intersection(safe, pre(Up(Var("X0"))))))),
+        "E(E(SAFE U GOAL) U EX SAFE) & !GOAL":
+            Intersection(Mu("X1", Union(pre(safe), Intersection(
+                Mu("X0", Union(goal, Intersection(safe, pre(Up(Var("X0")))))),
+                pre(Up(Var("X1")))))), Not(goal)),
+        "E(!SAFE U E(GOAL U all)) & !E(empty U SAFE)":
+            Intersection(
+                Mu("X1", Union(
+                    Mu("X0", Union(OpApp("all"), Intersection(
+                        goal, pre(Up(Var("X0")))))),
+                    Intersection(Not(safe), pre(Up(Var("X1")))))),
+                Not(Mu("X2", Union(safe, Intersection(
+                    OpApp("empty"), pre(Up(Var("X2")))))))),
+        "EX E(GOAL U X0)":
+            pre(Mu("X0", Union(x0, Intersection(goal, pre(Up(Var("X0"))))))),
+    }
+    assert set(want) == {text % {"a": "SAFE", "b": "GOAL"}
+                         for text in CTL_FORMULAS} | {"EX E(GOAL U X0)"}
+    for text, term in want.items():
+        assert compile_ctl(model, text).term == term, text
+    with pytest.raises(CtlError, match="^unknown region atom 'NOPE'$"):
+        compile_ctl(model, "E(NOPE U ALSO)")
+    with pytest.raises(CtlError, match=r"^expected '\)', found end of formula "
+                       "at position 12$"):
+        compile_ctl(model, "NOPE & (GOAL")
+
+
 def test_ctl_unknown_atom(flags):
-    with pytest.raises(CtlError):
-        eval_ctl(flags, "EX NOPE")
+    # confA and pre are operators of the model's algebra, not regions
+    for text, atom in (("EX NOPE", "NOPE"), ("confA", "confA"),
+                       ("!pre & all", "pre")):
+        with pytest.raises(CtlError, match="^unknown region atom %r$" % atom):
+            eval_ctl(flags, text)
 
 
 def test_ctl_ex_all_is_full_on_validated_model(flags, token_game):
@@ -132,8 +193,50 @@ def test_ctl_ex_all_is_full_on_validated_model(flags, token_game):
         assert model.space.is_universal(eval_ctl(model, "EX all"))
 
 
+def ctl_tuple(text):
+    """A well-formed CTL formula as a tuple tree, ("atom", name),
+    ("not", f), ("and", f, g), ("ex", f) or ("eu", f, g), read without
+    parse_ctl so that ctl_explicit is a reference independent of it."""
+    tokens = re.findall(r"\w+|[!&()]", text) + [None]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def conjunction():
+        left = unary()
+        while tokens[pos] == "&":
+            take()
+            left = ("and", left, unary())
+        return left
+
+    def unary():
+        tok = take()
+        if tok in ("!", "EX"):
+            return ("not" if tok == "!" else "ex", unary())
+        if tok == "E":
+            assert take() == "("
+            hold = conjunction()
+            assert take() == "U"
+            goal = conjunction()
+            assert take() == ")"
+            return ("eu", hold, goal)
+        if tok == "(":
+            inner = conjunction()
+            assert take() == ")"
+            return inner
+        return ("atom", tok)
+
+    formula = conjunction()
+    assert tokens[pos] is None, text
+    return formula
+
+
 def ctl_explicit(model, formula):
-    """Explicit-state CTL on a zero-channel model, for cross-checking."""
+    """Explicit-state CTL of a ctl_tuple tree on a zero-channel model, for
+    cross-checking."""
     edges = [(r.source, r.target) for r in model.rules
              if r.guard is None or any(p.location == r.source
                                        for p in r.guard.summands)]
@@ -175,7 +278,7 @@ def test_ctl_matches_explicit_states(flags):
         got = eval_ctl(flags, text)
         locs = frozenset(p.location
                          for p in flags.space.normalize(got).summands)
-        assert locs == ctl_explicit(flags, parse_ctl(text)), text
+        assert locs == ctl_explicit(flags, ctl_tuple(text)), text
 
 
 CTL_OPERANDS = ("P", "!Q", "EX P", "P & !Q", "E(Q U P)")

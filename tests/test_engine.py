@@ -12,7 +12,7 @@ from wsmc.model import load_model
 from wsmc.regexes import compile_regex
 from wsmc.terms import (
     Down, Intersection, Kdown, Kup, Mu, Not, Nu, OpApp, Union, Up, Var,
-    is_guarded, parse_term, unfold)
+    check_guarded, parse_term, unfold)
 
 from conftest import model_path, random_model, random_region_for
 
@@ -99,7 +99,7 @@ def closing_example(r1_pattern, r2_pattern):
 
 def test_closing_example_terminates_and_is_a_fixpoint():
     t, alg = closing_example("(a|b)*", "a b*")
-    assert is_guarded(t)
+    assert check_guarded(t) == []
     value, stats = evaluate(t, {}, alg)
     assert isinstance(value, Nfa)
     assert all(count >= 1 for counts in stats.iterations.values()
@@ -228,7 +228,7 @@ def test_engine_over_a_minimal_value_space_matches_finite_mc():
         algebra = location_set_algebra(model)
         for text in GUARDED_LOCATION_TERMS:
             t = parse_term(text, algebra)
-            assert is_guarded(t)
+            assert check_guarded(t) == []
             value, _ = evaluate(t, {}, algebra)
             assert value == oracle.finite_mc(model, t), text
             checked += 1
@@ -327,7 +327,7 @@ def test_cached_evaluation_equals_the_naive_one():
         for _ in range(4):
             is_mu = rng.random() < 0.5
             t = (Mu if is_mu else Nu)("V0", random_guarded_term(rng, 5, [("V0", is_mu)]))
-            assert is_guarded(t)
+            assert check_guarded(t) == []
             value, stats = evaluate(t, {}, algebra)
             expected, ref = naive_evaluate(t, algebra)
             text = terms.term_to_text(t)

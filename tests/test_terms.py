@@ -5,7 +5,7 @@ import pytest
 from wsmc import compilers, engine, parse_model, terms
 from wsmc.terms import (
     Down, Intersection, Kdown, Kup, Mu, Not, Nu, OpApp, Term, TermError, Union,
-    Up, Var, check_guarded, check_parity, free_vars, is_guarded, parse_term,
+    Up, Var, check_guarded, check_parity, free_vars, parse_term,
     rename_binders, substitute, term_to_text, unfold)
 
 from conftest import random_model
@@ -200,16 +200,16 @@ def test_parity_counts_complements_from_the_binder(text):
 
 
 def test_guardedness():
-    assert is_guarded(parse("mu X. V | pre(up(X))"))
-    assert is_guarded(parse("nu X. V & wpre(kdown(X))"))
-    assert is_guarded(parse("mu X. kup(X)"))
+    assert check_guarded(parse("mu X. V | pre(up(X))")) == []
+    assert check_guarded(parse("nu X. V & wpre(kdown(X))")) == []
+    assert check_guarded(parse("mu X. kup(X)")) == []
     offenders = check_guarded(parse("mu X. V | pre(X)"))
     assert offenders and offenders[0][0].startswith("X")
     # mu needs the upward operators, not the downward ones
-    assert not is_guarded(parse("mu X. down(X)"))
-    assert not is_guarded(parse("nu X. up(X)"))
+    assert check_guarded(parse("mu X. down(X)")) != []
+    assert check_guarded(parse("nu X. up(X)")) != []
     # a guard anywhere on the path suffices
-    assert is_guarded(parse("mu X. pre(pre(up(pre(X))))"))
+    assert check_guarded(parse("mu X. pre(pre(up(pre(X))))")) == []
 
 
 @pytest.mark.parametrize("text, offenders", [
@@ -227,7 +227,7 @@ def test_offender_paths_name_the_node_kinds(text, offenders):
 
 def test_guardedness_of_nested_binders():
     t = parse("nu Y. mu X. (V | pre(up(X) & kdown(Y)))")
-    assert is_guarded(t)
+    assert check_guarded(t) == []
     t = parse("nu Y. mu X. (V | pre(up(X) & Y))")
     assert [name for name, _ in check_guarded(t)] == ["Y"]
 
