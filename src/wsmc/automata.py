@@ -11,10 +11,10 @@ and the decisions run on the operands' canonical forms: one
 breadth-first walk over the state tuples of any number of them
 (_tuples) serves union_all, intersection, difference, subset and
 left_residual, with no subset construction.  Only the rational
-constructions (union among them) and the closures build NFAs; of the
-region algebra's block edits, only append does (see
-regions.RegionSpace._edit), the others hand their edited tables to
-minimal_dfa, the one minimizer, as the product walks do.
+constructions (union among them) and the closures build NFAs; the
+region algebra's atoms and block edits hand their tables to
+minimal_dfa, the one minimizer, as the product walks do (see
+regions.RegionSpace._join and _edit).
 
 Both classes are plain classes with slots: an Alphabet is a value
 (values.Value), an Nfa equals only itself.

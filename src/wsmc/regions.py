@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from . import automata
-from .automata import EPSILON, Alphabet, Nfa, Word
+from .automata import Alphabet, Nfa, Word
 from .errors import WsmcError
 from .values import Value
 
@@ -112,31 +112,35 @@ class RegionSpace:
     never evicted.  It keys on the operands, which are interned and
     small.  Unions, intersections and complements are product walks over
     the operands' DFAs (automata.union_all, intersection, difference),
-    which build no NFA.  Closures are automata.up_closure and
-    down_closure on the message symbols.  Block edits write the edited
-    table of the slice's DFA and hand it to automata.minimal_dfa, except
-    append, whose NFA goes through automata.canonicalize with those of
-    atoms and closures; canonicalize keeps no NFA it canonicalized."""
+    which build no NFA.  Atoms and block edits write tables for
+    automata.minimal_dfa too (see _join and _edit).  Closures are
+    automata.up_closure and down_closure on the message symbols, through
+    automata.canonicalize, which keeps no NFA it canonicalized."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
         self._ext_alphabet = signature.alphabet.extend(SEPARATOR)
         self._memo: Dict[tuple, object] = {}  # values: encodings or regions
         # every well-formed word: the full slice of a location
-        self._all = automata.canonicalize(self._join(
-            [Nfa.universal(signature.alphabet)] * len(signature.channels)))
+        self._all = self._join([automata.canonicalize(Nfa.universal(
+            signature.alphabet))] * len(signature.channels))
 
     def _join(self, langs) -> Nfa:
-        """An NFA of L1 # L2 # ... # Lc over the extended alphabet."""
-        trans, ends, n = [], [0], 1
-        for i, lang in enumerate(langs):
-            link = SEPARATOR if i else EPSILON
-            trans.extend((p, link, q + n) for p in ends for q in lang.initial)
-            trans.extend((p + n, x, q + n) for (p, x, q) in lang.transitions)
-            ends = [q + n for q in lang.accepting]
-            n += lang.n_states
-        return Nfa.derived(self._ext_alphabet, n, frozenset([0]), frozenset(ends),
-                           tuple(trans))
+        """The canonical form of L1 # L2 # ... # Lc for canonical channel
+        DFAs Li: their tables end to end from state 1.  A state that
+        accepts in Li moves on # to the start of Li+1; every other # move
+        goes to the dead state 0.  Without channels, the start state
+        accepts the empty tuple alone."""
+        rows, ends = [(0,) * len(self._ext_alphabet.symbols)], {1}
+        for k, lang in enumerate(langs, 1):
+            n = len(rows)
+            after = n + lang.n_states if k < len(langs) else 0
+            rows.extend(tuple(t + n for t in row) + (after if q in lang.accepting else 0,)
+                        for q, row in enumerate(lang.table))
+            ends = {q + n for q in lang.accepting}
+        if not langs:
+            rows.append(rows[0])
+        return automata.minimal_dfa(self._ext_alphabet, rows, ends, 1)
 
     def _region(self, encodings: Dict[str, Nfa]) -> Region:
         """The region of interned encodings per location; empty ones drop out."""
@@ -168,7 +172,7 @@ class RegionSpace:
             raise RegionError("channel language over another alphabet")
         langs = tuple(map(automata.canonicalize, langs))
         return self._region({loc: self._apply(
-            ("atom", langs), lambda: automata.canonicalize(self._join(langs)))})
+            ("atom", langs), lambda: self._join(langs))})
 
     def location_region(self, locs) -> Region:
         return Region(self.signature, tuple((q, self._all)
@@ -295,15 +299,16 @@ class RegionSpace:
         number of separators read to reach it.  Entering at the initial
         state counts as a separator move from START in block -1, and
         accepting as one to END in block c, so every block starts and
-        ends at separator moves.  The dead state stays dead.  Every edit
-        but append only redirects separator moves or adds states with a
-        single m move, so each state keeps one move per symbol: the
-        edited table, with a dead row for the moves it leaves out, goes
-        to minimal_dfa as it is.  append gives a state of block i an m
-        move beside its own, so it builds an NFA for canonicalize.
+        ends at separator moves.  The dead state stays dead.  prepend,
+        behead and curtail redirect separator moves, and prepend adds
+        states with a single m move.  append moves each state p of block
+        i on m to an added copy of its m successor, which takes p's
+        separator move or acceptance, and p loses its own.  So each state
+        keeps one move per symbol: the edited table, with a dead row n
+        for the moves it leaves out, goes to minimal_dfa as it is.
         """
-        table, symbols, n = enc.table, enc.alphabet.symbols, enc.n_states
-        sep, m = len(symbols) - 1, enc.alphabet.index(symbol)
+        table, n = enc.table, enc.n_states
+        sep, m = len(enc.alphabet.symbols) - 1, enc.alphabet.index(symbol)
         i, START, END = self.signature.channels.index(channel), -1, -2
         block, stack = {START: -1, END: len(self.signature.channels), 0: 0}, [0]
         while stack:
@@ -315,32 +320,27 @@ class RegionSpace:
         seps = {p: row[sep] for p, row in enumerate(table)}
         seps.update((p, END) for p in enc.accepting)  # their separators are dead
         seps[START] = 0
+        edited = [p for p in seps if block[p] == i - (kind in ("prepend", "behead"))]
+        added = dict(zip(edited, range(n + 1, n + 1 + len(edited))))  # prepend, append
         before = dict(seps)
-        edited = [p for p in before if block[p] == i - (kind in ("prepend", "behead"))]
-        if kind == "append":  # separator moves out of block i
-            moves = [(p, symbols[x], t) for p in range(n)
-                     for x, t in enumerate(table[p][:sep])]
-            for p in edited:
-                moves.append((p, symbol, n))
-                seps[n], n = seps.pop(p), n + 1
-            moves.extend((p, SEPARATOR, t) for p, t in seps.items() if p >= 0 <= t)
-            return automata.canonicalize(Nfa.derived(
-                enc.alphabet, n, frozenset([seps[START]]),
-                frozenset(p for p, t in seps.items() if t == END), tuple(moves)))
-        heads = []  # prepend: the m move of each added state n, n + 1, ...
+        seps[n] = n  # a dead state, before the added ones
+        rows = list(table) + [(n,) * (sep + 1)]  # separator moves set below
+        if kind == "append":  # a state of block i moves on m to its added copy
+            rows = [row[:m] + (added.get(p, row[m]),) + row[m + 1:]
+                    for p, row in enumerate(rows)]
         for p in edited:
             if kind == "prepend":  # separator moves into block i
-                seps[p] = n + len(heads)
-                heads.append(before[p])
+                seps[p], seps[added[p]] = added[p], n
+                rows.append((n,) * m + (before[p],) + (n,) * (sep - m))
+            elif kind == "append":  # the copy of p's m successor takes p's separator
+                seps[p], seps[added[p]] = n, before[p]
+                rows.append(rows[table[p][m]])
             elif kind == "behead":
                 seps[p] = table[seps[p]][m]
             else:
                 seps[p] = before[table[p][m]]
-        dead = n + len(heads)
-        rows = [row[:sep] + (dead if seps[p] == END else seps[p],)
-                for p, row in enumerate(table)]
-        rows += [(dead,) * m + (t,) + (dead,) * (sep - m) for t in heads]
-        rows.append((dead,) * (sep + 1))
+        rows = [row[:sep] + (n if seps[p] == END else seps[p],)
+                for p, row in enumerate(rows)]
         return automata.minimal_dfa(enc.alphabet, rows,
                                     {p for p, t in seps.items() if t == END}, seps[START])
 

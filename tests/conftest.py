@@ -127,6 +127,10 @@ FIXTURE_COMMANDS = [
     # BAD, but a stale ack lets the sender run ahead
     ["check", "abp3_safe.lcs", "prestar", "--target", "BAD", "--member", "s0w0 : ,"],
     ["check", "abp3_safe.lcs", "prestar", "--target", "BAD", "--member", "s0w0 : , a0"],
+    # post edits channel blocks: append and behead on the only channel,
+    # then append on the first of two
+    ["eval", "token_game.lcs", "-f", "postp(TOKENS)"],
+    ["eval", "abp.lcs", "-f", "postp(postp(CLEAN0))"],
 ]
 
 

@@ -25,6 +25,7 @@ from wsmc.terms import (
 from conftest import (
     FIXTURE_COMMANDS, fixture_argv, model_path, random_model, random_nfa,
     random_region_for)
+import record_fixture_goldens
 from record_fixture_goldens import GOLDENS, run_fixture
 from test_compilers import all_compiled, ctl_explicit, ctl_tuple
 from test_engine import closing_example
@@ -313,3 +314,22 @@ def test_fixture_outputs_match_goldens(command):
     proc = run_fixture(command)
     assert proc.returncode == golden["exit"]
     assert proc.stdout == golden["stdout"].encode("utf-8")
+
+
+def test_recording_fixture_goldens_keeps_the_recorded_entries(tmp_path, monkeypatch):
+    with open(GOLDENS, "rb") as handle:
+        recorded = handle.read()
+    entries = json.loads(recorded)
+    kept, missing = entries[0], entries[1]
+    copy = tmp_path / "fixture_outputs.json"
+    stale = dict(kept, stdout="stale\n")
+    dropped = {"command": ["validate", "gone.lcs"], "exit": 2, "stdout": ""}
+    copy.write_text(json.dumps([dropped, stale] + entries[2:]), encoding="utf-8")
+    monkeypatch.setattr(record_fixture_goldens, "GOLDENS", str(copy))
+    ran = []
+    monkeypatch.setattr(record_fixture_goldens, "run_fixture",
+                        lambda command: ran.append(command) or run_fixture(command))
+    record_fixture_goldens.main()
+    # only the command without an entry runs; the stale entry stays
+    assert ran == [missing["command"]]
+    assert json.loads(copy.read_bytes()) == [stale, missing] + entries[2:]

@@ -313,23 +313,41 @@ def test_the_full_slice_absorbs_a_union_without_a_walk(space, rng, monkeypatch):
         assert space._memo == memo and walks == []
 
 
-def test_a_repeated_atom_is_encoded_once(space, rng, monkeypatch):
-    joins = []
-    join = space._join
-    monkeypatch.setattr(space, "_join", lambda langs: joins.append(langs) or join(langs))
-    for _ in range(10):
-        langs = (random_nfa(rng, AB, 3), random_nfa(rng, AB, 3))
-        space.atom("p", langs)
-        # the encoding as atom built it without the memo
-        enc = automata.canonicalize(join(tuple(map(automata.canonicalize, langs))))
-        del joins[:]
-        copies = tuple(Nfa(a.alphabet, a.n_states, a.initial, a.accepting, a.transitions)
-                       for a in langs)
-        for loc in SIG.locations:
-            assert space.atom(loc, copies).encodings == ({loc: enc} if enc.accepting
-                                                         else {})
-            assert space.atom(loc, langs) == space.atom(loc, copies)
-        assert joins == []
+def reference_join_nfa(space, langs):
+    """An NFA of L1 # L2 # ... # Lc over the extended alphabet, built
+    move by move: the reference that RegionSpace._join's tables are
+    checked against."""
+    trans, ends, n = [], [0], 1
+    for i, lang in enumerate(langs):
+        link = "#" if i else None
+        trans.extend((p, link, q + n) for p in ends for q in lang.initial)
+        trans.extend((p + n, x, q + n) for (p, x, q) in lang.transitions)
+        ends = [q + n for q in lang.accepting]
+        n += lang.n_states
+    return Nfa(space._ext_alphabet, n, frozenset([0]), frozenset(ends), tuple(trans))
+
+
+def test_a_repeated_atom_is_encoded_once(rng, monkeypatch):
+    for channels in ((), ("c",), ("c", "d"), ("c", "d", "e")):
+        space = RegionSpace(Signature(AB, channels, ("p", "q")))
+        joins = []
+        join = space._join
+        monkeypatch.setattr(space, "_join", lambda langs: joins.append(langs) or join(langs))
+        pool = [Nfa.empty(AB), compile_regex(".*", AB)]
+        for k in range(10):
+            # all empty, all .*, then random languages with those two among them
+            langs = tuple(pool[k] if k < 2 else rng.choice(pool + [random_nfa(rng, AB, 3)])
+                          for _ in channels)
+            space.atom("p", langs)
+            enc = automata.canonicalize(reference_join_nfa(space, langs))
+            del joins[:]
+            copies = tuple(Nfa(a.alphabet, a.n_states, a.initial, a.accepting, a.transitions)
+                           for a in langs)
+            for loc in space.signature.locations:
+                assert space.atom(loc, copies).encodings == ({loc: enc} if enc.accepting
+                                                             else {})
+                assert space.atom(loc, langs) == space.atom(loc, copies)
+            assert joins == []
 
 
 def test_alphabet_with_the_separator_is_rejected():
@@ -483,12 +501,14 @@ def test_edits_that_move_or_accept_at_the_start_state():
     assert space.edit(at("p", "()"), "p", "q", "append", "c", "b") == at("q", "b")
 
 
-def test_only_append_runs_the_subset_construction(monkeypatch):
+def test_no_atom_or_block_edit_runs_the_subset_construction(monkeypatch):
     space = RegionSpace(SIG)
-    region = space.atom("p", (compile_regex("a*b", AB), compile_regex("(ab)*", AB)))
+    langs = tuple(automata.canonicalize(compile_regex(pattern, AB))
+                  for pattern in ("a*b", "(ab)*"))
     runs = []
     real = automata._determinize
     monkeypatch.setattr(automata, "_determinize", lambda a: runs.append(a) or real(a))
-    for kind in EDITS:
-        space.edit(region, "p", "q", kind, "d", "a")
-    assert len(runs) == 1
+    region = space.atom("p", langs)
+    for kind, channel, symbol in itertools.product(EDITS, SIG.channels, AB.symbols):
+        space.edit(region, "p", "q", kind, channel, symbol)
+    assert runs == []
