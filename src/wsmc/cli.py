@@ -220,10 +220,8 @@ def _cmd_oracle(args):
     if args.oracle_command == "reach":
         print(oracle.bounded_reach(model, start, target, args.depth))
         return 0
-    if args.oracle_command == "game":
-        print(oracle.bounded_game(model, start, target, args.player, args.depth))
-        return 0
-    raise CliError("unknown oracle subcommand")
+    print(oracle.bounded_game(model, start, target, args.player, args.depth))
+    return 0
 
 
 def main(argv=None) -> int:

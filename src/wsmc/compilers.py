@@ -173,7 +173,7 @@ def parse_ctl(text: str) -> Term:
         if tok == "(":
             inner, i = conjunction(i + 1)
             return inner, expect(i, ")", "')'")
-        if tok in ("AF", "AG", "EF", "EG", "A", "U"):
+        if tok in terms.CTL_KEYWORDS:  # the rest: A, AF, AG, EF, EG and U
             if tok == "AF":
                 refuse_noneffective("forall-eventually")
             raise CtlError("%r is outside the supported fragment "
@@ -192,8 +192,8 @@ def compile_ctl(model: GlcsModel, text: str) -> CompiledProperty:
     """The formula's guarded term, once each of its atoms, in text order,
     is `all`, `empty` or a named region of the model."""
     term = parse_ctl(text)
-    # once the text parses, every identifier but E, EX and U is an atom
-    known = {"E", "EX", "U", "all", "empty", *model.named_regions}
+    # once the text parses, every identifier but a keyword is an atom
+    known = {*terms.CTL_KEYWORDS, "all", "empty", *model.named_regions}
     for kind, name, _ in terms.tokenize(text, "!&()", CtlError):
         if kind == "ident" and name not in known:
             raise CtlError("unknown region atom %r" % (name,))

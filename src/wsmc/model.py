@@ -50,7 +50,7 @@ STEP_OPERATORS = {
 }
 
 # names a formula already gives a meaning to, so no region may take them
-RESERVED_NAMES = terms.KEYWORDS | set(STEP_OPERATORS)
+RESERVED_NAMES = terms.KEYWORDS | terms.CTL_KEYWORDS | set(STEP_OPERATORS)
 
 
 class ModelError(WsmcError):
@@ -432,7 +432,6 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
     owners: Dict[str, Optional[str]] = {}
     pending_regions: List[Tuple[int, str, str]] = []
     pending_rules: List[Tuple[int, str]] = []
-    saw_channels = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -445,7 +444,6 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                     for sym in line[len("alphabet:"):].split()))
             elif line.startswith("channels:"):
                 channels = _identifiers("channel", line[len("channels:"):].split())
-                saw_channels = True
             elif line.startswith("locations:"):
                 for item in line[len("locations:"):].split():
                     loc, owner = item, None
@@ -476,8 +474,6 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
         raise ModelError("%s: missing alphabet declaration" % name)
     if not locations:
         raise ModelError("%s: missing locations declaration" % name)
-    if not saw_channels:
-        channels = ()
 
     model = GlcsModel(alphabet, channels, tuple(locations), owners, ())
     for lineno, rname, expr in pending_regions:

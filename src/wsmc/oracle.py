@@ -1,18 +1,20 @@
 """Deliberately naive reference implementations used by the tests.
 
 Everything here recomputes definitions by direct enumeration or search,
-sharing no construction code with the engine, so a disagreement points
-at the engine.  Never imported by the engine modules.
+running automata, words and steps itself, so a disagreement points at
+the engine.  It shares only its inputs: a model's rules and owners, and
+a region read as `Region.summands` (products of channel languages, from
+`regions._decompose`).  Never imported by the engine modules.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .automata import EPSILON, Alphabet, Nfa, Word
 from .errors import WsmcError
-from .model import GlcsModel, INTERNAL, RECV, SEND
+from .model import GlcsModel, RECV, SEND
 from .regions import Config, Region
 from . import terms
 
@@ -122,15 +124,6 @@ def in_down_kernel(nfa: Nfa, w: Word) -> bool:
     return all(nfa_accepts(nfa, u) for u in subwords(w))
 
 
-def closure_slice(op: str, nfa: Nfa, max_len: int) -> Set[Word]:
-    """Exact truncation of a closure/kernel of L(nfa) to words <= max_len."""
-    member = {"up_closure": in_up_closure,
-              "down_closure": in_down_closure,
-              "up_kernel": in_up_kernel,
-              "down_kernel": in_down_kernel}[op]
-    return {w for w in enum_words(nfa.alphabet, max_len) if member(nfa, w)}
-
-
 # -- word operations on explicit sets -----------------------------------
 
 def _interleavings(u: Word, v: Word) -> Set[Word]:
@@ -143,72 +136,40 @@ def _interleavings(u: Word, v: Word) -> Set[Word]:
     return first | second
 
 
-def brute_words(op: str, inputs, max_len: int, alphabet: Optional[Alphabet] = None):
-    """Apply a word operation by enumeration; results truncate to max_len.
+def concat(a: Set[Word], b: Set[Word], max_len: int) -> Set[Word]:
+    """The words uv of length at most max_len, u in a and v in b."""
+    return {u + v for u in a for v in b if len(u) + len(v) <= max_len}
 
-    `inputs` are explicit word sets, except the closure/kernel ops which
-    take an Nfa (their definitions quantify over unbounded witnesses and
-    need the search in `closure_slice`).
-    """
-    if max_len > MAX_LEN_CAP:
-        raise OracleError("word length bound %d exceeds the cap of %d"
-                          % (max_len, MAX_LEN_CAP))
-    if op in ("up_closure", "down_closure", "up_kernel", "down_kernel"):
-        (nfa,) = inputs
-        if isinstance(nfa, Nfa):
-            return closure_slice(op, nfa, max_len)
-        # explicit-set variants, exact for up-closure and down-closure
-        words = set(nfa)
-        universe = enum_words(alphabet, max_len)
-        if op == "up_closure":
-            return {w for w in universe if any(is_subword(u, w) for u in words)}
-        if op == "down_closure":
-            return {w for w in universe if any(is_subword(w, v) for v in words)}
-        raise OracleError("kernels need an automaton input")
-    if op == "union":
-        a, b = inputs
-        return set(a) | set(b)
-    if op == "intersection":
-        a, b = inputs
-        return set(a) & set(b)
-    if op == "difference":
-        a, b = inputs
-        return set(a) - set(b)
-    if op == "complement":
-        (a,) = inputs
-        return set(enum_words(alphabet, max_len)) - set(a)
-    if op == "concat":
-        a, b = inputs
-        return {u + v for u in a for v in b if len(u) + len(v) <= max_len}
-    if op == "star":
-        (a,) = inputs
-        out = {()}
-        frontier = {()}
-        while frontier:
-            nxt = {u + v for u in frontier for v in a if len(u + v) <= max_len}
-            frontier = nxt - out
-            out |= nxt
-        return out
-    if op == "reverse":
-        (a,) = inputs
-        return {tuple(reversed(u)) for u in a}
-    if op == "shuffle":
-        a, b = inputs
-        out = set()
-        for u in a:
-            for v in b:
-                if len(u) + len(v) <= max_len:
-                    out |= _interleavings(u, v)
-        return out
-    if op == "left_residual":
-        a, b = inputs
-        return {v for u in a for (w, v) in ((w, w[len(u):]) for w in b)
-                if w[:len(u)] == u}
-    if op == "right_residual":
-        a, b = inputs
-        return {w[:len(w) - len(v)] for v in b for w in a
-                if len(w) >= len(v) and w[len(w) - len(v):] == v}
-    raise OracleError("unknown word operation %r" % (op,))
+
+def star(a: Set[Word], max_len: int) -> Set[Word]:
+    """The concatenations of words of a, up to length max_len."""
+    out = {()}
+    frontier = {()}
+    while frontier:
+        frontier = concat(frontier, a, max_len) - out
+        out |= frontier
+    return out
+
+
+def shuffle(a: Set[Word], b: Set[Word], max_len: int) -> Set[Word]:
+    """The interleavings of u in a and v in b, up to length max_len."""
+    out = set()
+    for u in a:
+        for v in b:
+            if len(u) + len(v) <= max_len:
+                out |= _interleavings(u, v)
+    return out
+
+
+def left_residual(a: Set[Word], b: Set[Word]) -> Set[Word]:
+    """{v | u in a, uv in b}."""
+    return {w[len(u):] for u in a for w in b if w[:len(u)] == u}
+
+
+def right_residual(a: Set[Word], b: Set[Word]) -> Set[Word]:
+    """{u | v in b, uv in a}."""
+    return {w[:len(w) - len(v)] for v in b for w in a
+            if len(w) >= len(v) and w[len(w) - len(v):] == v}
 
 
 # -- region membership without the region algebra -----------------------
@@ -288,58 +249,47 @@ def bounded_reach(model: GlcsModel, start: Config, target: Region,
 
 def bounded_game(model: GlcsModel, start: Config, target: Region,
                  reacher: str = "A", depth: int = 8) -> str:
-    """Reachability game verdict from exhaustive search.
+    """Reachability game verdict from the reacher's attractor of the target.
 
-    Explores the lossy-step arena up to `depth`.  If the reachable set
-    closes within the bound the finite sub-arena is solved exactly by
-    backward induction; otherwise only a forced win for the reaching
-    player within the bound is reported, anything else is "unknown".
+    Explores the lossy-step arena up to `depth`, then grows the winning
+    set from the target: a reacher configuration joins when one successor
+    wins, an avoider one when every successor wins (so a stuck avoider
+    loses, as under wpre).  If the exploration closed the attractor grows
+    to convergence and a start outside it is the avoider's; otherwise it
+    grows for `depth` rounds and anything but a reacher win is "unknown".
     """
     _check_depth(depth)
+    for loc in model.locations:
+        if model.owners.get(loc) is None:
+            raise OracleError("location %s has no owner, so the game has no "
+                              "player to move there" % loc)
     avoider = "B" if reacher == "A" else "A"
     seen = {start}
     frontier = {start}
-    closed = False
     succ: Dict[Config, Set[Config]] = {}
     for _ in range(depth):
-        nxt = set()
         for c in frontier:
             succ[c] = lossy_successors(model, c)
-            nxt |= succ[c]
-        frontier = nxt - seen
+        frontier = set().union(*(succ[c] for c in frontier)) - seen
         seen |= frontier
         if not frontier:
-            closed = True
             break
-    if closed:
-        winning = {c for c in seen if region_member(target, c)}
-        changed = True
-        while changed:
-            changed = False
-            for c in seen - winning:
-                successors = succ[c]
-                owner = model.owners.get(c.location)
-                if owner == reacher and successors & winning:
-                    winning.add(c)
-                    changed = True
-                elif owner == avoider and successors and successors <= winning:
-                    winning.add(c)
-                    changed = True
-        return "win_%s" % reacher if start in winning else "win_%s" % avoider
+    closed = not frontier
+    winning = {c for c in seen if region_member(target, c)}
 
-    def forced(config: Config, remaining: int) -> bool:
-        if region_member(target, config):
-            return True
-        if remaining == 0:
-            return False
-        successors = lossy_successors(model, config)
-        owner = model.owners.get(config.location)
-        if owner == reacher:
-            return any(forced(c, remaining - 1) for c in successors)
-        return bool(successors) and all(forced(c, remaining - 1)
-                                        for c in successors)
+    def joins(c: Config) -> bool:
+        if model.owners[c.location] == reacher:
+            return bool(succ[c] & winning)
+        return succ[c] <= winning
 
-    return "win_%s" % reacher if forced(start, depth) else "unknown"
+    for _ in itertools.count() if closed else range(depth):
+        joining = {c for c in succ if c not in winning and joins(c)}
+        if not joining:
+            break
+        winning |= joining
+    if start in winning:
+        return "win_%s" % reacher
+    return "win_%s" % avoider if closed else "unknown"
 
 
 # -- explicit-state model checking for zero-channel models ---------------

@@ -195,6 +195,8 @@ def check_guarded(t: Term) -> List[Tuple[str, str]]:
 # -- concrete syntax ---------------------------------------------------
 
 KEYWORDS = {"mu", "nu", "up", "down", "kup", "kdown", "empty", "all"}
+# the words of a CTL formula (compilers.parse_ctl), which no atom may be
+CTL_KEYWORDS = {"E", "EX", "U", "A", "AF", "AG", "EF", "EG"}
 
 
 def tokenize(text: str, punctuation: str = "|&!().,", error=TermError):

@@ -3,9 +3,16 @@ import random
 
 import pytest
 
+from wsmc import automata, oracle
 from wsmc.automata import Alphabet, Nfa
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+
+# each subword closure and kernel with the oracle's membership predicate
+CLOSURE_ORACLES = ((automata.up_closure, oracle.in_up_closure),
+                   (automata.down_closure, oracle.in_down_closure),
+                   (automata.up_kernel, oracle.in_up_kernel),
+                   (automata.down_kernel, oracle.in_down_kernel))
 
 
 def model_path(name):

@@ -23,8 +23,8 @@ from wsmc.terms import (
     check_guarded, unfold)
 
 from conftest import (
-    FIXTURE_COMMANDS, fixture_argv, model_path, random_model, random_nfa,
-    random_region_for)
+    CLOSURE_ORACLES, FIXTURE_COMMANDS, fixture_argv, model_path, random_model,
+    random_nfa, random_region_for)
 import record_fixture_goldens
 from record_fixture_goldens import GOLDENS, run_fixture
 from test_compilers import all_compiled, ctl_explicit, ctl_tuple
@@ -57,12 +57,9 @@ def test_criterion_1_closure_kernel_correctness():
     rng = random.Random(101)
     for _ in range(200):
         nfa = random_nfa(rng, AB, max_states=6)
-        for op, fn in (("up_closure", automata.up_closure),
-                       ("down_closure", automata.down_closure),
-                       ("up_kernel", automata.up_kernel),
-                       ("down_kernel", automata.down_kernel)):
+        for fn, member in CLOSURE_ORACLES:
             assert oracle.language_slice(fn(nfa), 6) == \
-                oracle.closure_slice(op, nfa, 6)
+                {w for w in oracle.enum_words(AB, 6) if member(nfa, w)}
         assert automata.equal(
             automata.complement(automata.up_kernel(nfa)),
             automata.down_closure(automata.complement(nfa)))

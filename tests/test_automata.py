@@ -7,7 +7,7 @@ from wsmc import automata, oracle
 from wsmc.automata import Alphabet, AutomatonError, Nfa
 from wsmc.regexes import compile_regex
 
-from conftest import random_nfa
+from conftest import CLOSURE_ORACLES, random_nfa
 
 
 def lang(nfa, max_len=4):
@@ -41,8 +41,7 @@ def test_boolean_operations_match_oracle(ab, rng):
         a, b = random_nfa(rng, ab), random_nfa(rng, ab)
         sa, sb = lang(a), lang(b)
         assert lang(automata.union(a, b)) == sa | sb
-        assert lang(automata.complement(a)) == oracle.brute_words(
-            "complement", [sa], 4, ab)
+        assert lang(automata.complement(a)) == set(oracle.enum_words(ab, 4)) - sa
         for x, y in itertools.product(operands(a, b), repeat=2):
             sx, sy = lang(x), lang(y)
             assert lang(automata.intersection(x, y)) == sx & sy
@@ -74,14 +73,10 @@ def test_product_walk_of_any_number_of_operands_matches_oracle(ab, rng):
 def test_rational_operations_match_oracle(ab, rng):
     for _ in range(30):
         a, b = random_nfa(rng, ab), random_nfa(rng, ab)
-        assert lang(automata.concat(a, b)) == oracle.brute_words(
-            "concat", [lang(a), lang(b)], 4, ab)
-        assert lang(automata.star(a)) == oracle.brute_words(
-            "star", [lang(a)], 4, ab)
-        assert lang(automata.reverse(a)) == oracle.brute_words(
-            "reverse", [lang(a)], 4, ab)
-        assert lang(automata.shuffle(a, b)) == oracle.brute_words(
-            "shuffle", [lang(a), lang(b)], 4, ab)
+        assert lang(automata.concat(a, b)) == oracle.concat(lang(a), lang(b), 4)
+        assert lang(automata.star(a)) == oracle.star(lang(a), 4)
+        assert lang(automata.reverse(a)) == {u[::-1] for u in lang(a)}
+        assert lang(automata.shuffle(a, b)) == oracle.shuffle(lang(a), lang(b), 4)
 
 
 def test_shuffle_examples():
@@ -101,11 +96,9 @@ def test_residuals_match_oracle(ab, rng):
         _, _, two, none = operands(a, b)
         for x, y in ((a, b), (two, a), (b, two), (none, b), (a, none)):
             sx, sy = oracle.language_slice(x, 8), oracle.language_slice(y, 8)
-            want_l = {v for v in oracle.brute_words("left_residual", [sx, sy], 8, ab)
-                      if len(v) <= 3}
+            want_l = {v for v in oracle.left_residual(sx, sy) if len(v) <= 3}
             assert oracle.language_slice(automata.left_residual(x, y), 3) == want_l
-            want_r = {u for u in oracle.brute_words("right_residual", [sx, sy], 8, ab)
-                      if len(u) <= 3}
+            want_r = {u for u in oracle.right_residual(sx, sy) if len(u) <= 3}
             assert oracle.language_slice(automata.right_residual(x, y), 3) == want_r
 
 
@@ -168,12 +161,9 @@ def test_subword_membership(ab, rng):
 def test_closures_match_search_oracle(ab, rng):
     for _ in range(40):
         a = random_nfa(rng, ab)
-        for op, fn in (("up_closure", automata.up_closure),
-                       ("down_closure", automata.down_closure),
-                       ("up_kernel", automata.up_kernel),
-                       ("down_kernel", automata.down_kernel)):
+        for fn, member in CLOSURE_ORACLES:
             assert oracle.language_slice(fn(a), 5) == \
-                oracle.closure_slice(op, a, 5)
+                {u for u in oracle.enum_words(ab, 5) if member(a, u)}
 
 
 def test_canonicalization_identifies_languages(ab, rng):

@@ -193,6 +193,18 @@ def test_oracle_refuses_negative_depth(capsys, search):
     assert captured.err == "error: search depth must be nonnegative, got -1\n"
 
 
+def test_oracle_game_refuses_an_unowned_location_at_every_depth(tmp_path, capsys):
+    unowned = tmp_path / "unowned.lcs"
+    unowned.write_text("alphabet: a\nlocations: s[B] u w[A]\n"
+                       "rule s -> u : nop\nrule u -> w : nop\nrule w -> w : nop\n")
+    for depth in range(5):
+        code = cli.main(["oracle", "game", str(unowned), "--from", "s",
+                         "--target", "(w)", "--depth", str(depth)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: location u has no owner")
+
+
 def test_eval_unguarded_exits_2(capsys):
     code = cli.main(["eval", model_path("flags.lcs"), "-f", "mu X. X"])
     err = capsys.readouterr().err

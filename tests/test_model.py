@@ -82,7 +82,7 @@ def test_parse_model_rule_errors_carry_line_numbers(rule, message):
 
 @pytest.mark.parametrize("name", [
     "empty", "all", "pre", "wpre", "post", "prep", "wprep", "postp",
-    "confA", "confB", "mu", "nu", "up", "down", "kup", "kdown"])
+    "confA", "confB", "mu", "nu", "up", "down", "kup", "kdown", "AF", "EX", "U"])
 def test_parse_model_rejects_reserved_region_names(name):
     text = "alphabet: a\nchannels: c\nlocations: p\nregion %s = (p; a)" % name
     with pytest.raises(ModelError) as info:

@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from wsmc import oracle
+from wsmc import compilers, oracle
 from wsmc.automata import Alphabet, Nfa
-from wsmc.model import load_model, parse_config, parse_region_text
+from wsmc.model import GlcsModel, Rule, load_model, parse_model, parse_region_text
 from wsmc.regexes import compile_regex
 from wsmc.regions import Config
 from wsmc.terms import parse_term
 
-from conftest import model_path, random_nfa
+from conftest import model_path, random_model, random_nfa, random_region_for
 
 AB = Alphabet(("a", "b"))
 
@@ -28,7 +28,7 @@ def test_subword_basics():
 def test_enum_words_counts():
     assert len(oracle.enum_words(AB, 3)) == 1 + 2 + 4 + 8
     with pytest.raises(oracle.OracleError):
-        oracle.brute_words("union", [set(), set()], 99, AB)
+        oracle.enum_words(AB, 99)
 
 
 def test_nfa_simulation_agrees_with_engine(rng):
@@ -52,9 +52,19 @@ def test_closure_membership_definitions():
 
 
 def test_interleavings():
-    got = oracle.brute_words("shuffle", [{w("ab")}, {w("c")}], 3,
-                             Alphabet(("a", "b", "c")))
-    assert got == {w("cab"), w("acb"), w("abc")}
+    assert oracle.shuffle({w("ab")}, {w("c")}, 3) == {w("cab"), w("acb"), w("abc")}
+    assert oracle.shuffle({w("ab")}, {w("c"), ()}, 2) == {w("ab")}
+
+
+def test_word_operations_by_hand():
+    assert oracle.concat({(), w("a")}, {w("b"), w("bb")}, 2) == \
+        {w("b"), w("bb"), w("ab")}  # abb is too long
+    assert oracle.star({w("ab")}, 5) == {(), w("ab"), w("abab")}
+    assert oracle.star(set(), 3) == {()}
+    assert oracle.left_residual({w("a")}, {w("ab"), w("b"), w("aa")}) == \
+        {w("b"), w("a")}
+    assert oracle.right_residual({w("ab"), w("b"), w("aa")}, {w("b")}) == \
+        {w("a"), ()}
 
 
 def test_region_member():
@@ -91,6 +101,53 @@ def test_bounded_game_verdicts():
     # A cannot force win: B always has the nop escape at b1
     assert oracle.bounded_game(model, Config("a0", ((),)), goal, "A", 6) \
         in ("win_B", "unknown")
+
+
+def test_bounded_game_stuck_opponent_loses():
+    # B at q may only move with an a at the head of c, and c is empty
+    model = parse_model("alphabet: a\nchannels: c\nlocations: p[A] q[B]\n"
+                        "rule p -> q : nop\nrule q -> p : nop guard (q; a .*)")
+    assert model.validate() == []
+    goal = parse_region_text("(p; .*)", model)
+    start = Config("q", ((),))
+    region, _ = compilers.compile_game("reach", model, "A", goal).run()
+    assert model.space.member(start, region)
+    assert oracle.bounded_game(model, start, goal, "A", 0) == "unknown"
+    for depth in range(1, 5):
+        assert oracle.bounded_game(model, start, goal, "A", depth) == "win_A"
+
+
+def _guard_exits(rng, model):
+    """The model with the unguarded exit that random_model gives each
+    location guarded at random, so that a configuration may have no move."""
+    n = len(model.locations)
+    exits = tuple(Rule(r.source, r.target, r.kind, guard=random_region_for(rng, model))
+                  if rng.random() < 0.5 else r for r in model.rules[:n])
+    return GlcsModel(model.alphabet, model.channels, model.locations,
+                     model.owners, exits + model.rules[n:])
+
+
+def test_bounded_game_agrees_with_the_compiled_attractor(rng):
+    for trial in range(80):
+        model = random_model(rng, max_channels=rng.randint(0, 2), game=True)
+        if trial % 2:
+            model = _guard_exits(rng, model)
+        target = random_region_for(rng, model)
+        short = [()] + [(sym,) for sym in model.alphabet.symbols]
+        configs = [Config(loc, contents) for loc in model.locations
+                   for contents in itertools.product(short, repeat=len(model.channels))]
+        for player in "AB":
+            region, _ = compilers.compile_game("reach", model, player, target).run()
+            for config in configs:
+                verdicts = [oracle.bounded_game(model, config, target, player, depth)
+                            for depth in range(7)]
+                settled = [v for v in verdicts if v != "unknown"]
+                # unknown until the first verdict, which then never changes
+                assert verdicts[len(verdicts) - len(settled):] == settled
+                assert len(set(settled)) <= 1
+                if settled:
+                    assert model.space.member(config, region) == \
+                        (settled[0] == "win_" + player)
 
 
 def test_finite_mc_hand_example():
