@@ -30,7 +30,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _iteration_cap(text):
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             "expected an integer of at least 1, got %r" % (text,))
     return int(text)

@@ -143,7 +143,7 @@ def parse_ctl(text: str) -> Term:
     as formulas do."""
     if not text.strip():
         raise CtlError("empty formula")
-    tokens = terms.tokenize(text, "!&()", CtlError) + [(None, None, len(text))]
+    tokens = terms.tokenize(text, terms.CTL_PUNCTUATION, terms.error_at_position(CtlError))
     fresh = itertools.count()
 
     def expect(i, value, what):  # the index past tokens[i], which must be value
@@ -194,7 +194,8 @@ def compile_ctl(model: GlcsModel, text: str) -> CompiledProperty:
     term = parse_ctl(text)
     # once the text parses, every identifier but a keyword is an atom
     known = {*terms.CTL_KEYWORDS, "all", "empty", *model.named_regions}
-    for kind, name, _ in terms.tokenize(text, "!&()", CtlError):
+    for kind, name, _ in terms.tokenize(text, terms.CTL_PUNCTUATION,
+                                        terms.error_at_position(CtlError)):
         if kind == "ident" and name not in known:
             raise CtlError("unknown region atom %r" % (name,))
     return CompiledProperty("ctl", term, model.algebra())

@@ -432,20 +432,25 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
     owners: Dict[str, Optional[str]] = {}
     pending_regions: List[Tuple[int, str, str]] = []
     pending_rules: List[Tuple[int, str]] = []
+    first_line: Dict[str, int] = {}  # of the alphabet and the channels line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        keyword, _, rest = line.partition(":")
         try:
-            if line.startswith("alphabet:"):
-                alphabet = Alphabet(tuple(
-                    _identifier("symbol", sym)
-                    for sym in line[len("alphabet:"):].split()))
-            elif line.startswith("channels:"):
-                channels = _identifiers("channel", line[len("channels:"):].split())
-            elif line.startswith("locations:"):
-                for item in line[len("locations:"):].split():
+            if keyword in ("alphabet", "channels") and (
+                    first_line.setdefault(keyword, lineno) != lineno):
+                raise ModelError("duplicate %s declaration (first declared on "
+                                 "line %d)" % (keyword, first_line[keyword]))
+            if keyword == "alphabet":
+                alphabet = Alphabet(tuple(_identifier("symbol", sym)
+                                          for sym in rest.split()))
+            elif keyword == "channels":
+                channels = _identifiers("channel", rest.split())
+            elif keyword == "locations":
+                for item in rest.split():
                     loc, owner = item, None
                     if item.endswith("]") and "[" in item:
                         loc, _, owner = item[:-1].partition("[")

@@ -12,15 +12,16 @@ Grammar (whitespace insignificant):
         | "."              any single symbol
         | IDENT            a symbol of the alphabet
 
-An identifier that is not itself an alphabet symbol is split greedily
-into alphabet symbols, so that e.g. "ab" over {a,b} means a.b.
+The tokens come from terms.tokenize, which formulas and CTL share.  An
+identifier that is not itself an alphabet symbol is split greedily into
+alphabet symbols, so that e.g. "ab" over {a,b} means a.b.
 """
 
 from __future__ import annotations
 
 import functools
 
-from . import automata
+from . import automata, terms
 from .automata import Alphabet, Nfa
 from .errors import WsmcError
 
@@ -33,34 +34,7 @@ class RegexError(WsmcError):
         self.position = position
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "|*+?().~":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "{":
-            if i + 1 < n and text[i + 1] == "}":
-                tokens.append(("{}", "{}", i))
-                i += 2
-                continue
-            raise RegexError("expected '{}'", i)
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise RegexError("unexpected character %r" % ch, i)
-    return tokens
+_PUNCTUATION = {*"|*+?().~", "{}"}
 
 
 def _split_symbols(name: str, alphabet: Alphabet, pos: int):
@@ -82,16 +56,13 @@ def _split_symbols(name: str, alphabet: Alphabet, pos: int):
 
 
 class _Parser:
-    def __init__(self, tokens, alphabet, length):
+    def __init__(self, tokens, alphabet):
         self.tokens = tokens
         self.alphabet = alphabet
         self.pos = 0
-        self.end = (None, None, length)  # the token past the last one
 
     def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return self.end
+        return self.tokens[self.pos]
 
     @staticmethod
     def found(tok) -> str:
@@ -181,7 +152,7 @@ class _Parser:
 
 def compile_regex(pattern: str, alphabet: Alphabet) -> Nfa:
     """Compile regex text into an NFA accepting exactly the denoted language."""
-    return _Parser(_tokenize(pattern), alphabet, len(pattern)).parse()
+    return _Parser(terms.tokenize(pattern, _PUNCTUATION, RegexError), alphabet).parse()
 
 
 # -- regex regeneration from automata ----------------------------------

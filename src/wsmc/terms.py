@@ -195,39 +195,52 @@ def check_guarded(t: Term) -> List[Tuple[str, str]]:
 # -- concrete syntax ---------------------------------------------------
 
 KEYWORDS = {"mu", "nu", "up", "down", "kup", "kdown", "empty", "all"}
-# the words of a CTL formula (compilers.parse_ctl), which no atom may be
+# the words of a CTL formula (compilers.parse_ctl), which no atom may be,
+# and its punctuation
 CTL_KEYWORDS = {"E", "EX", "U", "A", "AF", "AG", "EF", "EG"}
+CTL_PUNCTUATION = frozenset("!&()")
 
 
-def tokenize(text: str, punctuation: str = "|&!().,", error=TermError):
-    """(kind, value, position) per punctuation character (kind is the
-    character) and per identifier of letters, digits and `_` ("ident")."""
+def tokenize(text: str, punctuation, error):
+    """The tokens (kind, value, position) of text, then the end token
+    (None, None, len(text)).  A token of the collection punctuation, of
+    one or two characters, is its own kind and value; an identifier of
+    letters, digits and `_` has kind "ident".  Any other character raises
+    error(message, position), which names the token it may begin."""
     tokens = []
     i = 0
     n = len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
+        pair = text[i:i + 2]
+        tok = pair if pair in punctuation else text[i]
+        if tok.isspace():
             i += 1
-            continue
-        if ch in punctuation:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
+        elif tok in punctuation:
+            tokens.append((tok, tok, i))
+            i += len(tok)
+        elif tok.isalnum() or tok == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j
-            continue
-        raise error("unexpected character %r at position %d" % (ch, i))
+        else:
+            longer = [p for p in punctuation if p[0] == tok]
+            raise error("expected %r" % longer[0] if longer
+                        else "unexpected character %r" % tok, i)
+    tokens.append((None, None, n))
     return tokens
 
 
+def error_at_position(cls):
+    """The error callable of tokenize for formulas and CTL, whose
+    messages end in "at position N"."""
+    return lambda message, position: cls("%s at position %d" % (message, position))
+
+
 def found(tok) -> str:
-    """What an error message says about the unexpected token tok; the
-    token past the last one is (None, None, length of the text)."""
+    """What an error message says about the unexpected token tok, which
+    may be the end token."""
     what = "end of formula" if tok[0] is None else repr(tok[1])
     return "found %s at position %d" % (what, tok[2])
 
@@ -239,17 +252,14 @@ class _Parser:
     then "&", then prefix "!" and the closure operators.
     """
 
-    def __init__(self, tokens, binding, free_ok, length):
+    def __init__(self, tokens, binding, free_ok):
         self.tokens = tokens
         self.binding = binding  # maps operator name -> arity
         self.free_ok = free_ok
         self.pos = 0
-        self.end = (None, None, length)  # the token past the last one
 
     def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return self.end
+        return self.tokens[self.pos]
 
     def expect(self, kind):
         tok = self.peek()
@@ -349,7 +359,8 @@ def parse_term(text: str, binding, free_ok: bool = False) -> Term:
     if not text.strip():
         raise TermError("empty formula")
     arities = binding.arities() if hasattr(binding, "arities") else dict(binding)
-    t = _Parser(tokenize(text), arities, free_ok, len(text)).parse(frozenset())
+    tokens = tokenize(text, frozenset("|&!().,"), error_at_position(TermError))
+    t = _Parser(tokens, arities, free_ok).parse(frozenset())
     t = rename_binders(t, set(free_vars(t)))
     check_parity(t)
     return t

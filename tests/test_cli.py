@@ -142,6 +142,7 @@ def test_region_error_exits_2(monkeypatch, capsys):
     ("", "empty region expression (the empty region is written {})"),
     ("(s0w0; m0; ()) + + GOAL", "empty region atom in '(s0w0; m0; ()) + + GOAL'"),
     ("(s0w0; ; )", "expected an expression at end of pattern (at position 0)"),
+    ("(s0w0; a@; )", "unexpected character '@' (at position 1)"),
 ])
 def test_empty_region_target_exits_2_with_one_line(capsys, target, message):
     code = cli.main(["check", model_path("abp.lcs"), "prestar", "--target", target])
@@ -234,6 +235,7 @@ def test_formula_ending_early_exits_2_naming_its_end(capsys, formula, message):
     ("E(GOAL)", "expected 'U' in E(_ U _), found ')' at position 6"),
     ("!(GOAL", "expected ')', found end of formula at position 6"),
     ("GOAL & )", "expected a formula, found ')' at position 7"),
+    ("E(GOAL U @)", "unexpected character '@' at position 9"),
     ("", "empty formula"),
     ("   ", "empty formula"),
 ])
@@ -368,6 +370,8 @@ def test_fixture_outputs_are_deterministic(command):
      "argument --max-iter: expected an integer of at least 1, got '-1'"),
     (["eval", "abp.lcs", "--formula="], "empty formula"),
     (["eval", "abp.lcs", "--formula=  "], "empty formula"),
+    (["eval", "abp.lcs", "-f", "GOAL", "--max-iter", "\u00b2"],
+     "argument --max-iter: expected an integer of at least 1, got '\u00b2'"),
 ])
 def test_malformed_argv_exits_2_with_one_line(capsys, argv, message):
     code = cli.main(fixture_argv(argv))

@@ -64,6 +64,9 @@ def test_parse_model_errors_carry_line_numbers():
     (["channels: c", "locations: q[A] p"], 4, "duplicate location 'p'"),
     (["channels: c", "region R = (p; a)", "region S = (p; ())",
       "region R = (p; ())"], 6, "duplicate region 'R' (first declared on line 4)"),
+    (["alphabet: b"], 2, "duplicate alphabet declaration (first declared on line 1)"),
+    (["channels: x", "channels: y z"], 4,
+     "duplicate channels declaration (first declared on line 2)"),
 ])
 def test_parse_model_rejects_duplicate_declarations(lines, lineno, message):
     text = "\n".join(["alphabet: a"] + lines[:1] + ["locations: p"] + lines[1:])

@@ -65,6 +65,19 @@ def test_errors_at_end_of_pattern_give_its_length(ab, pattern, expected):
     assert info.value.position == len(pattern)
 
 
+@pytest.mark.parametrize("pattern, message, position", [
+    ("a@", "unexpected character '@'", 1),
+    ("a }", "unexpected character '}'", 2),
+    ("a {", "expected '{}'", 2),
+    ("a b)", "unexpected ')'", 3),
+])
+def test_errors_name_their_position(ab, pattern, message, position):
+    with pytest.raises(RegexError) as info:
+        compile_regex(pattern, ab)
+    assert str(info.value) == "%s (at position %d)" % (message, position)
+    assert info.value.position == position
+
+
 def test_roundtrip_random(ab, rng):
     for _ in range(40):
         a = random_nfa(rng, ab)

@@ -246,6 +246,7 @@ def test_empty_formula_is_named(text):
     ("GOAL | ", "expected a formula, found end of formula at position 7"),
     ("GOAL )", "unexpected ')' at position 5"),
     ("pre(,)", "expected a formula, found ',' at position 4"),
+    ("GOAL @", "unexpected character '@' at position 5"),
 ])
 def test_errors_name_the_end_of_the_formula(text, message):
     with pytest.raises(TermError) as info:
