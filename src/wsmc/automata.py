@@ -5,16 +5,16 @@ the usual boolean and rational operations, subword closures/kernels,
 and a canonical form: one interned Nfa per language, its minimal DFA
 with its table, held in one intern table; its transition triples are
 built from the table on their first read.  canonicalize is the one
-path to it: an interned Nfa is its own, any other runs the subset
-construction and minimal_dfa.  The boolean operations, the residuals
+path to it from an NFA: the subset construction (subsets), then
+minimal_dfa, the one minimizer.  The boolean operations, the residuals
 and the decisions run on the operands' canonical forms: one
 breadth-first walk over the state tuples of any number of them
-(_tuples) serves union_all, intersection, difference, subset and
-left_residual, with no subset construction.  Only the rational
-constructions (union among them) and the closures build NFAs; the
-region algebra's atoms and block edits hand their tables to
-minimal_dfa, the one minimizer, as the product walks do (see
-regions.RegionSpace._join and _edit).
+(_tuples) serves union_all, intersection, difference and left_residual
+(a product that is one of its operands returns it as it is), and
+subset walks state pairs to the first witness.  Only the rational
+constructions (union among them) and the closures build NFAs.  The
+region algebra writes tables for minimal_dfa and subsets, or for
+renumbered where its table is minimal already (see regions).
 
 Both classes are plain classes with slots: an Alphabet is a value
 (values.Value), an Nfa equals only itself.
@@ -243,13 +243,16 @@ def _tuples(langs: Iterable[Nfa]):
 
 def _product(langs: Iterable[Nfa], keep) -> Nfa:
     """The canonical form of the product of langs accepting the state
-    tuples for which keep(tuple of accept flags) holds: the product is
-    complete and deterministic, so it needs no subset construction."""
+    tuples for which keep(list of accept flags) holds: the product is
+    complete and deterministic, so it needs no subset construction.  An
+    operand whose flag is the kept one at every tuple is the answer."""
     dfas, tuples, table = _tuples(langs)
     accepting = [d.accepting for d in dfas]
-    return minimal_dfa(dfas[0].alphabet, table, [
-        i for i, states in enumerate(tuples)
-        if keep([q in acc for q, acc in zip(states, accepting)])])
+    kept = [keep([q in acc for q, acc in zip(states, accepting)]) for states in tuples]
+    for j, (dfa, acc) in enumerate(zip(dfas, accepting)):
+        if all((states[j] in acc) == k for states, k in zip(tuples, kept)):
+            return dfa
+    return minimal_dfa(dfas[0].alphabet, table, [i for i, k in enumerate(kept) if k])
 
 
 # -- rational operations -----------------------------------------------
@@ -363,22 +366,36 @@ def equal(a: Nfa, b: Nfa) -> bool:
 
 
 def subset(a: Nfa, b: Nfa) -> bool:
-    """No reachable product state accepts in a and rejects in b."""
-    (da, db), pairs, _ = _tuples((a, b))
-    return all(p not in da.accepting or q in db.accepting for p, q in pairs)
+    """No state pair of the canonical forms reachable from (0, 0) accepts
+    in a and rejects in b: a walk that builds no product table, enters no
+    pair at a's dead state and stops at the first such pair."""
+    da, db = (x if x.table is not None else canonicalize(x) for x in (a, b))
+    _check_same_alphabet(da, db)
+    dead, seen, stack = dead_state(da), {(0, 0)}, [(0, 0)]
+    while stack:
+        p, q = stack.pop()
+        if p in da.accepting and q not in db.accepting:
+            return False
+        for pair in zip(da.table[p], db.table[q]):
+            if pair[0] != dead and pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
+
+
+def dead_state(dfa: Nfa) -> Optional[int]:
+    """The state of the canonical form dfa whose language is empty, if
+    any: on a minimal DFA, the one rejecting state that only loops."""
+    for p, row in enumerate(dfa.table):
+        if row.count(p) == len(row) and p not in dfa.accepting:
+            return p
+    return None
 
 
 # -- determinization, minimization, canonical form ---------------------
 
 def _determinize(a: Nfa):
-    """Subset construction; returns (transition table, accepting set).
-
-    The result is complete (the empty subset is the dead state) and its
-    state order follows breadth-first discovery in alphabet order, which
-    keeps everything downstream deterministic.  The epsilon closure of
-    every single-state move is computed once, before the construction,
-    so a subset of one state takes its row of moves as it is.
-    """
+    """subsets of a's moves, closed under epsilon moves beforehand."""
     syms = a.alphabet.symbols
     index = {sym: i for i, sym in enumerate(syms)}
     eps = [[] for _ in range(a.n_states)]
@@ -393,8 +410,7 @@ def _determinize(a: Nfa):
     if any(eps):
         closure = []
         for q in range(a.n_states):
-            seen = {q}
-            stack = [q]
+            seen, stack = {q}, [q]
             while stack:
                 for r in eps[stack.pop()]:
                     if r not in seen:
@@ -404,19 +420,25 @@ def _determinize(a: Nfa):
         moves = [[frozenset().union(*[closure[r] for r in targets]) for targets in row]
                  for row in moves]
         start = frozenset().union(*[closure[q] for q in start])
-    ids = {start: 0}
-    order = [start]
-    table = []
-    accepting = set()
+    return subsets(moves, start, a.accepting, len(syms))
+
+
+def subsets(moves, start: frozenset, accepting, n_symbols: int):
+    """Subset construction from start over moves[state][symbol index], a
+    frozenset of states; returns (transition table, accepting set).  The
+    result is complete (the empty subset is the dead state), its states
+    in breadth-first order, and a subset of one state takes its row of
+    moves as it is."""
+    ids, order, table, accepting_subsets = {start: 0}, [start], [], set()
     for i, subset_state in enumerate(order):
-        if subset_state & a.accepting:
-            accepting.add(i)
+        if subset_state & accepting:
+            accepting_subsets.add(i)
         if len(subset_state) == 1:
             targets = moves[next(iter(subset_state))]
         else:
             members = [moves[q] for q in subset_state]
             targets = [frozenset().union(*[m[k] for m in members])
-                       for k in range(len(syms))]
+                       for k in range(n_symbols)]
         row = []
         for tgt in targets:
             if tgt not in ids:
@@ -424,7 +446,7 @@ def _determinize(a: Nfa):
                 order.append(tgt)
             row.append(ids[tgt])
         table.append(tuple(row))
-    return table, accepting
+    return table, accepting_subsets
 
 
 # The one intern table, per process and never evicted: the canonical
@@ -474,18 +496,23 @@ def minimal_dfa(alphabet: Alphabet, table: Sequence[Sequence[int]],
             break
         n_blocks = len(ids)
 
-    # BFS renumbering from the initial block in alphabet order, reading
-    # each block's row off its first state.
-    rep = {}
+    # each block's row, read off its first state
+    rows = {}
     for q, b in enumerate(block):
-        rep.setdefault(b, q)
-    renum = {block[start]: 0}
-    order = [block[start]]
-    for b in order:
-        for t in table[rep[b]]:
-            if block[t] not in renum:
-                renum[block[t]] = len(order)
-                order.append(block[t])
-    final_table = tuple(tuple([renum[block[t]] for t in table[rep[b]]]) for b in order)
-    final_accepting = frozenset(renum[block[q]] for q in accepting if block[q] in renum)
-    return _intern(alphabet, final_table, final_accepting)
+        if b not in rows:
+            rows[b] = [block[t] for t in table[q]]
+    return renumbered(alphabet, rows, {block[q] for q in accepting}, block[start])
+
+
+def renumbered(alphabet: Alphabet, rows, accepting, start: int) -> Nfa:
+    """The canonical form of a complete DFA that is minimal once the
+    states start does not reach drop out: rows[state][symbol index] ->
+    state, renumbered breadth-first from start in alphabet order."""
+    renum, order = {start: 0}, [start]
+    for q in order:
+        for t in rows[q]:
+            if t not in renum:
+                renum[t] = len(order)
+                order.append(t)
+    return _intern(alphabet, tuple(tuple([renum[t] for t in rows[q]]) for q in order),
+                   frozenset(renum[q] for q in accepting if q in renum))

@@ -78,8 +78,8 @@ class AlgebraBinding:
             raise EvaluationError("unknown operator %r" % (name,))
         arity, fn = self.operators[name]
         if arity != len(args):
-            raise EvaluationError("operator %r expects %d arguments, got %d"
-                                  % (name, arity, len(args)))
+            raise EvaluationError("operator %r expects %s, got %d" % (
+                name, terms.count(arity, "argument", "arguments"), len(args)))
         return fn(*args)
 
     # the engine's two checks: the monotone chain and convergence

@@ -8,9 +8,9 @@ contents to arbitrary subwords after each perfect step.  A perfect step
 through a rule is a block edit of a region's slice (RegionSpace.edit),
 which the model's region space memoizes.  The union of a region's
 perfect-step predecessors through every rule (GlcsModel.pre_perf), which
-every pre and wpre ends in, is memoized per model on the region's
-slices, so nested binders and later queries that step an equal region
-again look it up; new rules start a new memo.
+every pre and wpre ends in, edits each target slice once per group of
+unguarded rules with the same target and edit (_grouped), and is
+memoized per model on the region's slices; new rules start a new memo.
 
 A lossy pre steps only upward-closed slices L, where the steps of rules
 between two locations nest: a receive gives a subset of L, a nop L, a
@@ -100,6 +100,7 @@ class GlcsModel:
         """Check and install the rules."""
         self.rules = tuple(map(self._check_rule, rules))
         self._lossy_rules = _uncovered(self.rules)
+        self._steps = {PERFECT: _grouped(self.rules), LOSSY: _grouped(self._lossy_rules)}
         self._pre_perf: Dict[tuple, Region] = {}
 
     def _check_rule(self, rule: Rule) -> Rule:
@@ -165,8 +166,7 @@ class GlcsModel:
         the rule's target with the rule's channel block edited (a receive
         prepends its symbol, a send drops it from the end), met with the
         guard."""
-        step = self.space.edit(region, rule.target, rule.source,
-                               {RECV: "prepend", SEND: "curtail"}.get(rule.kind),
+        step = self.space.edit(region, rule.target, rule.source, _PRE_EDIT.get(rule.kind),
                                rule.channel, rule.symbol)
         return step if rule.guard is None else self.space.intersection(rule.guard, step)
 
@@ -174,25 +174,31 @@ class GlcsModel:
         """Union over the rules into the locations of region.  Memoized
         on the region's slices, since nested binders and later queries
         step equal approximants again; new rules start a new memo."""
-        return self._pre_perf_through(self.rules, region)
+        return self._pre_perf_through(self._steps[PERFECT], region)
 
-    def _pre_perf_through(self, rules: Tuple[Rule, ...], region: Region) -> Region:
-        """pre_perf of region, as the union over rules, which must give
-        the same region."""
+    def _pre_perf_through(self, steps, region: Region) -> Region:
+        """pre_perf of region as the union of steps (see _grouped), which
+        must give the same region: the edit of a group once, into each of
+        its sources, and the guarded rules through pre_perf_rule."""
         key = self.space.normalize(region).slices
         step = self._pre_perf.get(key)
         if step is None:
-            locs = region.encodings
-            step = self._pre_perf[key] = self.space.union(*[
-                self.pre_perf_rule(rule, region)
-                for rule in rules if rule.target in locs])
+            (groups, guarded), slices = steps, []
+            for target, enc in region.slices:
+                for edit, sources in groups.get(target, {}).items():
+                    stepped = self.space.edited(enc, *edit)
+                    if stepped.accepting:
+                        slices += [(source, stepped) for source in sources]
+            for rule in guarded:
+                slices += self.pre_perf_rule(rule, region).slices
+            step = self._pre_perf[key] = self.space.union_of(slices)
         return step
 
     def pre(self, region: Region, mode: str = LOSSY) -> Region:
         """Predecessors: the perfect ones of region or, when lossy, of its
         upward closure, to which covered rules add nothing."""
         if _lossy(mode):
-            return self._pre_perf_through(self._lossy_rules,
+            return self._pre_perf_through(self._steps[LOSSY],
                                           self.space.up_closure(region))
         return self.pre_perf(region)
 
@@ -386,6 +392,7 @@ def _identifiers(kind: str, names, earlier=()) -> Tuple[str, ...]:
 
 
 _RANK = {RECV: 0, INTERNAL: 1, SEND: 2}  # steps of an upward-closed slice by size
+_PRE_EDIT = {RECV: "prepend", SEND: "curtail"}  # see pre_perf_rule
 
 
 def _uncovered(rules: Tuple[Rule, ...]) -> Tuple[Rule, ...]:
@@ -403,6 +410,17 @@ def _uncovered(rules: Tuple[Rule, ...]) -> Tuple[Rule, ...]:
                  and (rule.guard is None
                       or Rule(rule.source, rule.target, rule.kind, rule.channel,
                               rule.symbol) not in unguarded))
+
+
+def _grouped(rules: Tuple[Rule, ...]):
+    """The unguarded rules grouped as {target: {edit: sources}}, each
+    source once and in rule order, and the guarded rules."""
+    groups: Dict[str, dict] = {}
+    for rule in rules:
+        if rule.guard is None:
+            edit = (_PRE_EDIT.get(rule.kind), rule.channel, rule.symbol)
+            groups.setdefault(rule.target, {}).setdefault(edit, {})[rule.source] = None
+    return groups, tuple(rule for rule in rules if rule.guard is not None)
 
 
 def _lossy(mode: str) -> bool:

@@ -247,19 +247,8 @@ def _text(dfa: Nfa) -> str:
     if not dfa.accepting:
         return "{}"
     syms = dfa.alphabet.symbols
-    # live states: those from which an accepting state is reachable
-    radj = {}
-    for p, row in enumerate(dfa.table):
-        for q in row:
-            radj.setdefault(q, set()).add(p)
-    live = set(dfa.accepting)
-    stack = sorted(live)
-    while stack:
-        q = stack.pop()
-        for p in radj.get(q, ()):
-            if p not in live:
-                live.add(p)
-                stack.append(p)
+    # every state of a minimal DFA reaches an accepting one but the dead state
+    live = set(range(dfa.n_states)) - {automata.dead_state(dfa)}
     nodes = sorted(live)
     init, final = "I", "F"
     edges = {}

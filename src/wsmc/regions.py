@@ -112,10 +112,9 @@ class RegionSpace:
     never evicted.  It keys on the operands, which are interned and
     small.  Unions, intersections and complements are product walks over
     the operands' DFAs (automata.union_all, intersection, difference),
-    which build no NFA.  Atoms and block edits write tables for
-    automata.minimal_dfa too (see _join and _edit).  Closures are
-    automata.up_closure and down_closure on the message symbols, through
-    automata.canonicalize, which keeps no NFA it canonicalized."""
+    which build no NFA.  Atoms, block edits and up closures write tables
+    (see _join, _edit and _up); down closures canonicalize
+    automata.down_closure on the message symbols."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -186,10 +185,13 @@ class RegionSpace:
         differ, one product walk over the distinct encodings, memoized
         on their set.  The full slice absorbs the others without a walk
         or a memo entry."""
+        return self.union_of(pair for r in regions for pair in self._check(r).slices)
+
+    def union_of(self, slices) -> Region:
+        """The union of (location, nonempty interned encoding) pairs."""
         parts: Dict[str, set] = {}
-        for r in regions:
-            for loc, enc in self._check(r).slices:
-                parts.setdefault(loc, set()).add(enc)
+        for loc, enc in slices:
+            parts.setdefault(loc, set()).add(enc)
         return self._region({
             loc: self._all if self._all in encs
             else next(iter(encs)) if len(encs) == 1
@@ -242,15 +244,14 @@ class RegionSpace:
     # -- closures and kernels -------------------------------------------
 
     def _map_encodings(self, a: Region, name: str, closure) -> Region:
-        """closure(enc, message symbols) of every encoding, memoized under
-        name; without channels there is no block to close."""
+        """The canonical form closure(enc) of every encoding, memoized
+        under name; without channels there is no block to close."""
         if not self.signature.channels:
             return self.normalize(a)
 
         def close(enc):  # a closure is idempotent
-            return self._apply((name, enc), lambda: automata.canonicalize(
-                closure(enc, self.signature.alphabet.symbols)),
-                lambda closed: ((name, closed), closed))
+            return self._apply((name, enc), lambda: closure(enc),
+                               lambda closed: ((name, closed), closed))
 
         # a closure of a nonempty slice is nonempty
         tag = "region " + name
@@ -261,12 +262,23 @@ class RegionSpace:
     def up_closure(self, a: Region) -> Region:
         """Superwords in every block: a self-loop on every message symbol
         at every state; separators stay fixed."""
-        return self._map_encodings(a, "up", automata.up_closure)
+        return self._map_encodings(a, "up", self._up)
+
+    def _up(self, enc: Nfa) -> Nfa:
+        """The subset construction straight off enc's table, where each
+        message move also keeps its state (the self-loops) and enc's
+        dead state, whose language is empty, is in no subset."""
+        dead, sep = automata.dead_state(enc), len(self.signature.alphabet.symbols)
+        moves = [[frozenset((t, p) if x < sep else (t,)) - {dead}
+                  for x, t in enumerate(row)] for p, row in enumerate(enc.table)]
+        return automata.minimal_dfa(enc.alphabet, *automata.subsets(
+            moves, frozenset([0]), enc.accepting, sep + 1))  # 0 is live
 
     def down_closure(self, a: Region) -> Region:
         """Subwords in every block: an epsilon move beside every message
         move; separators stay fixed."""
-        return self._map_encodings(a, "down", automata.down_closure)
+        return self._map_encodings(a, "down", lambda enc: automata.canonicalize(
+            automata.down_closure(enc, self.signature.alphabet.symbols)))
 
     def up_kernel(self, a: Region) -> Region:
         return self.complement(self.down_closure(self.complement(a)))
@@ -278,71 +290,96 @@ class RegionSpace:
 
     def edit(self, a: Region, source: str, target: str, kind: Optional[str],
              channel: Optional[str] = None, symbol: Optional[str] = None) -> Region:
-        """The region at target of a's slice at source, with channel's
-        block edited by symbol as kind says: "prepend" it, "behead" (drop
-        a leading one), "append" it or "curtail" (drop a trailing one), or
-        kept if kind is None.  Memoized per (kind, channel, symbol, slice),
-        so rules with the same edit share one result per slice."""
+        """The region at target of a's slice at source, edited (see edited)."""
         enc = self._check(a).encodings.get(source)
         if enc is None:
             return self.empty()
-        if kind is not None:
-            enc = self._apply((kind, channel, symbol, enc),
-                              lambda: self._edit(enc, kind, channel, symbol))
+        enc = self.edited(enc, kind, channel, symbol)
         return Region(self.signature, ((target, enc),) if enc.accepting else ())
+
+    def edited(self, enc: Nfa, kind: Optional[str], channel: Optional[str] = None,
+               symbol: Optional[str] = None) -> Nfa:
+        """The slice encoding enc with channel's block edited by symbol as
+        kind says: "prepend" it, "behead" (drop a leading one), "append"
+        it or "curtail" (drop a trailing one), or kept if kind is None.
+        Memoized per (kind, channel, symbol, slice), so rules with the
+        same edit share one result per slice."""
+        if kind is None:
+            return enc
+        return self._apply((kind, channel, symbol, enc),
+                           lambda: self._edit(enc, kind, channel, symbol))
+
+    def _blocks(self, enc: Nfa):
+        """enc's dead state and the live states of each of its blocks (see
+        _edit), memoized per slice under its own tag."""
+        def compute():
+            dead, sep = automata.dead_state(enc), len(self.signature.alphabet.symbols)
+            blocks, block, stack = [[] for _ in self.signature.channels], {0: 0}, [0]
+            while stack:
+                p = stack.pop()
+                blocks[block[p]].append(p)
+                for x, t in enumerate(enc.table[p]):
+                    if t != dead and t not in block:
+                        block[t] = block[p] + (x == sep)
+                        stack.append(t)
+            return dead, blocks
+        return self._apply(("blocks", enc), compute)
 
     def _edit(self, enc: Nfa, kind: str, channel: str, symbol: str) -> Nfa:
         """The canonical form of enc with channel's block i edited by
-        symbol m (see edit).
+        symbol m (see edited).
 
         On enc, a minimal DFA, each live state lies in one block: the
         number of separators read to reach it.  Entering at the initial
         state counts as a separator move from START in block -1, and
-        accepting as one to END in block c, so every block starts and
-        ends at separator moves.  The dead state stays dead.  prepend,
-        behead and curtail redirect separator moves, and prepend adds
-        states with a single m move.  append moves each state p of block
-        i on m to an added copy of its m successor, which takes p's
-        separator move or acceptance, and p loses its own.  So each state
-        keeps one move per symbol: the edited table, with a dead row n
-        for the moves it leaves out, goes to minimal_dfa as it is.
+        accepting as one to END in block c.  behead and curtail redirect
+        the separator moves out of block i - 1 and i (a curtail that
+        redirects none gives enc back); append moves each state p of
+        block i on m to an added copy of its m successor, which takes p's
+        separator move, and p loses its own.  Their tables go to
+        minimal_dfa.  prepend moves each separator move into a state t of
+        block i to a state t' with the one move m to t, or to a rejecting
+        state of block i with that row.  This table is minimal, so it is
+        only renumbered: a state of block i or later keeps its language
+        and one of an earlier block maps it through an injective f (it
+        inserts m after a fixed separator); t' has the language m.L(t),
+        which only a state of block i with t''s row has too; states of
+        different blocks read different numbers of separators.
         """
-        table, n = enc.table, enc.n_states
+        table, n, accepting = enc.table, enc.n_states, enc.accepting
         sep, m = len(enc.alphabet.symbols) - 1, enc.alphabet.index(symbol)
         i, START, END = self.signature.channels.index(channel), -1, -2
-        block, stack = {START: -1, END: len(self.signature.channels), 0: 0}, [0]
-        while stack:
-            p = stack.pop()
-            for x, t in enumerate(table[p]):
-                if t not in block:
-                    block[t] = block[p] + (x == sep)
-                    stack.append(t)
-        seps = {p: row[sep] for p, row in enumerate(table)}
-        seps.update((p, END) for p in enc.accepting)  # their separators are dead
+        dead, blocks = self._blocks(enc)
+        seps = {p: END if p in accepting else row[sep] for p, row in enumerate(table)}
         seps[START] = 0
-        edited = [p for p in seps if block[p] == i - (kind in ("prepend", "behead"))]
-        added = dict(zip(edited, range(n + 1, n + 1 + len(edited))))  # prepend, append
-        before = dict(seps)
-        seps[n] = n  # a dead state, before the added ones
-        rows = list(table) + [(n,) * (sep + 1)]  # separator moves set below
+        if kind == "curtail" and all(seps[p] == seps[table[p][m]] for p in blocks[i]):
+            return enc
+        before, rows = dict(seps), list(table)
         if kind == "append":  # a state of block i moves on m to its added copy
+            added = {p: n + k for k, p in enumerate(blocks[i])}
             rows = [row[:m] + (added.get(p, row[m]),) + row[m + 1:]
                     for p, row in enumerate(rows)]
-        for p in edited:
-            if kind == "prepend":  # separator moves into block i
-                seps[p], seps[added[p]] = added[p], n
-                rows.append((n,) * m + (before[p],) + (n,) * (sep - m))
+        same_row = ({table[q]: q for q in blocks[i] if q not in accepting}
+                    if kind == "prepend" else None)
+        into = blocks[i - 1] if i else [START]  # their separator moves enter block i
+        for p in into if kind in ("prepend", "behead") else blocks[i]:
+            if kind == "prepend" and before[p] != dead:  # p moves to t' (see above)
+                row = (dead,) * m + (before[p],) + (dead,) * (sep - m)
+                seps[p] = same_row.setdefault(row, len(rows))
+                if seps[p] == len(rows):
+                    seps[len(rows)] = dead
+                    rows.append(row)
             elif kind == "append":  # the copy of p's m successor takes p's separator
-                seps[p], seps[added[p]] = n, before[p]
+                seps[p], seps[added[p]] = dead, before[p]
                 rows.append(rows[table[p][m]])
             elif kind == "behead":
                 seps[p] = table[seps[p]][m]
-            else:
+            elif kind == "curtail":
                 seps[p] = before[table[p][m]]
-        rows = [row[:sep] + (n if seps[p] == END else seps[p],)
+        rows = [row[:sep] + (dead if seps[p] == END else seps[p],)
                 for p, row in enumerate(rows)]
-        return automata.minimal_dfa(enc.alphabet, rows,
-                                    {p for p, t in seps.items() if t == END}, seps[START])
+        return (automata.renumbered if kind == "prepend" else automata.minimal_dfa)(
+            enc.alphabet, rows, {p for p, t in seps.items() if t == END}, seps[START])
 
     # -- decisions ------------------------------------------------------
 

@@ -40,11 +40,16 @@ class Term(Value):
             raise TermError("unknown term kind %r" % (kind,))
         arity = _ARITY[kind]
         if arity is not None and len(args) != arity:
-            raise TermError("a %s node takes %d children, got %d"
-                            % (kind, arity, len(args)))
+            raise TermError("a %s node takes %s, got %d"
+                            % (kind, count(arity, "child", "children"), len(args)))
         self.kind = kind
         self.name = name
         self.args = args
+
+
+def count(n: int, noun: str, nouns: str) -> str:
+    """n and the noun in the number n needs."""
+    return "%d %s" % (n, noun if n == 1 else nouns)
 
 
 def Var(name): return Term("var", name)
@@ -257,14 +262,15 @@ class _Parser:
         self.binding = binding  # maps operator name -> arity
         self.free_ok = free_ok
         self.pos = 0
+        self.error = error_at_position(TermError)
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def expect(self, kind):
+    def expect(self, kind, what=None):  # what names the kind in the error
         tok = self.peek()
         if tok[0] != kind:
-            raise TermError("expected %r, %s" % (kind, found(tok)))
+            raise TermError("expected %s, %s" % (what or repr(kind), found(tok)))
         self.pos += 1
         return tok
 
@@ -296,16 +302,16 @@ class _Parser:
             return Not(self.unary(scope))
         if kind == "ident" and value in BINDERS:
             self.pos += 1
-            var = self.expect("ident")[1]
+            _, var, var_pos = self.expect("ident", "a variable after %r" % (value,))
             if var in KEYWORDS:
-                raise TermError("%r cannot be a variable name" % (var,))
+                raise self.error("%r cannot be a variable name" % (var,), var_pos)
             self.expect(".")
             return Term(value, var, (self.alternation(scope | {var}),))
         return self.atom(scope)
 
     def atom(self, scope):
         tok = self.peek()
-        kind, value, _ = tok
+        kind, value, pos = tok
         if kind == "(":
             self.pos += 1
             t = self.alternation(scope)
@@ -333,10 +339,10 @@ class _Parser:
             self.expect(")")
             arity = self.binding.get(value)
             if arity is None:
-                raise TermError("unknown operator %r" % (value,))
+                raise self.error("unknown operator %r" % (value,), pos)
             if arity != len(args):
-                raise TermError("operator %r expects %d arguments, got %d"
-                                % (value, arity, len(args)))
+                raise self.error("operator %r expects %s, got %d" % (
+                    value, count(arity, "argument", "arguments"), len(args)), pos)
             return OpApp(value, args)
         if value in scope:
             return Var(value)
@@ -344,10 +350,11 @@ class _Parser:
         if arity == 0:
             return OpApp(value)
         if arity is not None:
-            raise TermError("operator %r expects %d arguments" % (value, arity))
+            raise self.error("operator %r expects %s" % (
+                value, count(arity, "argument", "arguments")), pos)
         if self.free_ok:
             return Var(value)
-        raise TermError("unknown identifier %r" % (value,))
+        raise self.error("unknown identifier %r" % (value,), pos)
 
 
 def parse_term(text: str, binding, free_ok: bool = False) -> Term:

@@ -67,6 +67,19 @@ def test_free_variables_need_environment():
     assert automata.equal(value, compile_regex(".* b .*", AB))
 
 
+@pytest.mark.parametrize("name, args, message", [
+    ("V", ("x",), "operator 'V' expects 0 arguments, got 1"),
+    ("concat", ("x",), "operator 'concat' expects 2 arguments, got 1"),
+    ("pre", ("x", "y"), "operator 'pre' expects 1 argument, got 2"),
+    ("nope", (), "unknown operator 'nope'"),
+])
+def test_applying_an_operator_checks_its_arity(name, args, message):
+    alg = word_algebra(V="a")
+    alg.add_operator("pre", 1, lambda x: x)
+    with pytest.raises(EvaluationError, match="^%s$" % message):
+        alg.apply(name, args)
+
+
 def fixpoint_substitution_holds(t, alg, env=None):
     """Substituting the evaluated value for the bound variable reproduces it."""
     value, _ = evaluate(t, env or {}, alg)

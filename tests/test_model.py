@@ -498,16 +498,29 @@ def test_perfect_steps_use_every_rule(monkeypatch):
     assert model.pre(atom(model, "p", "b"), PERFECT) == \
         model.space.union(empty_word["q"], atom(model, "q", "b"))
     both = model.space.union(*empty_word.values())
+    edits = {RECV: "prepend", SEND: "curtail", INTERNAL: None}
     for op, mode, rules in (("pre", PERFECT, model.rules), ("wpre", PERFECT, model.rules),
                             ("pre", LOSSY, model._lossy_rules),
                             ("wpre", LOSSY, model._lossy_rules)):
         copy = tiny_model(model.rules)  # with an empty step memo
-        stepped = []
-        real = copy.pre_perf_rule
-        monkeypatch.setattr(copy, "pre_perf_rule",
-                            lambda rule, r: stepped.append(rule) or real(rule, r))
+        steps, edited = [], []
+        through, edit = copy._pre_perf_through, copy.space.edited
+        monkeypatch.setattr(copy, "_pre_perf_through",
+                            lambda s, r: steps.append(s) or through(s, r))
+        monkeypatch.setattr(copy.space, "edited",
+                            lambda enc, *e: edited.append(e) or edit(enc, *e))
         getattr(copy, op)(both, mode)
-        assert stepped == list(rules)
+        # the (target, edit, source) groups the step derives from the rules,
+        # each edit of a target slice made once
+        [(groups, guarded)] = steps
+        assert guarded == ()
+        stepped = [(target, e, source) for target, by_edit in groups.items()
+                   for e, sources in by_edit.items() for source in sources]
+        assert sorted(stepped, key=repr) == sorted(
+            ((r.target, (edits[r.kind], r.channel, r.symbol), r.source) for r in rules),
+            key=repr)
+        assert sorted(edited, key=repr) == sorted(
+            (e for by_edit in groups.values() for e in by_edit), key=repr)
 
 
 def test_bundled_safe_model_is_the_faithful_abp_3():

@@ -512,3 +512,84 @@ def test_no_atom_or_block_edit_runs_the_subset_construction(monkeypatch):
     for kind, channel, symbol in itertools.product(EDITS, SIG.channels, AB.symbols):
         space.edit(region, "p", "q", kind, channel, symbol)
     assert runs == []
+
+
+# -- differential checks against independent constructions ---------------
+
+# patterns on which a prepend reuses a state, a curtail leaves the slice
+# as it is, or an operand contains another
+DIFFERENTIAL_PATTERNS = ("()", "(ab)*", "b(ab)*", "a*", ".*a.*", ".*")
+
+
+def differential_pools(seed, spaces=6, size=7):
+    """Seeded guard-free regions over one or two channels: per space,
+    unions of one to three atoms at p, some of fixed patterns and some
+    random, and the up closure of the first."""
+    rng = random.Random(seed)
+    for k in range(spaces):
+        channels = ("c", "d")[:1 + k % 2]
+        space = RegionSpace(Signature(AB, channels, ("p", "q")))
+
+        def lang():
+            if rng.random() < 0.5:
+                return compile_regex(rng.choice(DIFFERENTIAL_PATTERNS), AB)
+            return random_nfa(rng, AB, 3)
+
+        pool = []
+        while len(pool) < size:
+            region = space.union(*[space.atom("p", tuple(lang() for _ in channels))
+                                   for _ in range(rng.randint(1, 3))])
+            if "p" in region.encodings:
+                pool.append(region)
+        pool.append(space.up_closure(pool[0]))
+        yield rng, space, pool
+
+
+def nfa_union(encodings):
+    """The canonical form of the epsilon-NFA union of encodings."""
+    return automata.canonicalize(functools.reduce(automata.union, encodings))
+
+
+@pytest.mark.parametrize("kind", ["prepend", "curtail"])
+def test_predecessor_edits_equal_the_union_of_edited_atoms(kind):
+    for _, space, pool in differential_pools(5900):
+        channels = space.signature.channels
+        for region, i, symbol in itertools.product(pool, range(len(channels)),
+                                                   AB.symbols):
+            def step(lang):
+                if kind == "prepend":
+                    return automata.concat(Nfa.symbol(AB, symbol), lang)
+                return automata.right_residual(lang, Nfa.word(AB, (symbol,)))
+
+            atoms = [space.atom("q", row[:i] + (step(row[i]),) + row[i + 1:])
+                     for row in (p.channel_langs for p in region.summands)]
+            encodings = [a.encodings["q"] for a in atoms if a.slices]
+            got = space.edit(region, "p", "q", kind, channels[i], symbol)
+            assert got.slices == ((("q", nfa_union(encodings)),) if encodings else ())
+
+
+def test_products_equal_the_canonical_nfa_union():
+    for rng, space, pool in differential_pools(6000):
+        encodings = [region.encodings["p"] for region in pool]
+        encodings += [nfa_union(encodings[:2]), space._all]
+        for n_operands in range(1, 5):
+            operands = [rng.choice(encodings) for _ in range(n_operands)]
+            assert automata.union_all(operands) is nfa_union(operands)
+        for x, y in itertools.product(encodings, repeat=2):
+            assert automata.intersection(x, y) is automata.complement(
+                nfa_union([automata.complement(x), automata.complement(y)]))
+            assert automata.difference(x, y) is automata.complement(
+                nfa_union([automata.complement(x), y]))
+
+
+def test_up_closures_and_inclusions_equal_their_nfa_constructions():
+    for _, space, pool in differential_pools(6100):
+        for region in pool:
+            closed = space.up_closure(region).encodings
+            assert closed.keys() == region.encodings.keys()
+            for loc, enc in region.slices:
+                assert closed[loc] is automata.canonicalize(
+                    automata.up_closure(enc, AB.symbols))
+        encodings = [region.encodings["p"] for region in pool]
+        for x, y in itertools.product(encodings, repeat=2):
+            assert automata.subset(x, y) == (nfa_union([x, y]) is y)

@@ -247,6 +247,14 @@ def test_empty_formula_is_named(text):
     ("GOAL )", "unexpected ')' at position 5"),
     ("pre(,)", "expected a formula, found ',' at position 4"),
     ("GOAL @", "unexpected character '@' at position 5"),
+    ("mu (X", "expected a variable after 'mu', found '(' at position 3"),
+    ("nu", "expected a variable after 'nu', found end of formula at position 2"),
+    ("mu up. GOAL", "'up' cannot be a variable name at position 3"),
+    ("GOAL | FOO", "unknown identifier 'FOO' at position 7"),
+    ("pre.kup", "operator 'pre' expects 1 argument at position 0"),
+    ("GOAL | pre(GOAL, GOAL)", "operator 'pre' expects 1 argument, got 2 at position 7"),
+    ("GOAL(GOAL)", "operator 'GOAL' expects 0 arguments, got 1 at position 0"),
+    ("GOAL & f(GOAL)", "unknown operator 'f' at position 7"),
 ])
 def test_errors_name_the_end_of_the_formula(text, message):
     with pytest.raises(TermError) as info:
@@ -270,9 +278,9 @@ def test_constructors_compare_and_hash_structurally():
     ("lambda", None, (), "unknown term kind 'lambda'"),
     ("Union", None, (Var("X"), Var("Y")), "unknown term kind 'Union'"),
     ("union", None, (Var("X"),), "a union node takes 2 children, got 1"),
-    ("not", None, (), "a not node takes 1 children, got 0"),
+    ("not", None, (), "a not node takes 1 child, got 0"),
     ("var", "X", (Var("X"),), "a var node takes 0 children, got 1"),
-    ("mu", "X", (Var("X"), Var("X")), "a mu node takes 1 children, got 2"),
+    ("mu", "X", (Var("X"), Var("X")), "a mu node takes 1 child, got 2"),
 ])
 def test_term_rejects_unknown_kinds_and_child_counts(kind, name, args, message):
     with pytest.raises(TermError, match="^%s$" % message):
