@@ -220,9 +220,8 @@ def difference(a: Nfa, b: Nfa) -> Nfa:
 def _tuples(langs: Iterable[Nfa]):
     """The canonical forms of langs, the tuples of their states reachable
     from (0, ..., 0) in breadth-first order, and the transition table of
-    their product over the indices of those tuples.  An operand that is
-    a canonical form already (it has a table) is its own."""
-    dfas = [a if a.table is not None else canonicalize(a) for a in langs]
+    their product over the indices of those tuples."""
+    dfas = [canonicalize(a) for a in langs]
     for d in dfas[1:]:
         _check_same_alphabet(dfas[0], d)
     tables = [d.table for d in dfas]
@@ -369,7 +368,7 @@ def subset(a: Nfa, b: Nfa) -> bool:
     """No state pair of the canonical forms reachable from (0, 0) accepts
     in a and rejects in b: a walk that builds no product table, enters no
     pair at a's dead state and stops at the first such pair."""
-    da, db = (x if x.table is not None else canonicalize(x) for x in (a, b))
+    da, db = map(canonicalize, (a, b))
     _check_same_alphabet(da, db)
     dead, seen, stack = dead_state(da), {(0, 0)}, [(0, 0)]
     while stack:

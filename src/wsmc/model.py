@@ -414,7 +414,8 @@ def _uncovered(rules: Tuple[Rule, ...]) -> Tuple[Rule, ...]:
 
 def _grouped(rules: Tuple[Rule, ...]):
     """The unguarded rules grouped as {target: {edit: sources}}, each
-    source once and in rule order, and the guarded rules."""
+    source once and in rule order, and the guarded rules, which step
+    through pre_perf_rule: perfbench's tracer counts its calls."""
     groups: Dict[str, dict] = {}
     for rule in rules:
         if rule.guard is None:

@@ -292,10 +292,8 @@ class RegionSpace:
              channel: Optional[str] = None, symbol: Optional[str] = None) -> Region:
         """The region at target of a's slice at source, edited (see edited)."""
         enc = self._check(a).encodings.get(source)
-        if enc is None:
-            return self.empty()
-        enc = self.edited(enc, kind, channel, symbol)
-        return Region(self.signature, ((target, enc),) if enc.accepting else ())
+        return self._region({} if enc is None else {
+            target: self.edited(enc, kind, channel, symbol)})
 
     def edited(self, enc: Nfa, kind: Optional[str], channel: Optional[str] = None,
                symbol: Optional[str] = None) -> Nfa:
@@ -312,16 +310,12 @@ class RegionSpace:
     def _blocks(self, enc: Nfa):
         """enc's dead state and the live states of each of its blocks (see
         _edit), memoized per slice under its own tag."""
-        def compute():
+        def compute():  # a block's states read no separator from its entries
             dead, sep = automata.dead_state(enc), len(self.signature.alphabet.symbols)
-            blocks, block, stack = [[] for _ in self.signature.channels], {0: 0}, [0]
-            while stack:
-                p = stack.pop()
-                blocks[block[p]].append(p)
-                for x, t in enumerate(enc.table[p]):
-                    if t != dead and t not in block:
-                        block[t] = block[p] + (x == sep)
-                        stack.append(t)
+            blocks, entries = [], [0]
+            for _ in self.signature.channels:
+                blocks.append(_reachable(entries, lambda q: enc.table[q][:sep]) - {dead})
+                entries = {enc.table[p][sep] for p in blocks[-1]} - {dead}
             return dead, blocks
         return self._apply(("blocks", enc), compute)
 
@@ -427,16 +421,6 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
     sep = len(signature.alphabet.symbols)
     last = len(signature.channels) - 1
 
-    def reach(s):
-        seen = {s}
-        stack = [s]
-        while stack:
-            for t in table[stack.pop()][:sep]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
     def channel(s, states, final):
         order = [s] + sorted(states - {s})
         ids = {q: i for i, q in enumerate(order)}
@@ -445,7 +429,7 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
 
     @functools.cache
     def rows_from(s, i):
-        states = reach(s)
+        states = _reachable([s], lambda q: table[q][:sep])
         if i == last:
             final = states.intersection(enc.accepting)
             return [(channel(s, states, final),)] if final else []
@@ -459,6 +443,18 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
 
     rows = rows_from(0, 0) if last >= 0 else [()] if 0 in enc.accepting else []
     return tuple(sorted(rows, key=_row_order))
+
+
+def _reachable(starts, successors) -> set:
+    """The states reachable from starts, where successors(state) gives
+    the states one move away."""
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for t in successors(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def _row_order(row: Row):

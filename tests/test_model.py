@@ -719,9 +719,9 @@ def test_steps_share_block_edits_and_repeat_without_minimizing(monkeypatch):
     for op, mode in calls[:4]:
         assert op(at["p"], mode) == op(space.intersection(both, at["p"]), mode)
     minimized = []
-    real_determinize = automata._determinize
-    monkeypatch.setattr(automata, "_determinize",
-                        lambda a: minimized.append(a) or real_determinize(a))
+    real_subsets = automata.subsets  # canonicalize's and the up closure's
+    monkeypatch.setattr(automata, "subsets",
+                        lambda *args: minimized.append(args) or real_subsets(*args))
     again = space.union(at["q"], at["p"])
     assert again == both and again is not both
     for op, mode in calls:

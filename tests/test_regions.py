@@ -358,9 +358,9 @@ def test_alphabet_with_the_separator_is_rejected():
 @pytest.mark.parametrize("op", ["up_closure", "down_closure"])
 def test_closing_a_closed_region_minimizes_nothing(op, space, rng, monkeypatch):
     calls = []
-    determinize = automata._determinize
-    monkeypatch.setattr(automata, "_determinize",
-                        lambda nfa: calls.append(nfa) or determinize(nfa))
+    subsets = automata.subsets  # every closure's subset construction
+    monkeypatch.setattr(automata, "subsets",
+                        lambda *args: calls.append(args) or subsets(*args))
     for _ in range(10):
         closed = getattr(space, op)(random_region(rng, space, 3))
         del calls[:]
