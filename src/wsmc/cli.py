@@ -95,38 +95,28 @@ def _region_arg(text, model):
     return parse_region_text(_require(text, "--target/--cond"), model)
 
 
+def _goal(compile_goal, goal, player=None):
+    """compile_goal for the goal and --target, for the player or else for
+    --player."""
+    return lambda m, a: compile_goal(
+        goal, m, player or a.player, _region_arg(a.target, m))
+
+
 PROPERTIES = {
     "prestar": lambda m, a: compilers.compile_pre_star(
         m, _region_arg(a.target, m)),
     "release": lambda m, a: compilers.compile_forall_release(
         m, _region_arg(a.target, m), _region_arg(a.cond, m)),
-    "game-reach": lambda m, a: compilers.compile_game(
-        "reach", m, a.player, _region_arg(a.target, m)),
-    "game-inv": lambda m, a: compilers.compile_game(
-        "invariant", m, a.player, _region_arg(a.target, m)),
-    "game-buchi": lambda m, a: compilers.compile_game(
-        "buchi", m, a.player, _region_arg(a.target, m)),
-    "game-persist": lambda m, a: compilers.compile_game(
-        "persistence", m, a.player, _region_arg(a.target, m)),
-    "asym-reach-B": lambda m, a: compilers.compile_asym_game(
-        "reach", m, "B", _region_arg(a.target, m)),
-    "asym-inv-A": lambda m, a: compilers.compile_asym_game(
-        "invariant", m, "A", _region_arg(a.target, m)),
-    "asym-reach-A": lambda m, a: compilers.refuse_noneffective("asym-reach-A"),
-    "forall-eventually": lambda m, a: compilers.refuse_noneffective(
-        "forall-eventually"),
-    "exists-recurrent": lambda m, a: compilers.refuse_noneffective(
-        "exists-recurrent"),
-    "prob-reach-1": lambda m, a: compilers.compile_prob_game(
-        "reach_eq1", m, a.player, _region_arg(a.target, m)),
-    "prob-inv-1": lambda m, a: compilers.compile_prob_game(
-        "invariant_eq1", m, a.player, _region_arg(a.target, m)),
-    "prob-reach-pos": lambda m, a: compilers.compile_prob_game(
-        "reach_pos", m, a.player, _region_arg(a.target, m)),
-    "prob-inv-pos": lambda m, a: compilers.compile_prob_game(
-        "invariant_pos", m, a.player, _region_arg(a.target, m)),
     "ctl": lambda m, a: compilers.compile_ctl(
         m, _require(a.formula, "--formula")),
+    "asym-reach-B": _goal(compilers.compile_asym_game, "reach", "B"),
+    "asym-inv-A": _goal(compilers.compile_asym_game, "invariant", "A"),
+    **{name: _goal(compilers.compile_game, goal)
+       for goal, (name, _, _) in compilers.GAME_GOALS.items()},
+    **{name: _goal(compilers.compile_prob_game, goal)
+       for goal, (name, _, _) in compilers.PROB_GOALS.items()},
+    **{goal: lambda m, a, goal=goal: compilers.refuse_noneffective(goal)
+       for goal in compilers.REFUSALS},
 }
 
 

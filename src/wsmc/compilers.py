@@ -1,8 +1,9 @@
 """Compilers from verification questions into guarded fixpoint terms.
 
 Each compiler binds its target regions as nullary constants of a fresh
-algebra of the model and builds the corresponding term; a CTL formula is
-parsed straight into its term, whose atoms name regions directly.  Goals
+algebra of the model and builds the corresponding term; the formula
+parser, with CTL's prefix rules added, reads a CTL formula straight into
+its term, whose atoms name regions directly.  Goals
 whose answer set is known not to be effectively computable are refused
 outright.
 Dual goals (invariants, persistence, positive-probability) evaluate the
@@ -31,7 +32,7 @@ class NonEffectiveGoalError(CompileError):
     """The requested set exists but cannot be computed; never approximate."""
 
 
-_REFUSALS = {
+REFUSALS = {
     "forall-eventually":
         "inevitability (every run reaches the target): the satisfying set "
         "is not effectively computable for lossy channel systems",
@@ -45,9 +46,9 @@ _REFUSALS = {
 
 
 def refuse_noneffective(goal: str):
-    if goal not in _REFUSALS:
+    if goal not in REFUSALS:
         raise CompileError("unknown non-effective goal %r" % (goal,))
-    raise NonEffectiveGoalError("refusing %s: %s" % (goal, _REFUSALS[goal]))
+    raise NonEffectiveGoalError("refusing %s: %s" % (goal, REFUSALS[goal]))
 
 
 class CompiledProperty:
@@ -134,70 +135,62 @@ class CtlError(CompileError):
     pass
 
 
+class _CtlParser(terms.Parser):
+    """CTL's prefix rules over the formula parser, which supplies
+    parentheses, &, the end-of-input check and their messages: an atom
+    is a nullary operator, recorded with its position, ! is complement,
+    EX is pre, and E(p U q) is the least fixpoint
+    mu X. q | (p & pre(up(X))), binding X0, X1, ... with inner untils
+    first."""
+
+    def __init__(self, text: str):
+        super().__init__(text, terms.CTL_PUNCTUATION, CtlError, {})
+        self.fresh = itertools.count()
+        self.atoms = []  # (name, position) in text order
+
+    def unary(self, scope):
+        kind, value, pos = self.peek()
+        if kind not in ("ident", "!"):
+            return self.atom(scope)  # a parenthesis or an error
+        self.pos += 1
+        if value in ("!", "EX"):
+            child = self.unary(scope)
+            return Not(child) if value == "!" else OpApp("pre", (child,))
+        if value == "E":
+            self.expect("(", "'(' after E")
+            hold = self.conjunction(scope)
+            self.expect("U", "'U' in E(_ U _)")
+            goal = self.conjunction(scope)
+            self.expect(")", "')' closing E(_ U _)")
+            var = "X%d" % next(self.fresh)
+            return Mu(var, Union(goal, Intersection(
+                hold, OpApp("pre", (Up(Var(var)),)))))
+        if value == "AF":
+            refuse_noneffective("forall-eventually")
+        if value in terms.CTL_KEYWORDS:  # the rest: A, AG, EF, EG and U
+            raise CtlError("%r is outside the supported fragment "
+                           "(atoms, !, &, EX, E(_ U _))" % (value,))
+        self.atoms.append((value, pos))
+        return OpApp(value)
+
+
 def parse_ctl(text: str) -> Term:
     """A formula over region atoms with !, &, EX and E(_ U _), parsed
-    straight into its guarded term: an atom is a nullary operator, ! is
-    complement, & intersection, EX is pre, and E(p U q) is the least
-    fixpoint mu X. q | (p & pre(up(X))), binding X0, X1, ... with inner
-    untils first.  Errors give the position of the token they stop at,
-    as formulas do."""
-    if not text.strip():
-        raise CtlError("empty formula")
-    tokens = terms.tokenize(text, terms.CTL_PUNCTUATION, terms.error_at_position(CtlError))
-    fresh = itertools.count()
-
-    def expect(i, value, what):  # the index past tokens[i], which must be value
-        if tokens[i][1] != value:
-            raise CtlError("expected %s, %s" % (what, terms.found(tokens[i])))
-        return i + 1
-
-    def conjunction(i):
-        left, i = unary(i)
-        while tokens[i][1] == "&":
-            right, i = unary(i + 1)
-            left = Intersection(left, right)
-        return left, i
-
-    def unary(i):
-        kind, tok, _ = tokens[i]
-        if tok in ("!", "EX"):
-            child, i = unary(i + 1)
-            return Not(child) if tok == "!" else OpApp("pre", (child,)), i
-        if tok == "E":
-            hold, i = conjunction(expect(i + 1, "(", "'(' after E"))
-            goal, i = conjunction(expect(i, "U", "'U' in E(_ U _)"))
-            i = expect(i, ")", "')' closing E(_ U _)")
-            var = "X%d" % next(fresh)
-            return Mu(var, Union(goal, Intersection(
-                hold, OpApp("pre", (Up(Var(var)),))))), i
-        if tok == "(":
-            inner, i = conjunction(i + 1)
-            return inner, expect(i, ")", "')'")
-        if tok in terms.CTL_KEYWORDS:  # the rest: A, AF, AG, EF, EG and U
-            if tok == "AF":
-                refuse_noneffective("forall-eventually")
-            raise CtlError("%r is outside the supported fragment "
-                           "(atoms, !, &, EX, E(_ U _))" % (tok,))
-        if kind != "ident":
-            raise CtlError("expected a formula, %s" % terms.found(tokens[i]))
-        return OpApp(tok), i + 1
-
-    term, i = conjunction(0)
-    if tokens[i][0] is not None:
-        raise CtlError("unexpected %r at position %d" % tokens[i][1:])
-    return term
+    straight into its guarded term by the formula parser with CTL's
+    prefix rules (_CtlParser).  Errors give the position of the token
+    they stop at, as formulas do."""
+    return _CtlParser(text).parse()
 
 
 def compile_ctl(model: GlcsModel, text: str) -> CompiledProperty:
     """The formula's guarded term, once each of its atoms, in text order,
     is `all`, `empty` or a named region of the model."""
-    term = parse_ctl(text)
-    # once the text parses, every identifier but a keyword is an atom
-    known = {*terms.CTL_KEYWORDS, "all", "empty", *model.named_regions}
-    for kind, name, _ in terms.tokenize(text, terms.CTL_PUNCTUATION,
-                                        terms.error_at_position(CtlError)):
-        if kind == "ident" and name not in known:
-            raise CtlError("unknown region atom %r" % (name,))
+    parser = _CtlParser(text)
+    term = parser.parse()
+    known = {"all", "empty", *model.named_regions}
+    for name, pos in parser.atoms:
+        if name not in known:
+            raise parser.error("unknown region atom %r" % (name,), pos)
     return CompiledProperty("ctl", term, model.algebra())
 
 
@@ -234,18 +227,18 @@ def _buchi_term(player: str, target: Term) -> Term:
 # goal: (property name, term of the player or opponent, dual); staying in
 # V forever (eventually forever) is the complement of the opponent
 # reaching (repeatedly reaching) the complement of V
-_GAME_GOALS = {"reach": ("game-reach", _reach_term, False),
-               "invariant": ("game-inv", _reach_term, True),
-               "buchi": ("game-buchi", _buchi_term, False),
-               "persistence": ("game-persist", _buchi_term, True)}
+GAME_GOALS = {"reach": ("game-reach", _reach_term, False),
+              "invariant": ("game-inv", _reach_term, True),
+              "buchi": ("game-buchi", _buchi_term, False),
+              "persistence": ("game-persist", _buchi_term, True)}
 
 
 def compile_game(goal: str, model: GlcsModel, player: str,
                  target: Region) -> CompiledProperty:
-    if goal not in _GAME_GOALS:
+    if goal not in GAME_GOALS:
         raise CompileError("unknown game goal %r" % (goal,))
     _require_game(model)
-    name, build, dual = _GAME_GOALS[goal]
+    name, build, dual = GAME_GOALS[goal]
     return _player_goal(name, model, build, player, target, dual)
 
 
@@ -290,17 +283,17 @@ def _prob_invariant_term(player: str, target: Term) -> Term:
 
 # the >0 goals come from determinacy: they are complements of the
 # opponent's almost-sure goal on the complemented target
-_PROB_GOALS = {"reach_eq1": ("prob-reach-1", _prob_reach_term, False),
-               "invariant_eq1": ("prob-inv-1", _prob_invariant_term, False),
-               "reach_pos": ("prob-reach-pos", _prob_invariant_term, True),
-               "invariant_pos": ("prob-inv-pos", _prob_reach_term, True)}
+PROB_GOALS = {"reach_eq1": ("prob-reach-1", _prob_reach_term, False),
+              "invariant_eq1": ("prob-inv-1", _prob_invariant_term, False),
+              "reach_pos": ("prob-reach-pos", _prob_invariant_term, True),
+              "invariant_pos": ("prob-inv-pos", _prob_reach_term, True)}
 
 
 def compile_prob_game(goal: str, model: GlcsModel, player: str,
                       target: Region) -> CompiledProperty:
     """Almost-sure and positive-probability reachability/invariance."""
     _require_game(model)
-    if goal not in _PROB_GOALS:
+    if goal not in PROB_GOALS:
         raise CompileError("unknown probabilistic goal %r" % (goal,))
-    name, build, dual = _PROB_GOALS[goal]
+    name, build, dual = PROB_GOALS[goal]
     return _player_goal(name, model, build, player, target, dual)

@@ -94,11 +94,11 @@ class GlcsModel:
         self.space = RegionSpace(self.signature)
         self.owners = dict(owners)
         self.named_regions = dict(named_regions or {})
-        self._set_rules(rules)
+        self._set_rules(tuple(map(self._check_rule, rules)))
 
     def _set_rules(self, rules: Tuple[Rule, ...]):
-        """Check and install the rules."""
-        self.rules = tuple(map(self._check_rule, rules))
+        """Install rules that _check_rule passed."""
+        self.rules = rules
         self._lossy_rules = _uncovered(self.rules)
         self._steps = {PERFECT: _grouped(self.rules), LOSSY: _grouped(self._lossy_rules)}
         self._pre_perf: Dict[tuple, Region] = {}

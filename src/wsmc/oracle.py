@@ -4,13 +4,15 @@ Everything here recomputes definitions by direct enumeration or search,
 running automata, words and steps itself, so a disagreement points at
 the engine.  It shares only its inputs: a model's rules and owners, and
 a region read as `Region.summands` (products of channel languages, from
-`regions._decompose`).  Never imported by the engine modules.
+`regions._decompose`).  Both bounded searches read one layered
+exploration that expands exactly `depth` steps.  Never imported by the
+engine modules.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .automata import EPSILON, Alphabet, Nfa, Word
 from .errors import WsmcError
@@ -228,22 +230,32 @@ def _check_depth(depth: int):
         raise OracleError("search depth must be nonnegative, got %d" % depth)
 
 
+def _layers(model: GlcsModel, start: Config, depth: int,
+            succ: Dict[Config, Set[Config]]):
+    """The configurations first reached in 0, 1, ..., depth lossy steps,
+    one layer at a time.  A layer is yielded before it is expanded, each
+    of its configurations keyed in succ to its successors; the layer at
+    `depth` is never expanded."""
+    layer, seen = {start}, {start}
+    for _ in range(depth):
+        yield layer
+        for c in layer:
+            succ[c] = lossy_successors(model, c)
+        layer = set().union(*(succ[c] for c in layer)) - seen
+        seen |= layer
+        if not layer:
+            return
+    yield layer
+
+
 def bounded_reach(model: GlcsModel, start: Config, target: Region,
                   depth: int) -> str:
-    """BFS over lossy steps; "reachable" is definitive, "unknown" is not."""
+    """BFS over at most `depth` lossy steps; "reachable" is definitive,
+    "unknown" is not."""
     _check_depth(depth)
-    frontier = {start}
-    seen = {start}
-    for _ in range(depth + 1):
-        if any(region_member(target, c) for c in frontier):
+    for layer in _layers(model, start, depth, {}):
+        if any(region_member(target, c) for c in layer):
             return "reachable"
-        nxt = set()
-        for c in frontier:
-            nxt |= lossy_successors(model, c)
-        frontier = nxt - seen
-        seen |= frontier
-        if not frontier:
-            break
     return "unknown"
 
 
@@ -254,9 +266,10 @@ def bounded_game(model: GlcsModel, start: Config, target: Region,
     Explores the lossy-step arena up to `depth`, then grows the winning
     set from the target: a reacher configuration joins when one successor
     wins, an avoider one when every successor wins (so a stuck avoider
-    loses, as under wpre).  If the exploration closed the attractor grows
-    to convergence and a start outside it is the avoider's; otherwise it
-    grows for `depth` rounds and anything but a reacher win is "unknown".
+    loses, as under wpre).  If the exploration closed (every configuration
+    it saw was expanded) the attractor grows to convergence and a start
+    outside it is the avoider's; otherwise it grows for `depth` rounds
+    and anything but a reacher win is "unknown".
     """
     _check_depth(depth)
     for loc in model.locations:
@@ -264,17 +277,9 @@ def bounded_game(model: GlcsModel, start: Config, target: Region,
             raise OracleError("location %s has no owner, so the game has no "
                               "player to move there" % loc)
     avoider = "B" if reacher == "A" else "A"
-    seen = {start}
-    frontier = {start}
     succ: Dict[Config, Set[Config]] = {}
-    for _ in range(depth):
-        for c in frontier:
-            succ[c] = lossy_successors(model, c)
-        frontier = set().union(*(succ[c] for c in frontier)) - seen
-        seen |= frontier
-        if not frontier:
-            break
-    closed = not frontier
+    seen = set().union(*_layers(model, start, depth, succ))
+    closed = len(succ) == len(seen)
     winning = {c for c in seen if region_member(target, c)}
 
     def joins(c: Config) -> bool:
@@ -306,12 +311,8 @@ def finite_mc(model: GlcsModel, term: terms.Term,
     if model.channels:
         raise OracleError("finite_mc needs a zero-channel model")
     locations = frozenset(model.locations)
-    edges: List[Tuple[str, str]] = []
-    for rule in model.rules:
-        config = Config(rule.source, ())
-        if rule.guard is not None and not region_member(rule.guard, config):
-            continue
-        edges.append((rule.source, rule.target))
+    edges = [(p, q.location) for p in locations
+             for q in perfect_successors(model, Config(p, ()))]
 
     def pre(s):
         return frozenset(p for (p, q) in edges if q in s)

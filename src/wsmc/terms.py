@@ -6,7 +6,8 @@ A term is one node type, `Term(kind, name, args)`.  The kind is one of
 the binders "mu" and "nu"; the name is the variable, operator or binder
 name (None for the other kinds); the args are the children.  `Var`,
 `OpApp`, `Union`, ... `Nu` build one node each.  A Term is a value (see
-values.Value).  Parsing freshens binder
+values.Value).  The one parser, `Parser`, reads formulas and, with CTL's
+prefix rules (compilers.parse_ctl), CTL.  Parsing freshens binder
 names so no two binders share a name and no name is both bound and free.
 Bound variables must sit under an even number of complements; mu-bound
 variables must be upward-guarded and nu-bound ones downward-guarded for
@@ -237,12 +238,6 @@ def tokenize(text: str, punctuation, error):
     return tokens
 
 
-def error_at_position(cls):
-    """The error callable of tokenize for formulas and CTL, whose
-    messages end in "at position N"."""
-    return lambda message, position: cls("%s at position %d" % (message, position))
-
-
 def found(tok) -> str:
     """What an error message says about the unexpected token tok, which
     may be the end token."""
@@ -250,35 +245,40 @@ def found(tok) -> str:
     return "found %s at position %d" % (what, tok[2])
 
 
-class _Parser:
-    """Recursive descent for the formula grammar.
+class Parser:
+    """Recursive descent for the formula grammar, raising error_class.
 
     Precedence, loosest first: mu/nu bodies extend maximally, then "|",
     then "&", then prefix "!" and the closure operators.
     """
 
-    def __init__(self, tokens, binding, free_ok):
-        self.tokens = tokens
+    def __init__(self, text, punctuation, error_class, binding, free_ok=False):
+        if not text.strip():
+            raise error_class("empty formula")
+        self.error_class = error_class
+        self.tokens = tokenize(text, punctuation, self.error)
         self.binding = binding  # maps operator name -> arity
         self.free_ok = free_ok
         self.pos = 0
-        self.error = error_at_position(TermError)
+
+    def error(self, message, position):  # also tokenize's error callable
+        return self.error_class("%s at position %d" % (message, position))
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def expect(self, kind, what=None):  # what names the kind in the error
+    def expect(self, kind, what=None):  # kind, or a keyword's value
         tok = self.peek()
-        if tok[0] != kind:
-            raise TermError("expected %s, %s" % (what or repr(kind), found(tok)))
+        if kind not in tok[:2]:
+            raise self.error_class("expected %s, %s" % (what or repr(kind), found(tok)))
         self.pos += 1
         return tok
 
-    def parse(self, scope):
-        t = self.alternation(scope)
+    def parse(self):
+        t = self.alternation(frozenset())
         tok = self.peek()
         if tok[0] is not None:
-            raise TermError("unexpected %r at position %d" % (tok[1], tok[2]))
+            raise self.error("unexpected %r" % (tok[1],), tok[2])
         return t
 
     def alternation(self, scope):
@@ -318,7 +318,7 @@ class _Parser:
             self.expect(")")
             return t
         if kind != "ident":
-            raise TermError("expected a formula, %s" % found(tok))
+            raise self.error_class("expected a formula, %s" % found(tok))
         self.pos += 1
         if value in ("empty", "all"):
             return OpApp(value)
@@ -363,11 +363,8 @@ def parse_term(text: str, binding, free_ok: bool = False) -> Term:
     `binding` maps operator names to arities (an AlgebraBinding works).
     With `free_ok`, unknown identifiers become free variables.
     """
-    if not text.strip():
-        raise TermError("empty formula")
     arities = binding.arities() if hasattr(binding, "arities") else dict(binding)
-    tokens = tokenize(text, frozenset("|&!().,"), error_at_position(TermError))
-    t = _Parser(tokens, arities, free_ok).parse(frozenset())
+    t = Parser(text, frozenset("|&!().,"), TermError, arities, free_ok).parse()
     t = rename_binders(t, set(free_vars(t)))
     check_parity(t)
     return t

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -185,6 +186,17 @@ def test_oracle_refuses_long_channel_words(capsys):
     assert captured.err.startswith("error: ") and "cap of 16" in captured.err
 
 
+def test_oracle_reach_expands_no_configuration_at_its_depth(capsys):
+    # 16 symbols are within the cap; every successor of s0w0 sends a 17th
+    start = "s0w0 : " + " ".join(["m0"] * 16) + ", "
+    argv = ["oracle", "reach", model_path("abp.lcs"), "--from", start,
+            "--target", "{}", "--depth"]
+    assert run_cli(capsys, *argv, "0") == (0, "unknown\n")
+    assert cli.main(argv + ["1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a successor of s0w0 holds 17 channel symbols, over the cap of 16\n")
+
+
 @pytest.mark.parametrize("search", ["reach", "game"])
 def test_oracle_refuses_negative_depth(capsys, search):
     code = cli.main(["oracle", search, model_path("token_game.lcs"),
@@ -238,6 +250,11 @@ def test_formula_ending_early_exits_2_naming_its_end(capsys, formula, message):
     ("E(GOAL U @)", "unexpected character '@' at position 9"),
     ("", "empty formula"),
     ("   ", "empty formula"),
+    ("AG GOAL", "'AG' is outside the supported fragment (atoms, !, &, EX, E(_ U _))"),
+    ("U", "'U' is outside the supported fragment (atoms, !, &, EX, E(_ U _))"),
+    ("AF GOAL", "refusing forall-eventually: inevitability (every run reaches "
+                "the target): the satisfying set is not effectively computable "
+                "for lossy channel systems"),
 ])
 def test_ctl_syntax_errors_exit_2_naming_their_position(capsys, formula, message):
     code = cli.main(["check", model_path("abp.lcs"), "ctl", "--formula", formula])
@@ -334,6 +351,16 @@ def test_check_json_output(capsys):
                         "--formula", "EX GOAL", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["region"] == "(q) + (s)"
+
+
+def test_properties_are_the_readme_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        table = handle.read().split("Properties for `check`:", 1)[1].split("\n\n")[1]
+    rows = [line.split(" | ")[0] for line in table.splitlines()[2:]]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
+    assert sorted(cli.PROPERTIES) == sorted(names)
+    assert len(names) == len(set(names)) == 16
 
 
 def test_missing_required_argument(capsys):

@@ -172,7 +172,7 @@ def test_compiled_ctl_terms_are_pinned():
                          for text in CTL_FORMULAS} | {"EX E(GOAL U X0)"}
     for text, term in want.items():
         assert compile_ctl(model, text).term == term, text
-    with pytest.raises(CtlError, match="^unknown region atom 'NOPE'$"):
+    with pytest.raises(CtlError, match="^unknown region atom 'NOPE' at position 2$"):
         compile_ctl(model, "E(NOPE U ALSO)")
     with pytest.raises(CtlError, match=r"^expected '\)', found end of formula "
                        "at position 12$"):
@@ -181,9 +181,10 @@ def test_compiled_ctl_terms_are_pinned():
 
 def test_ctl_unknown_atom(flags):
     # confA and pre are operators of the model's algebra, not regions
-    for text, atom in (("EX NOPE", "NOPE"), ("confA", "confA"),
-                       ("!pre & all", "pre")):
-        with pytest.raises(CtlError, match="^unknown region atom %r$" % atom):
+    for text, atom, pos in (("EX NOPE", "NOPE", 3), ("confA", "confA", 0),
+                            ("!pre & all", "pre", 1)):
+        with pytest.raises(CtlError, match="^unknown region atom %r at position %d$"
+                           % (atom, pos)):
             eval_ctl(flags, text)
 
 

@@ -83,6 +83,16 @@ def test_parse_model_rule_errors_carry_line_numbers(rule, message):
     assert str(info.value) == "m.lcs:4: %s" % message
 
 
+def test_parse_model_checks_each_rule_once(monkeypatch):
+    checked = []
+    check = GlcsModel._check_rule
+    monkeypatch.setattr(GlcsModel, "_check_rule",
+                        lambda self, rule: checked.append(rule) or check(self, rule))
+    model = load_model(model_path("abp.lcs"))
+    assert len(checked) == len(model.rules) == 36
+    assert set(checked) == set(model.rules)
+
+
 @pytest.mark.parametrize("name", [
     "empty", "all", "pre", "wpre", "post", "prep", "wprep", "postp",
     "confA", "confB", "mu", "nu", "up", "down", "kup", "kdown", "AF", "EX", "U"])
