@@ -9,6 +9,15 @@ outright.
 Dual goals (invariants, persistence, positive-probability) evaluate the
 opposing player's term and complement once at top level, which keeps
 every binder guarded and every bound variable complement-free.
+
+Game terms step through the owners' operators: preP is confP & pre, and
+likewise for prep, wpre and wprep.  _require_game admits only models
+where every location has an owner and every rule alternates owners, so
+a step from Q's locations reads its argument at P's locations alone,
+where pre(R) and preP(R) agree, and one from P's reads it at Q's alone.
+So the player's advance preP(up X) also stands in for pre(up X) in the
+opponent's argument, and the opponent's wpreQ(kdown Y) for wpre(kdown Y)
+under Buchi's preP, with every approximant unchanged.
 """
 
 from __future__ import annotations
@@ -78,10 +87,6 @@ def _other(player: str) -> str:
     if player not in ("A", "B"):
         raise CompileError("player must be A or B, got %r" % (player,))
     return "B" if player == "A" else "A"
-
-
-def _conf(player: str) -> Term:
-    return OpApp("confA" if player == "A" else "confB")
 
 
 def _require_game(model: GlcsModel):
@@ -203,25 +208,20 @@ def eval_ctl(model: GlcsModel, text: str,
 
 def _reach_term(player: str, target: Term,
                 opponent_step: str = "wpre") -> Term:
-    """The alternation-simplified reachability term:
-    mu X. V | (confP & pre(up X)) | (confQ & wpre(V | pre(up X)))."""
-    advance = OpApp("pre", (Up(Var("X")),))
-    return Mu("X", Union(
-        Union(target, Intersection(_conf(player), advance)),
-        Intersection(_conf(_other(player)),
-                     OpApp(opponent_step, (Union(target, advance),)))))
+    """The alternation-simplified reachability term, with the advance
+    shared (see the module docstring):
+    mu X. V | preP(up X) | wpreQ(V | preP(up X))."""
+    advance = Union(target, OpApp("pre" + player, (Up(Var("X")),)))
+    return Mu("X", Union(advance, OpApp(opponent_step + _other(player), (advance,))))
 
 
 def _buchi_term(player: str, target: Term) -> Term:
-    """nu Y. reach(player, V & (phiP(Y) | phiQ(Y))) where the phis keep
-    the play inside configurations from which Y survives one round."""
-    phi_p = Intersection(
-        _conf(player),
-        OpApp("pre", (Up(OpApp("wpre", (Kdown(Var("Y")),))),)))
-    phi_q = Intersection(_conf(_other(player)),
-                         OpApp("wpre", (Kdown(Var("Y")),)))
-    goal = Intersection(target, Union(phi_p, phi_q))
-    return Nu("Y", _reach_term(player, goal))
+    """nu Y. reach(player, V & (phiP | phiQ)), where phiQ = wpreQ(kdown Y)
+    and phiP = preP(up phiQ) keep the play inside configurations from
+    which Y survives one round."""
+    phi_q = OpApp("wpre" + _other(player), (Kdown(Var("Y")),))
+    phi_p = OpApp("pre" + player, (Up(phi_q),))
+    return Nu("Y", _reach_term(player, Intersection(target, Union(phi_p, phi_q))))
 
 
 # goal: (property name, term of the player or opponent, dual); staying in
@@ -246,9 +246,8 @@ def compile_game(goal: str, model: GlcsModel, player: str,
 
 def compile_asym_game(goal: str, model: GlcsModel, player: str,
                       target: Region) -> CompiledProperty:
-    """B's reachability, mu X. V | (confB & pre(up X)) | (confA &
-    wprep(V | pre(up X))), or A's invariant as its dual; the other two
-    goals are refused."""
+    """B's reachability, mu X. V | preB(up X) | wprepA(V | preB(up X)),
+    or A's invariant as its dual; the other two goals are refused."""
     if goal not in ("reach", "invariant"):
         raise CompileError("unknown asymmetric goal %r" % (goal,))
     dual = goal == "invariant"
@@ -264,21 +263,17 @@ def compile_asym_game(goal: str, model: GlcsModel, player: str,
 # -- qualitative probabilistic games ------------------------------------
 
 def _prob_reach_term(player: str, target: Term) -> Term:
-    """nu Y. mu X. V | (confP & prep(up X & kdown Y))
-                    | (confQ & wprep(up X & kdown Y))."""
-    retry = Intersection(Up(Var("X")), Kdown(Var("Y")))
-    body = Union(
-        Union(target, Intersection(_conf(player), OpApp("prep", (retry,)))),
-        Intersection(_conf(_other(player)), OpApp("wprep", (retry,))))
-    return Nu("Y", Mu("X", body))
+    """nu Y. mu X. V | prepP(up X & kdown Y) | wprepQ(up X & kdown Y)."""
+    retry = (Intersection(Up(Var("X")), Kdown(Var("Y"))),)
+    return Nu("Y", Mu("X", Union(Union(target, OpApp("prep" + player, retry)),
+                                 OpApp("wprep" + _other(player), retry))))
 
 
 def _prob_invariant_term(player: str, target: Term) -> Term:
-    """nu X. V & ((confP & prep(kdown X)) | (confQ & wpre(kdown X)))."""
-    body = Intersection(target, Union(
-        Intersection(_conf(player), OpApp("prep", (Kdown(Var("X")),))),
-        Intersection(_conf(_other(player)), OpApp("wpre", (Kdown(Var("X")),)))))
-    return Nu("X", body)
+    """nu X. V & (prepP(kdown X) | wpreQ(kdown X))."""
+    stay = (Kdown(Var("X")),)
+    return Nu("X", Intersection(target, Union(OpApp("prep" + player, stay),
+                                              OpApp("wpre" + _other(player), stay))))
 
 
 # the >0 goals come from determinacy: they are complements of the

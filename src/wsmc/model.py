@@ -11,6 +11,8 @@ perfect-step predecessors through every rule (GlcsModel.pre_perf), which
 every pre and wpre ends in, edits each target slice once per group of
 unguarded rules with the same target and edit (_grouped), and is
 memoized per model on the region's slices; new rules start a new memo.
+An owner's step, such as preA = confA & pre, steps only through the
+rules from the owner's locations, and its wpre complements only there.
 
 A lossy pre steps only upward-closed slices L, where the steps of rules
 between two locations nest: a receive gives a subset of L, a nop L, a
@@ -37,12 +39,13 @@ PERFECT, LOSSY = "perfect", "lossy"
 
 # the built-in operators of a model's algebra: name -> (arity, function
 # of the model and the arguments); pre/wpre/post step lossily, their
-# "p" forms perfectly, and confA/confB are the owners' locations
+# "p" forms perfectly, confA/confB are the owners' locations, and an
+# owner's step, such as wprepB = confB & wprep, steps from its locations
 STEP_OPERATORS = {
-    "pre": (1, lambda m, r: m.pre(r, LOSSY)),
-    "prep": (1, lambda m, r: m.pre(r, PERFECT)),
-    "wpre": (1, lambda m, r: m.wpre(r, LOSSY)),
-    "wprep": (1, lambda m, r: m.wpre(r, PERFECT)),
+    **{step + p + (owner or ""): (1, lambda m, r, step=step, mode=mode, owner=owner:
+                                 getattr(m, step)(r, mode, owner))
+       for step in ("pre", "wpre") for p, mode in (("", LOSSY), ("p", PERFECT))
+       for owner in (None, "A", "B")},
     "post": (1, lambda m, r: m.post(r, LOSSY)),
     "postp": (1, lambda m, r: m.post(r, PERFECT)),
     "confA": (0, lambda m: m.space.location_region(m.player_locations("A"))),
@@ -100,8 +103,11 @@ class GlcsModel:
         """Install rules that _check_rule passed."""
         self.rules = rules
         self._lossy_rules = _uncovered(self.rules)
-        self._steps = {PERFECT: _grouped(self.rules), LOSSY: _grouped(self._lossy_rules)}
-        self._pre_perf: Dict[tuple, Region] = {}
+        self._steps = {(mode, owner): _grouped(tuple(  # the rules from owner's locations
+            rule for rule in mode_rules if owner in (None, self.owners.get(rule.source))))
+            for mode, mode_rules in ((PERFECT, rules), (LOSSY, self._lossy_rules))
+            for owner in (None, "A", "B")}
+        self._pre_perf: Dict[Optional[str], dict] = {None: {}, "A": {}, "B": {}}
 
     def _check_rule(self, rule: Rule) -> Rule:
         """rule, once its names and guard are checked against the model."""
@@ -174,16 +180,17 @@ class GlcsModel:
         """Union over the rules into the locations of region.  Memoized
         on the region's slices, since nested binders and later queries
         step equal approximants again; new rules start a new memo."""
-        return self._pre_perf_through(self._steps[PERFECT], region)
+        return self._pre_perf_through(PERFECT, None, region)
 
-    def _pre_perf_through(self, steps, region: Region) -> Region:
-        """pre_perf of region as the union of steps (see _grouped), which
-        must give the same region: the edit of a group once, into each of
-        its sources, and the guarded rules through pre_perf_rule."""
-        key = self.space.normalize(region).slices
-        step = self._pre_perf.get(key)
+    def _pre_perf_through(self, mode: str, owner: Optional[str], region: Region) -> Region:
+        """pre_perf of region, at owner's locations alone unless owner is
+        None, as the union of the mode's steps from there (see _grouped),
+        which must give the same region: the edit of a group once, into
+        each of its sources, and the guarded rules through pre_perf_rule."""
+        memo, key = self._pre_perf[owner], self.space.normalize(region).slices
+        step = memo.get(key)
         if step is None:
-            (groups, guarded), slices = steps, []
+            (groups, guarded), slices = self._steps[mode, owner], []
             for target, enc in region.slices:
                 for edit, sources in groups.get(target, {}).items():
                     stepped = self.space.edited(enc, *edit)
@@ -191,19 +198,23 @@ class GlcsModel:
                         slices += [(source, stepped) for source in sources]
             for rule in guarded:
                 slices += self.pre_perf_rule(rule, region).slices
-            step = self._pre_perf[key] = self.space.union_of(slices)
+            step = memo[key] = self.space.union_of(slices)
         return step
 
-    def pre(self, region: Region, mode: str = LOSSY) -> Region:
+    def pre(self, region: Region, mode: str = LOSSY, owner: Optional[str] = None) -> Region:
         """Predecessors: the perfect ones of region or, when lossy, of its
-        upward closure, to which covered rules add nothing."""
-        if _lossy(mode):
-            return self._pre_perf_through(self._steps[LOSSY],
-                                          self.space.up_closure(region))
-        return self.pre_perf(region)
+        upward closure, to which covered rules add nothing.  Given an
+        owner, only those at its locations: confA & pre for "A"."""
+        _owner(owner)
+        return self._pre_perf_through(mode, owner, self.space.up_closure(region)
+                                      if _lossy(mode) else region)
 
-    def wpre(self, region: Region, mode: str = LOSSY) -> Region:
-        return self.space.complement(self.pre(self.space.complement(region), mode))
+    def wpre(self, region: Region, mode: str = LOSSY, owner: Optional[str] = None) -> Region:
+        """The complement of pre of the complement; given an owner, its
+        locations without pre(complement, mode, owner)."""
+        step = self.pre(self.space.complement(region), mode, owner)
+        return self.space.complement(step) if owner is None else self.space.difference(
+            self.space.location_region(self.player_locations(owner)), step)
 
     def post_perf_rule(self, rule: Rule, region: Region) -> Region:
         """Strongest perfect-step successor through one rule: the slice at

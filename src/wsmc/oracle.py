@@ -335,6 +335,10 @@ def finite_mc(model: GlcsModel, term: terms.Term,
         "confA": lambda: frozenset(model.player_locations("A")),
         "confB": lambda: frozenset(model.player_locations("B")),
     }
+    for owner in ("A", "B"):  # an owner's step, such as preA, is confA & pre
+        conf = operators["conf" + owner]()
+        for step in ("pre", "prep", "wpre", "wprep"):
+            operators[step + owner] = lambda s, f=operators[step], conf=conf: conf & f(s)
     for name, region in model.named_regions.items():
         operators[name] = (lambda region=region: const(region))
     for name, locs in (consts or {}).items():

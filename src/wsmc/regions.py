@@ -204,11 +204,13 @@ class RegionSpace:
                            lambda: self._intersection(a, b))
 
     def _intersection(self, a: Region, b: Region) -> Region:
+        """Per location of both, a product walk, unless a slice is the
+        other one or the full slice, which meets a slice in that slice."""
         other = b.encodings
         return self._region({
-            loc: x if x is other[loc] else self._apply(
-                ("&", frozenset((x, other[loc]))),
-                lambda x=x, y=other[loc]: automata.intersection(x, y))
+            loc: other[loc] if x is self._all else x if other[loc] in (x, self._all)
+            else self._apply(("&", frozenset((x, other[loc]))),
+                             lambda x=x, y=other[loc]: automata.intersection(x, y))
             for loc, x in a.slices if loc in other})
 
     def complement(self, a: Region) -> Region:

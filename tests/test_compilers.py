@@ -7,8 +7,8 @@ from wsmc.compilers import (
     CompileError, CtlError, NonEffectiveGoalError, compile_asym_game,
     compile_ctl, compile_forall_release, compile_game, compile_pre_star,
     compile_prob_game, eval_ctl, parse_ctl, refuse_noneffective)
-from wsmc.engine import Limits
-from wsmc.model import load_model, parse_model
+from wsmc.engine import Limits, evaluate
+from wsmc.model import GlcsModel, load_model, parse_model
 from wsmc.terms import (
     Intersection, Mu, Not, OpApp, Union, Up, Var, check_guarded, check_parity)
 
@@ -341,3 +341,74 @@ def test_compiled_runs_match_finite_mc_spot_checks(flags):
         if prop.negate:
             want = frozenset(flags.locations) - want
         assert locs == want, prop.name
+
+
+# -- owners' steps against the textbook controllable predecessor ----------
+
+# each compiled goal's term as written before the owners' steps: every
+# step at every location, met with confP or confQ; V is the bound target
+REACH = "mu X. V | (confP & pre(up(X))) | (confQ & %s(V | pre(up(X))))"
+BUCHI = "nu Y. " + (REACH % "wpre").replace(
+    "V", "(V & ((confP & pre(up(wpre(kdown(Y))))) | (confQ & wpre(kdown(Y)))))")
+PROB_REACH = ("nu Y. mu X. V | (confP & prep(up(X) & kdown(Y)))"
+              " | (confQ & wprep(up(X) & kdown(Y)))")
+PROB_INVARIANT = "nu X. V & ((confP & prep(kdown(X))) | (confQ & wpre(kdown(X))))"
+TEXTBOOK_TERMS = {
+    "game-reach": REACH % "wpre", "game-inv": REACH % "wpre",
+    "game-buchi": BUCHI, "game-persist": BUCHI,
+    "asym-reach-B": REACH % "wprep", "asym-inv-A": REACH % "wprep",
+    "prob-reach-1": PROB_REACH, "prob-inv-pos": PROB_REACH,
+    "prob-inv-1": PROB_INVARIANT, "prob-reach-pos": PROB_INVARIANT,
+}
+
+
+def textbook_term(prop, player):
+    """prop's term as the textbook term over prop's algebra: for player,
+    or for the opponent when prop is a dual goal."""
+    [constant] = prop.algebra.constants
+    if prop.negate:
+        player = "B" if player == "A" else "A"
+    text = TEXTBOOK_TERMS[prop.name].replace("P", player)
+    text = text.replace("Q", "B" if player == "A" else "A").replace("V", constant)
+    return terms.parse_term(text, prop.algebra)
+
+
+def test_owners_steps_give_the_textbook_approximants(rng):
+    for _ in range(100):
+        model = random_model(rng, max_locations=4, max_channels=2, max_rules=5,
+                             game=True)
+        assert model.validate() == []
+        target = random_region_for(rng, model, 3)
+        props = [(compile_game(goal, model, player, target), player)
+                 for goal in compilers.GAME_GOALS for player in "AB"]
+        props += [(compile_prob_game(goal, model, player, target), player)
+                  for goal in compilers.PROB_GOALS for player in "AB"]
+        props += [(compile_asym_game("reach", model, "B", target), "B"),
+                  (compile_asym_game("invariant", model, "A", target), "A")]
+        assert len(props) == 18
+        for prop, player in props:
+            value, stats = evaluate(prop.term, {}, prop.algebra)
+            want, want_stats = evaluate(textbook_term(prop, player), {}, prop.algebra)
+            assert value == want, prop.name
+            assert stats.iterations == want_stats.iterations, prop.name
+
+
+def test_owners_steps_are_the_steps_met_with_the_owners_locations(rng):
+    steps = [step + p for step in ("pre", "wpre") for p in ("", "p")]
+    for i in range(40):
+        model = random_model(rng, max_locations=4, max_channels=2, max_rules=5,
+                             game=i % 2 == 0)
+        if i % 2:  # owners at random: models that fail validation
+            model = GlcsModel(model.alphabet, model.channels, model.locations,
+                              {q: rng.choice(("A", "B", None)) for q in model.locations},
+                              model.rules)
+        algebra = model.algebra()
+        for _ in range(3):
+            region = random_region_for(rng, model)
+            for owner in "AB":
+                [_, conf] = algebra.operators["conf" + owner]
+                for step in steps:
+                    [_, restricted], [_, full] = (algebra.operators[step + owner],
+                                                  algebra.operators[step])
+                    assert restricted(region) == model.space.intersection(
+                        conf(), full(region)), (step + owner, model.owners)

@@ -4,7 +4,8 @@ import pytest
 
 from wsmc import automata, oracle, terms
 from wsmc.automata import Alphabet, Nfa
-from wsmc.compilers import compile_game
+from wsmc.compilers import (
+    GAME_GOALS, PROB_GOALS, compile_asym_game, compile_game, compile_prob_game)
 from wsmc.engine import (
     AlgebraBinding, EvalStats, EvaluationError, IterationCapError, Limits,
     UnguardedTermError, WordAlgebra, evaluate)
@@ -362,16 +363,34 @@ def counting(algebra, name):
 def test_shared_and_closed_subterms_are_evaluated_once():
     model = load_model(model_path("token_game.lcs"))
     target = model.named_regions["GOAL"]
-    # mu X. V | (confB & pre(up X)) | (confA & wpre(V | pre(up X)))
+    # mu X. V | preB(up X) | wpreA(V | preB(up X)): one preB per X
+    # iteration serves both branches, and the closed V is evaluated once
     reach = compile_game("reach", model, "B", target)
-    pre_calls, conf_calls = counting(reach.algebra, "pre"), counting(reach.algebra, "confA")
+    [constant] = reach.algebra.constants
+    pre_calls, const_calls = counting(reach.algebra, "preB"), counting(reach.algebra, constant)
     _, stats = reach.run()
     assert len(pre_calls) == sum(stats.iterations["X"]) > 1
-    assert len(conf_calls) == 1
-    # nu Y. mu X. V' | (confB & pre(up X)) | (confA & wpre(V' | pre(up X))),
-    # V' = V & ((confB & pre(up(wpre(kdown Y)))) | (confA & wpre(kdown Y))):
-    # one wpre per X iteration and one per Y iteration
+    assert len(const_calls) == 1
+    # nu Y. mu X. V' | preB(up X) | wpreA(V' | preB(up X)), where
+    # V' = V & (preB(up(wpreA(kdown Y))) | wpreA(kdown Y)): one wpreA per
+    # X iteration and one per Y iteration, which both branches of V' use
     buchi = compile_game("buchi", model, "B", target)
-    wpre_calls = counting(buchi.algebra, "wpre")
+    wpre_calls = counting(buchi.algebra, "wpreA")
     _, stats = buchi.run()
     assert len(wpre_calls) == sum(stats.iterations["X"]) + sum(stats.iterations["Y"])
+
+
+def test_compiled_game_terms_step_only_through_the_owners_operators():
+    model = load_model(model_path("token_game.lcs"))
+    target = model.named_regions["GOAL"]
+    unrestricted = ("pre", "prep", "wpre", "wprep", "confA", "confB")
+    props = [compile_game(goal, model, player, target)
+             for goal in GAME_GOALS for player in "AB"]
+    props += [compile_prob_game(goal, model, player, target)
+              for goal in PROB_GOALS for player in "AB"]
+    props += [compile_asym_game("reach", model, "B", target),
+              compile_asym_game("invariant", model, "A", target)]
+    for prop in props:
+        calls = [counting(prop.algebra, name) for name in unrestricted]
+        prop.run()
+        assert calls == [[]] * len(unrestricted), prop.name

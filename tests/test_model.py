@@ -95,7 +95,8 @@ def test_parse_model_checks_each_rule_once(monkeypatch):
 
 @pytest.mark.parametrize("name", [
     "empty", "all", "pre", "wpre", "post", "prep", "wprep", "postp",
-    "confA", "confB", "mu", "nu", "up", "down", "kup", "kdown", "AF", "EX", "U"])
+    "confA", "confB", "preA", "preB", "prepA", "prepB", "wpreA", "wpreB",
+    "wprepA", "wprepB", "mu", "nu", "up", "down", "kup", "kdown", "AF", "EX", "U"])
 def test_parse_model_rejects_reserved_region_names(name):
     text = "alphabet: a\nchannels: c\nlocations: p\nregion %s = (p; a)" % name
     with pytest.raises(ModelError) as info:
@@ -516,13 +517,13 @@ def test_perfect_steps_use_every_rule(monkeypatch):
         steps, edited = [], []
         through, edit = copy._pre_perf_through, copy.space.edited
         monkeypatch.setattr(copy, "_pre_perf_through",
-                            lambda s, r: steps.append(s) or through(s, r))
+                            lambda *args: steps.append(args[:2]) or through(*args))
         monkeypatch.setattr(copy.space, "edited",
                             lambda enc, *e: edited.append(e) or edit(enc, *e))
         getattr(copy, op)(both, mode)
         # the (target, edit, source) groups the step derives from the rules,
         # each edit of a target slice made once
-        [(groups, guarded)] = steps
+        [(groups, guarded)] = [copy._steps[mode_owner] for mode_owner in steps]
         assert guarded == ()
         stepped = [(target, e, source) for target, by_edit in groups.items()
                    for e, sources in by_edit.items() for source in sources]

@@ -313,6 +313,23 @@ def test_the_full_slice_absorbs_a_union_without_a_walk(space, rng, monkeypatch):
         assert space._memo == memo and walks == []
 
 
+def test_the_full_slice_meets_a_region_without_a_walk(space, rng, monkeypatch):
+    at_p, walks = space.location_region(["p"]), []
+    intersection = automata.intersection
+    monkeypatch.setattr(automata, "intersection",
+                        lambda x, y: walks.append((x, y)) or intersection(x, y))
+    for _ in range(10):
+        region = random_region(rng, space, 3)
+        want = space._region({
+            loc: automata.canonicalize(intersection(space._all, enc))
+            for loc, enc in region.slices if loc == "p"})
+        assert space.intersection(at_p, region) == want
+        assert space.intersection(region, at_p) == want
+        assert space.intersection(space.full(), region) == region
+        assert space.intersection(region, space.full()) == region
+    assert walks == []
+
+
 def reference_join_nfa(space, langs):
     """An NFA of L1 # L2 # ... # Lc over the extended alphabet, built
     move by move: the reference that RegionSpace._join's tables are
