@@ -19,12 +19,14 @@ between two locations nest: a receive gives a subset of L, a nop L, a
 send a superset, and a guard only shrinks a step.  So the lossy pre
 skips the rules an unguarded rule between the same locations covers
 (_uncovered); perfect steps keep every rule.
+
+Region text, configurations and rules are read by _Reader through
+terms.Cursor, the one token cursor of every syntax, formulas too.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from typing import Dict, List, Optional, Tuple
 
 from . import automata, regexes, terms
@@ -277,92 +279,132 @@ class ConfigAlgebra(AlgebraBinding):
 
 # -- text formats ------------------------------------------------------
 
-def parse_word(text: str, alphabet: Alphabet, offset: int = 0) -> Word:
-    """A channel word: whitespace-separated symbols, each token split
-    greedily into alphabet symbols (so "ab" over {a,b} is the word ab).
-    offset is the position of text in its input, which errors report."""
-    out = []
-    for token in re.finditer(r"\S+", text):
-        out.extend(regexes._split_symbols(token.group(), alphabet,
-                                          offset + token.start()))
-    return tuple(out)
+_PUNCTUATION = frozenset({*"+();|*?.~:,!=", "{}", "->"})
+
+
+class _Reader(regexes.RegexParser):
+    """Region text, configurations and rules over model, with ModelErrors
+    at their position in text; a pattern is a regex, and a word is
+    identifiers split into symbols:
+
+        region ::= "{}" | part ("+" part)*
+        part   ::= NAME | "(" location (";" pattern)* ")"
+        config ::= location [":" word ("," word)*]   (missing words are empty)
+        rule   ::= location "->" location ":" (channel ("!" | "?") symbol | "nop")
+                   ["guard" region]
+    """
+
+    def __init__(self, text: str, model: GlcsModel):
+        super().__init__(text, _PUNCTUATION, ModelError, model.alphabet)
+        self.model = model
+
+    def name(self, names, message: str) -> str:
+        """The next identifier, in names; any other token names ''."""
+        kind, value, pos = self.peek()
+        value = value if kind == "ident" else ""
+        if value not in names:
+            raise self.error(message % (value,), pos)
+        self.pos += 1
+        return value
+
+    def region(self) -> Region:
+        if self.peek()[0] is None:
+            raise self.error("empty region expression (the empty region is "
+                             "written {})", self.peek()[2])
+        if self.accept("{}"):
+            return self.model.space.empty()
+        parts = [self.part()]
+        while self.accept("+"):
+            parts.append(self.part())
+        return self.model.space.union(*parts)
+
+    def part(self) -> Region:
+        kind = self.peek()[0]
+        if kind in ("+", None):
+            raise self.found("empty region atom")
+        if kind == "ident":
+            regions = self.model.named_regions
+            return regions[self.name(regions, "unknown named region %r")]
+        self.expect("(", "a region atom")
+        loc = self.name(self.model.locations, "unknown location %r")
+        langs = []
+        for _ in self.model.channels:  # a pattern each
+            self.expect(";")
+            langs.append(self.pattern())
+        self.expect(")")
+        return self.model.space.atom(loc, tuple(langs))
+
+    def pattern(self) -> Nfa:
+        """The language of the tokens up to the next ";" or ")" outside
+        parentheses, compiled once per pattern text (_channel_language);
+        one that fails is read again in place, for the error's position."""
+        start, depth = self.pos, 0
+        while self.peek()[0] is not None and (depth or self.peek()[0] not in (";", ")")):
+            depth += {"(": 1, ")": -1}.get(self.peek()[0], 0)
+            self.pos += 1
+        text = self.text[self.tokens[start][2]:self.peek()[2]].rstrip()
+        try:
+            return _channel_language(text, self.alphabet)
+        except regexes.RegexError:
+            self.pos = start
+            self.alternation()
+            raise self.found("expected ';' or ')'")
+
+    def word(self) -> Word:
+        out = []
+        while self.peek()[0] == "ident":
+            _, value, pos = self.expect("ident")
+            out += self.symbols(value, pos)
+        return tuple(out)
+
+    def config(self) -> Config:
+        loc = self.name(self.model.locations, "unknown location %r")
+        words, seps = [], []  # each word and the ':' or ',' before it
+        while self.accept(":" if not seps else ","):
+            seps.append(self.tokens[self.pos - 1])
+            words.append(self.word())
+        n = len(self.model.channels)
+        if len(words) > n and (n or any(words)):
+            _, sep, pos = seps[n]
+            raise self.error("expected %s, found %r" % (terms.count(
+                n, "channel word", "channel words"), sep), pos)
+        return Config(loc, tuple(words[:n]) + ((),) * (n - len(words)))
+
+    def rule(self) -> Rule:
+        endpoint = "rule endpoint %r is not a location"
+        src = self.name(self.model.locations, endpoint)
+        self.expect("->")
+        tgt = self.name(self.model.locations, endpoint)
+        self.expect(":")
+        op = self.tokens[self.pos + (self.peek()[0] == "ident")][0]
+        if op in ("!", "?"):
+            chan = self.name(self.model.channels, "rule channel %r not declared")
+            self.pos += 1
+            sym = self.name(self.model.alphabet, "rule symbol %r not in alphabet")
+            kind = SEND if op == "!" else RECV
+        else:
+            self.expect("nop", "'nop' or a channel operation")
+            kind, chan, sym = INTERNAL, None, None
+        guard = self.region() if self.accept("guard") else None
+        return Rule(src, tgt, kind, chan, sym, guard)
+
+
+def _read(what, text: str, model: GlcsModel, keywords: int = 0):
+    """what model's reader reads in text after its first keywords tokens."""
+    reader = _Reader(text, model)
+    reader.pos = keywords
+    return reader.end(what(reader))
 
 
 def parse_config(text: str, model: GlcsModel) -> Config:
     """Config text: "location : word, word, ..." with one word per channel."""
-    loc, _, rest = text.partition(":")
-    parts, offset = rest.split(","), len(loc) + 1  # where the next part starts
-    loc = loc.strip()
-    if loc not in model.locations:
-        raise ModelError("unknown location %r" % (loc,))
-    if len(model.channels) == 0 and all(not p.strip() for p in parts):
-        parts = []
-    while len(parts) < len(model.channels):
-        parts.append("")
-    if len(parts) != len(model.channels):
-        raise ModelError("expected %d channel words, got %d"
-                         % (len(model.channels), len(parts)))
-    words = []
-    for part in parts:
-        words.append(parse_word(part, model.alphabet, offset))
-        offset += len(part) + 1
-    return Config(loc, tuple(words))
+    return _read(_Reader.config, text, model)
 
 
 def parse_region_text(text: str, model: GlcsModel) -> Region:
     """Region expressions: "{}" or atoms "(loc; regex; ...)" joined by "+";
     a bare identifier references a named region of the model."""
-    text = text.strip()
-    if not text:
-        raise ModelError("empty region expression (the empty region is written {})")
-    if text == "{}":
-        return model.space.empty()
-    return model.space.union(*[_parse_region_atom(atom, model)
-                               for atom in _split_region_atoms(text)])
-
-
-def _split_region_atoms(text: str) -> List[str]:
-    atoms = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ModelError("unbalanced parentheses in region expression")
-        if ch == "+" and depth == 0:
-            atoms.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ModelError("unbalanced parentheses in region expression")
-    atoms.append("".join(current))
-    atoms = [a.strip() for a in atoms]
-    if not all(atoms):
-        raise ModelError("empty region atom in %r" % (text,))
-    return atoms
-
-
-def _parse_region_atom(atom: str, model: GlcsModel) -> Region:
-    if not atom.startswith("("):
-        if atom in model.named_regions:
-            return model.named_regions[atom]
-        raise ModelError("unknown named region %r" % (atom,))
-    if not atom.endswith(")"):
-        raise ModelError("malformed region atom %r" % (atom,))
-    fields = atom[1:-1].split(";")
-    loc = fields[0].strip()
-    if loc not in model.locations:
-        raise ModelError("unknown location %r" % (loc,))
-    patterns = [f.strip() for f in fields[1:]]
-    if len(patterns) != len(model.channels):
-        raise ModelError("region atom %r needs %d channel languages"
-                         % (atom, len(model.channels)))
-    return model.space.atom(loc, tuple(_channel_language(p, model.alphabet)
-                                       for p in patterns))
+    return _read(_Reader.region, text, model)
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,14 +503,15 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
     locations: List[str] = []
     owners: Dict[str, Optional[str]] = {}
     pending_regions: List[Tuple[int, str, str]] = []
-    pending_rules: List[Tuple[int, str]] = []
+    pending_rules: List[Tuple[int, str]] = []  # line number and line
     first_line: Dict[str, int] = {}  # of the alphabet and the channels line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]  # its reader counts positions in the line
+        head = line.strip()
+        if not head:
             continue
-        keyword, _, rest = line.partition(":")
+        keyword, _, rest = head.partition(":")
         try:
             if keyword in ("alphabet", "channels") and (
                     first_line.setdefault(keyword, lineno) != lineno):
@@ -488,8 +531,8 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                     _identifiers("location", [loc], owners)
                     locations.append(loc)
                     owners[loc] = owner
-            elif line.startswith("region "):
-                name_part, eq, expr = line[len("region "):].partition("=")
+            elif head.startswith("region "):
+                name_part, eq, _ = head[len("region "):].partition("=")
                 if not eq:
                     raise ModelError("region needs 'name = expression'")
                 rname = _region_name(name_part.strip())
@@ -497,9 +540,9 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                     if earlier == rname:
                         raise ModelError("duplicate region %r (first declared on "
                                          "line %d)" % (rname, first))
-                pending_regions.append((lineno, rname, expr.strip()))
-            elif line.startswith("rule "):
-                pending_rules.append((lineno, line[len("rule "):]))
+                pending_regions.append((lineno, rname, line))
+            elif head.startswith("rule "):
+                pending_rules.append((lineno, line))
             else:
                 raise ModelError("unrecognized line")
         except (ModelError, AutomatonError) as exc:
@@ -511,41 +554,19 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
         raise ModelError("%s: missing locations declaration" % name)
 
     model = GlcsModel(alphabet, channels, tuple(locations), owners, ())
-    for lineno, rname, expr in pending_regions:
+
+    def read(what, lineno, line, keywords):
         try:
-            model.named_regions[rname] = parse_region_text(expr, model)
-        except (ModelError, regexes.RegexError) as exc:
+            return _read(what, line, model, keywords)
+        except ModelError as exc:
             raise ModelError("%s:%d: %s" % (name, lineno, exc))
-    rules = []
-    for lineno, body in pending_rules:
-        try:
-            rules.append(model._check_rule(_parse_rule(body, model)))
-        except (ModelError, regexes.RegexError) as exc:
-            raise ModelError("%s:%d: %s" % (name, lineno, exc))
-    # one model, so the regions normalized while parsing stay in its memo
-    model._set_rules(tuple(rules))
+
+    for lineno, rname, line in pending_regions:  # after "region", NAME and "="
+        model.named_regions[rname] = read(_Reader.region, lineno, line, 3)
+    # after "rule"; one model, so the regions normalized while parsing stay in its memo
+    model._set_rules(tuple(model._check_rule(read(_Reader.rule, lineno, line, 1))
+                           for lineno, line in pending_rules))
     return model
-
-
-def _parse_rule(body: str, model: GlcsModel) -> Rule:
-    head, _, opspec = body.partition(":")
-    src, arrow, tgt = head.partition("->")
-    if not arrow:
-        raise ModelError("rule needs 'src -> tgt : op'")
-    src, tgt = src.strip(), tgt.strip()
-    opspec = opspec.strip()
-    guard = None
-    if " guard " in opspec:
-        opspec, _, guard_text = opspec.partition(" guard ")
-        opspec = opspec.strip()
-        guard = parse_region_text(guard_text.strip(), model)
-    if opspec == "nop":
-        return Rule(src, tgt, INTERNAL, guard=guard)
-    for sep, kind in (("!", SEND), ("?", RECV)):
-        if sep in opspec:
-            chan, _, sym = opspec.partition(sep)
-            return Rule(src, tgt, kind, chan.strip(), sym.strip(), guard)
-    raise ModelError("unrecognized rule operation %r" % (opspec,))
 
 
 def load_model(path: str) -> GlcsModel:

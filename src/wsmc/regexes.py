@@ -12,9 +12,11 @@ Grammar (whitespace insignificant):
         | "."              any single symbol
         | IDENT            a symbol of the alphabet
 
-The tokens come from terms.tokenize, which formulas and CTL share.  An
-identifier that is not itself an alphabet symbol is split greedily into
-alphabet symbols, so that e.g. "ab" over {a,b} means a.b.
+The grammar reads terms.tokenize's tokens through terms.Cursor, the one
+token cursor of formulas, CTL, region text, configurations and rules, so
+its errors end with their position as theirs do.  An identifier that is
+not an alphabet symbol is split greedily into symbols: "ab" over {a,b}
+means a.b.
 """
 
 from __future__ import annotations
@@ -27,66 +29,38 @@ from .errors import WsmcError
 
 
 class RegexError(WsmcError):
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = "%s (at position %d)" % (message, position)
-        super().__init__(message)
-        self.position = position
+    pass
 
 
-_PUNCTUATION = {*"|*+?().~", "{}"}
+_PUNCTUATION = frozenset({*"|*+?().~", "{}"})
 
 
-def _split_symbols(name: str, alphabet: Alphabet, pos: int):
-    """Greedy longest-match decomposition of an identifier into symbols."""
-    if name in alphabet:
-        return [name]
-    out = []
-    i = 0
-    while i < len(name):
-        best = None
-        for sym in alphabet.symbols:
-            if name.startswith(sym, i) and (best is None or len(sym) > len(best)):
-                best = sym
-        if best is None:
-            raise RegexError("symbol %r not in alphabet" % name[i:], pos + i)
-        out.append(best)
-        i += len(best)
-    return out
+class RegexParser(terms.Cursor):
+    """Recursive descent for the regex grammar over alphabet, through the
+    one token cursor; model's reader of region text extends it."""
 
-
-class _Parser:
-    def __init__(self, tokens, alphabet):
-        self.tokens = tokens
+    def __init__(self, text, punctuation, error_class, alphabet: Alphabet):
+        super().__init__(text, punctuation, error_class)
         self.alphabet = alphabet
-        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    @staticmethod
-    def found(tok) -> str:
-        """What an error message says about the unexpected token tok."""
-        return " at end of pattern" if tok[0] is None else ", found %r" % (tok[1],)
-
-    def take(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise RegexError("expected %r%s" % (kind, self.found(tok)), tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Nfa:
-        e = self.alternation()
-        tok = self.peek()
-        if tok[0] is not None:
-            raise RegexError("unexpected %r" % tok[1], tok[2])
-        return e
+    def symbols(self, name: str, pos: int):
+        """Greedy longest-match decomposition of the identifier name, at
+        pos in the text, into alphabet symbols."""
+        if name in self.alphabet:
+            return [name]
+        out, i = [], 0
+        while i < len(name):
+            best = max((sym for sym in self.alphabet.symbols if name.startswith(sym, i)),
+                       key=len, default=None)
+            if best is None:
+                raise self.error("symbol %r not in alphabet" % name[i:], pos + i)
+            out.append(best)
+            i += len(best)
+        return out
 
     def alternation(self) -> Nfa:
         e = self.concatenation()
-        while self.peek()[0] == "|":
-            self.take("|")
+        while self.accept("|"):
             e = automata.union(e, self.concatenation())
         return e
 
@@ -113,25 +87,20 @@ class _Parser:
             else:
                 e = automata.union(e, Nfa.epsilon(self.alphabet))
             parts[-1] = e
-        result = parts[0]
-        for p in parts[1:]:
-            result = automata.concat(result, p)
-        return result
+        return functools.reduce(automata.concat, parts)
 
     def atom(self):
         """One syntactic atom, as a list of concatenation parts."""
         kind, value, pos = self.peek()
         if kind == "ident":
             self.pos += 1
-            syms = _split_symbols(value, self.alphabet, pos)
-            return [Nfa.symbol(self.alphabet, s) for s in syms]
+            return [Nfa.symbol(self.alphabet, s) for s in self.symbols(value, pos)]
         if kind == "(":
             self.pos += 1
-            if self.peek()[0] == ")":
-                self.pos += 1
+            if self.accept(")"):
                 return [Nfa.epsilon(self.alphabet)]
             e = self.alternation()
-            self.take(")")
+            self.expect(")")
             return [e]
         if kind == ".":
             self.pos += 1
@@ -142,17 +111,14 @@ class _Parser:
             return [Nfa.empty(self.alphabet)]
         if kind == "~":
             self.pos += 1
-            parts = self.atom()
-            inner = parts[0]
-            for p in parts[1:]:
-                inner = automata.concat(inner, p)
-            return [automata.complement(inner)]
-        raise RegexError("expected an expression" + self.found((kind, value, pos)), pos)
+            return [automata.complement(functools.reduce(automata.concat, self.atom()))]
+        raise self.found("expected an expression")
 
 
 def compile_regex(pattern: str, alphabet: Alphabet) -> Nfa:
     """Compile regex text into an NFA accepting exactly the denoted language."""
-    return _Parser(terms.tokenize(pattern, _PUNCTUATION, RegexError), alphabet).parse()
+    parser = RegexParser(pattern, _PUNCTUATION, RegexError, alphabet)
+    return parser.end(parser.alternation())
 
 
 # -- regex regeneration from automata ----------------------------------

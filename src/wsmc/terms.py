@@ -7,8 +7,12 @@ the binders "mu" and "nu"; the name is the variable, operator or binder
 name (None for the other kinds); the args are the children.  `Var`,
 `OpApp`, `Union`, ... `Nu` build one node each.  A Term is a value (see
 values.Value).  The one parser, `Parser`, reads formulas and, with CTL's
-prefix rules (compilers.parse_ctl), CTL.  Parsing freshens binder
-names so no two binders share a name and no name is both bound and free.
+prefix rules (compilers.parse_ctl), CTL.  It reads through `Cursor`, the
+one token cursor, which also serves the regex grammar (regexes) and the
+reader of region text, configurations and rules (model), so the errors
+of every syntax give their position in the text alike.  Parsing freshens
+binder names so no two binders share a name and no name is both bound
+and free.
 Bound variables must sit under an even number of complements; mu-bound
 variables must be upward-guarded and nu-bound ones downward-guarded for
 the iterative evaluator to be guaranteed to stop.
@@ -16,6 +20,8 @@ the iterative evaluator to be guaranteed to stop.
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import List, Optional, Tuple
 
 from .errors import WsmcError
@@ -207,58 +213,46 @@ CTL_KEYWORDS = {"E", "EX", "U", "A", "AF", "AG", "EF", "EG"}
 CTL_PUNCTUATION = frozenset("!&()")
 
 
-def tokenize(text: str, punctuation, error):
+@functools.lru_cache(maxsize=None)
+def _scanner(punctuation: frozenset):
+    """Whitespace, then a token of punctuation (the longest first), an
+    identifier or any other character."""
+    tokens = "|".join(map(re.escape, sorted(punctuation, key=len, reverse=True)))
+    return re.compile(r"(\s*)(?:(%s)|(\w+)|(\S))" % tokens)
+
+
+def tokenize(text: str, punctuation: frozenset, error):
     """The tokens (kind, value, position) of text, then the end token
-    (None, None, len(text)).  A token of the collection punctuation, of
-    one or two characters, is its own kind and value; an identifier of
-    letters, digits and `_` has kind "ident".  Any other character raises
+    (None, None, len(text)).  A token of punctuation, of one or two
+    characters, is its own kind and value; an identifier of letters,
+    digits and `_` has kind "ident".  Any other character raises
     error(message, position), which names the token it may begin."""
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        pair = text[i:i + 2]
-        tok = pair if pair in punctuation else text[i]
-        if tok.isspace():
-            i += 1
-        elif tok in punctuation:
-            tokens.append((tok, tok, i))
-            i += len(tok)
-        elif tok.isalnum() or tok == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-        else:
-            longer = [p for p in punctuation if p[0] == tok]
+    tokens, pos = [], 0
+    for space, punct, ident, other in _scanner(punctuation).findall(text):
+        pos += len(space)
+        if other:
+            longer = [p for p in punctuation if p[0] == other]
             raise error("expected %r" % longer[0] if longer
-                        else "unexpected character %r" % tok, i)
-    tokens.append((None, None, n))
+                        else "unexpected character %r" % other, pos)
+        tokens.append((punct, punct, pos) if punct else ("ident", ident, pos))
+        pos += len(punct or ident)
+    tokens.append((None, None, len(text)))
     return tokens
 
 
-def found(tok) -> str:
-    """What an error message says about the unexpected token tok, which
-    may be the end token."""
-    what = "end of formula" if tok[0] is None else repr(tok[1])
-    return "found %s at position %d" % (what, tok[2])
+class Cursor:
+    """The one token cursor, over one tokenize pass of text, that the
+    formula grammar (Parser), CTL (compilers), the regex grammar (regexes)
+    and the reader of region text, configurations and rules (model) read
+    through.  Its errors, of error_class, end with "at position N", N
+    counting in text."""
 
+    END = "input"  # what the end token ends, in messages
 
-class Parser:
-    """Recursive descent for the formula grammar, raising error_class.
-
-    Precedence, loosest first: mu/nu bodies extend maximally, then "|",
-    then "&", then prefix "!" and the closure operators.
-    """
-
-    def __init__(self, text, punctuation, error_class, binding, free_ok=False):
-        if not text.strip():
-            raise error_class("empty formula")
+    def __init__(self, text, punctuation, error_class):
+        self.text = text
         self.error_class = error_class
         self.tokens = tokenize(text, punctuation, self.error)
-        self.binding = binding  # maps operator name -> arity
-        self.free_ok = free_ok
         self.pos = 0
 
     def error(self, message, position):  # also tokenize's error callable
@@ -267,39 +261,65 @@ class Parser:
     def peek(self):
         return self.tokens[self.pos]
 
-    def expect(self, kind, what=None):  # kind, or a keyword's value
-        tok = self.peek()
-        if kind not in tok[:2]:
-            raise self.error_class("expected %s, %s" % (what or repr(kind), found(tok)))
-        self.pos += 1
-        return tok
+    def accept(self, kind) -> bool:  # kind, or a keyword's value
+        """Whether the next token is kind, which is then read."""
+        taken = kind in self.tokens[self.pos][:2]
+        self.pos += taken
+        return taken
+
+    def found(self, message):
+        """The error at the next token: message, and the token found."""
+        kind, value, pos = self.peek()
+        what = "end of %s" % self.END if kind is None else repr(value)
+        return self.error("%s, found %s" % (message, what), pos)
+
+    def expect(self, kind, what=None):
+        if not self.accept(kind):
+            raise self.found("expected %s" % (what or repr(kind)))
+        return self.tokens[self.pos - 1]
+
+    def end(self, result):
+        """result, once every token is read."""
+        kind, value, pos = self.peek()
+        if kind is not None:
+            raise self.error("unexpected %r" % (value,), pos)
+        return result
+
+
+class Parser(Cursor):
+    """Recursive descent for the formula grammar, raising error_class.
+
+    Precedence, loosest first: mu/nu bodies extend maximally, then "|",
+    then "&", then prefix "!" and the closure operators.
+    """
+
+    END = "formula"
+
+    def __init__(self, text, punctuation, error_class, binding):
+        if not text.strip():
+            raise error_class("empty formula")
+        super().__init__(text, punctuation, error_class)
+        self.binding = binding  # maps operator name -> arity
 
     def parse(self):
-        t = self.alternation(frozenset())
-        tok = self.peek()
-        if tok[0] is not None:
-            raise self.error("unexpected %r" % (tok[1],), tok[2])
-        return t
+        return self.end(self.alternation(frozenset()))
 
     def alternation(self, scope):
         t = self.conjunction(scope)
-        while self.peek()[0] == "|":
-            self.pos += 1
+        while self.accept("|"):
             t = Union(t, self.conjunction(scope))
         return t
 
     def conjunction(self, scope):
         t = self.unary(scope)
-        while self.peek()[0] == "&":
-            self.pos += 1
+        while self.accept("&"):
             t = Intersection(t, self.unary(scope))
         return t
 
     def unary(self, scope):
-        kind, value, pos = self.peek()
-        if kind == "!":
-            self.pos += 1
+        if self.accept("!"):
             return Not(self.unary(scope))
+        kind, value, pos = self.peek()
         if kind == "ident" and value in BINDERS:
             self.pos += 1
             _, var, var_pos = self.expect("ident", "a variable after %r" % (value,))
@@ -310,15 +330,13 @@ class Parser:
         return self.atom(scope)
 
     def atom(self, scope):
-        tok = self.peek()
-        kind, value, pos = tok
-        if kind == "(":
-            self.pos += 1
+        if self.accept("("):
             t = self.alternation(scope)
             self.expect(")")
             return t
+        kind, value, pos = self.peek()
         if kind != "ident":
-            raise self.error_class("expected a formula, %s" % found(tok))
+            raise self.found("expected a formula")
         self.pos += 1
         if value in ("empty", "all"):
             return OpApp(value)
@@ -327,14 +345,11 @@ class Parser:
             t = self.alternation(scope)
             self.expect(")")
             return Term(value, None, (t,))
-        if self.peek()[0] == "(":
-            # operator application
-            self.pos += 1
+        if self.accept("("):  # operator application
             args = []
             if self.peek()[0] != ")":
                 args.append(self.alternation(scope))
-                while self.peek()[0] == ",":
-                    self.pos += 1
+                while self.accept(","):
                     args.append(self.alternation(scope))
             self.expect(")")
             arity = self.binding.get(value)
@@ -352,19 +367,16 @@ class Parser:
         if arity is not None:
             raise self.error("operator %r expects %s" % (
                 value, count(arity, "argument", "arguments")), pos)
-        if self.free_ok:
-            return Var(value)
         raise self.error("unknown identifier %r" % (value,), pos)
 
 
-def parse_term(text: str, binding, free_ok: bool = False) -> Term:
+def parse_term(text: str, binding) -> Term:
     """Parse formula text against an operator arity table.
 
     `binding` maps operator names to arities (an AlgebraBinding works).
-    With `free_ok`, unknown identifiers become free variables.
     """
     arities = binding.arities() if hasattr(binding, "arities") else dict(binding)
-    t = Parser(text, frozenset("|&!().,"), TermError, arities, free_ok).parse()
+    t = Parser(text, frozenset("|&!().,"), TermError, arities).parse()
     t = rename_binders(t, set(free_vars(t)))
     check_parity(t)
     return t

@@ -87,13 +87,14 @@ def config_region(space, config):
 
 
 # malformed rules of a model with alphabet a, channel c and location p,
-# and the error each one gives
+# and the error each one gives on a line "rule <rule>"; a name missing
+# before a token reads as '', at the token
 BAD_RULES = [
-    ("p -> q : c!a", "rule endpoint 'q' is not a location"),
-    ("p -> p : d!a", "rule channel 'd' not declared"),
-    ("p -> p : c!b", "rule symbol 'b' not in alphabet"),
-    ("p -> p : c!", "rule symbol '' not in alphabet"),
-    ("p -> p : !a", "rule channel '' not declared"),
+    ("p -> q : c!a", "rule endpoint 'q' is not a location at position 10"),
+    ("p -> p : d!a", "rule channel 'd' not declared at position 14"),
+    ("p -> p : c!b", "rule symbol 'b' not in alphabet at position 16"),
+    ("p -> p : c!", "rule symbol '' not in alphabet at position 16"),
+    ("p -> p : !a", "rule channel '' not declared at position 14"),
 ]
 
 
@@ -121,6 +122,8 @@ FIXTURE_COMMANDS = [
      "--target", "GOAL"],
     ["check", "token_game.lcs", "prob-inv-pos", "--player", "A",
      "--target", "TOKENS"],
+    # relay-2 of perfbench/gen.py: a probabilistic goal on a model with channels
+    ["check", "relay2.lcs", "prob-reach-1", "--player", "A", "--target", "GOAL"],
     ["check", "flags.lcs", "ctl", "--formula", "E(SAFE U GOAL)"],
     ["eval", "token_game.lcs", "-f", "nu Y. mu X. GOAL | (confA & prep(up(X) & "
      "kdown(Y))) | (confB & wprep(up(X) & kdown(Y)))", "--stats"],

@@ -139,11 +139,11 @@ def test_region_error_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("target, message", [
-    ("+", "empty region atom in '+'"),
-    ("", "empty region expression (the empty region is written {})"),
-    ("(s0w0; m0; ()) + + GOAL", "empty region atom in '(s0w0; m0; ()) + + GOAL'"),
-    ("(s0w0; ; )", "expected an expression at end of pattern (at position 0)"),
-    ("(s0w0; a@; )", "unexpected character '@' (at position 1)"),
+    ("+", "empty region atom, found '+' at position 0"),
+    ("", "empty region expression (the empty region is written {}) at position 0"),
+    ("(s0w0; m0; ()) + + GOAL", "empty region atom, found '+' at position 17"),
+    ("(s0w0; ; )", "expected an expression, found ';' at position 7"),
+    ("(s0w0; a@; )", "unexpected character '@' at position 8"),
 ])
 def test_empty_region_target_exits_2_with_one_line(capsys, target, message):
     code = cli.main(["check", model_path("abp.lcs"), "prestar", "--target", target])
@@ -313,7 +313,7 @@ def test_check_member_word_error_points_into_the_configuration(capsys):
                      "--target", "GOAL", "--member", "a0 : tt n q"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: symbol 'q' not in alphabet (at position 10)\n")
+        "error: symbol 'q' not in alphabet at position 10\n")
 
 
 def test_check_member_matches_bounded_oracle(capsys):

@@ -61,7 +61,7 @@ def test_iteration_cap_reports_partial_stats():
 
 def test_free_variables_need_environment():
     alg = word_algebra(V="a")
-    t = parse_term("up(Z)", alg, free_ok=True)
+    t = Up(Var("Z"))
     with pytest.raises(EvaluationError):
         evaluate(t, {}, alg)
     value, _ = evaluate(t, {"Z": compile_regex("b", AB)}, alg)
@@ -143,7 +143,7 @@ def test_decide_query():
     assert not automata.is_empty(value)
     assert not automata.is_universal(value)
     with pytest.raises(EvaluationError):
-        evaluate(parse_term("up(Z)", alg, free_ok=True), {}, alg)
+        evaluate(Up(Var("Z")), {}, alg)
 
 
 class LocationSets:

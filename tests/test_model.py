@@ -9,8 +9,8 @@ from wsmc.automata import Alphabet, Nfa
 from wsmc.engine import evaluate
 from wsmc.model import (
     LOSSY, PERFECT, GlcsModel, ModelError, Rule, SEND, RECV, INTERNAL,
-    load_model, parse_config, parse_model, parse_region_text, parse_word, region_to_text)
-from wsmc.regexes import RegexError, compile_regex
+    load_model, parse_config, parse_model, parse_region_text, region_to_text)
+from wsmc.regexes import compile_regex
 from wsmc.regions import Config, RegionError, RegionSpace
 from wsmc.terms import check_guarded, parse_term
 
@@ -83,6 +83,14 @@ def test_parse_model_rule_errors_carry_line_numbers(rule, message):
     assert str(info.value) == "m.lcs:4: %s" % message
 
 
+def test_a_guard_needs_no_spaces_around_it():
+    head = "alphabet: a\nchannels: c\nlocations: p q\n"
+    spaced = parse_model(head + "rule p -> q : c!a guard (p; a)\n")
+    tight = parse_model(head + "rule p -> q : c!a guard(p; a)\n")
+    assert tight.rules == spaced.rules
+    assert tight.rules[0].symbol == "a" and tight.rules[0].guard is not None
+
+
 def test_parse_model_checks_each_rule_once(monkeypatch):
     checked = []
     check = GlcsModel._check_rule
@@ -136,12 +144,12 @@ def test_api_region_named_all_does_not_shadow_the_full_region():
 
 
 @pytest.mark.parametrize("text, message", [
-    ("", "empty region expression (the empty region is written {})"),
-    ("  ", "empty region expression (the empty region is written {})"),
-    ("+", "empty region atom in '+'"),
-    ("(p; a) + + (q; ())", "empty region atom in '(p; a) + + (q; ())'"),
-    ("(p; a) +", "empty region atom in '(p; a) +'"),
-    ("+ G", "empty region atom in '+ G'"),
+    ("", "empty region expression (the empty region is written {}) at position 0"),
+    ("  ", "empty region expression (the empty region is written {}) at position 2"),
+    ("+", "empty region atom, found '+' at position 0"),
+    ("(p; a) + + (q; ())", "empty region atom, found '+' at position 9"),
+    ("(p; a) +", "empty region atom, found end of input at position 8"),
+    ("+ G", "empty region atom, found '+' at position 0"),
 ])
 def test_empty_region_expressions_and_atoms_are_refused(text, message):
     model = parse_model("alphabet: a\nchannels: c\nlocations: p q\n"
@@ -153,12 +161,13 @@ def test_empty_region_expressions_and_atoms_are_refused(text, message):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("region G = ", "empty region expression (the empty region is written {})"),
-    ("region G = (p; a) +", "empty region atom in '(p; a) +'"),
+    ("region G = ", "empty region expression (the empty region is written {}) "
+                    "at position 11"),
+    ("region G = (p; a) +", "empty region atom, found end of input at position 19"),
     ("region G", "region needs 'name = expression'"),
     ("rule p -> p : nop guard (p; a) + + (p; ())",
-     "empty region atom in '(p; a) + + (p; ())'"),
-    ("region G = (p; a|)", "expected an expression at end of pattern (at position 2)"),
+     "empty region atom, found '+' at position 33"),
+    ("region G = (p; a|)", "expected an expression, found ')' at position 17"),
 ])
 def test_empty_regions_in_model_files_are_refused_at_their_line(line, message):
     text = "alphabet: a\nchannels: c\nlocations: p\n%s\n" % line
@@ -169,7 +178,7 @@ def test_empty_regions_in_model_files_are_refused_at_their_line(line, message):
 
 def test_parse_word_and_config():
     model = tiny_model([Rule("p", "q", SEND, "c", "a")])
-    assert parse_word("ab a", AB) == ("a", "b", "a")
+    assert parse_config("p : ab a", model) == Config("p", (("a", "b", "a"),))
     sigma = parse_config("p : a b", model)
     assert sigma == Config("p", (("a", "b"),))
     with pytest.raises(ModelError):
@@ -180,14 +189,14 @@ def test_parse_word_and_config():
     ("a0 : t x", 7), ("a0 : tt n q", 10), ("a0:x", 3)])
 def test_config_word_errors_point_into_the_configuration(text, position):
     game = load_model(model_path("token_game.lcs"))
-    with pytest.raises(RegexError, match=r"\(at position %d\)$" % position) as info:
+    with pytest.raises(ModelError, match=" at position %d$" % position) as info:
         parse_config(text, game)
     assert text[position] == info.value.args[0].split("'")[1][0]
 
 
 def test_config_word_errors_point_into_each_channel_word():
     model = tiny_model([], channels=("c", "d"))
-    with pytest.raises(RegexError, match=r"symbol 'x' not in alphabet \(at position 12\)"):
+    with pytest.raises(ModelError, match="^symbol 'x' not in alphabet at position 12$"):
         parse_config("p : a b, ba x", model)
 
 
@@ -537,6 +546,11 @@ def test_perfect_steps_use_every_rule(monkeypatch):
 def test_bundled_safe_model_is_the_faithful_abp_3():
     with open(model_path("abp3_safe.lcs"), encoding="utf-8") as handle:
         assert handle.read() == record_abp_digests.faithful_abp_text(3)
+
+
+def test_bundled_relay_model_is_relay_2():
+    with open(model_path("relay2.lcs"), encoding="utf-8") as handle:
+        assert handle.read() == record_abp_digests.gen.relay_text(2)
 
 
 def test_faithful_abp_pre_star_of_bad_is_a_real_safety_answer():

@@ -60,9 +60,8 @@ def test_errors(ab):
 def test_errors_at_end_of_pattern_give_its_length(ab, pattern, expected):
     with pytest.raises(RegexError) as info:
         compile_regex(pattern, ab)
-    assert str(info.value) == "expected %s at end of pattern (at position %d)" % (
+    assert str(info.value) == "expected %s, found end of input at position %d" % (
         expected, len(pattern))
-    assert info.value.position == len(pattern)
 
 
 @pytest.mark.parametrize("pattern, message, position", [
@@ -74,8 +73,7 @@ def test_errors_at_end_of_pattern_give_its_length(ab, pattern, expected):
 def test_errors_name_their_position(ab, pattern, message, position):
     with pytest.raises(RegexError) as info:
         compile_regex(pattern, ab)
-    assert str(info.value) == "%s (at position %d)" % (message, position)
-    assert info.value.position == position
+    assert str(info.value) == "%s at position %d" % (message, position)
 
 
 def test_roundtrip_random(ab, rng):

@@ -15,8 +15,8 @@ from test_engine import random_guarded_term, random_location_term
 ARITIES = {"empty": 0, "all": 0, "pre": 1, "wpre": 1, "V": 0, "concat": 2}
 
 
-def parse(text, free_ok=False):
-    return parse_term(text, ARITIES, free_ok=free_ok)
+def parse(text):
+    return parse_term(text, ARITIES)
 
 
 def test_parse_precedence():
@@ -43,8 +43,7 @@ def test_parse_operator_arity_checks():
     with pytest.raises(TermError):
         parse("unknown_op(V)")
     with pytest.raises(TermError):
-        parse("X")  # free variable, free_ok off
-    assert parse("X", free_ok=True) == Var("X")
+        parse("X")  # an unknown identifier, not a free variable
 
 
 def test_parse_rejects_keyword_binders():
@@ -64,7 +63,7 @@ def test_roundtrip_text():
 def roundtrip(t, binding):
     """Whether t's text parses back to t, up to the binder renaming that
     parsing applies."""
-    back = parse_term(term_to_text(t), binding, free_ok=True)
+    back = parse_term(term_to_text(t), binding)
     return back == rename_binders(t, free_vars(t))
 
 
@@ -144,8 +143,7 @@ def test_random_terms_roundtrip_through_text():
 def test_free_and_bound_vars():
     t = parse("mu X. V | pre(up(X))")
     assert free_vars(t) == set()
-    t = parse("up(Z)", free_ok=True)
-    assert free_vars(t) == {"Z"}
+    assert free_vars(Up(Var("Z"))) == {"Z"}
 
 
 def test_rename_binders_freshens_clashes():
