@@ -173,8 +173,8 @@ class _CtlParser(terms.Parser):
         if value == "AF":
             refuse_noneffective("forall-eventually")
         if value in terms.CTL_KEYWORDS:  # the rest: A, AG, EF, EG and U
-            raise CtlError("%r is outside the supported fragment "
-                           "(atoms, !, &, EX, E(_ U _))" % (value,))
+            raise self.error("%r is outside the supported fragment "
+                             "(atoms, !, &, EX, E(_ U _))" % (value,), pos)
         self.atoms.append((value, pos))
         return OpApp(value)
 

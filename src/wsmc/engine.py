@@ -10,11 +10,11 @@ approximants are equal; greatest fixpoints iterate downward from the
 full value.  On guarded terms this always terminates.
 
 Within one evaluate call, each subterm is evaluated once per binding of
-its free variables.  Every node gets a structural id, the same for equal
-subterms built as separate objects, and its free variables, once per
-call.  A node that is not a variable and contains no binder keeps its
-value in a cache keyed on (id, the values of its free variables); so a
-closed subterm is computed once per call, and a subterm that occurs
+its free variables.  A node that is not a variable and contains no
+binder (Term.nested) keeps its value in a cache keyed on the node and
+the values of its free variables (Term.free).  Terms compare by
+structure, so equal subterms built as separate objects share an entry.
+So a closed subterm is computed once per call, and a subterm that occurs
 twice, or that does not mention an inner binder's variable, once per
 binding.  Binders and the nodes that contain them are never served from
 the cache, so every binder iteration runs, is chain-checked and is
@@ -174,7 +174,7 @@ def evaluate(t: Term, env, algebra: AlgebraBinding, limits: Optional[Limits] = N
         raise UnguardedTermError(offenders)
     stats = EvalStats()
     start = time.monotonic()
-    value = _Evaluation(t, algebra, limits, stats).eval(t, dict(env or {}))
+    value = _Evaluation(algebra, limits, stats).eval(t, dict(env or {}))
     stats.wall_time = time.monotonic() - start
     return value, stats
 
@@ -187,39 +187,17 @@ _SPACE_METHODS = {
 }
 
 class _Evaluation:
-    """One evaluate call: the term's node table and its subterm cache
-    (see the module docstring)."""
+    """One evaluate call: its subterm cache (see the module docstring)."""
 
-    def __init__(self, t: Term, algebra: AlgebraBinding, limits: Limits,
-                 stats: EvalStats):
+    def __init__(self, algebra: AlgebraBinding, limits: Limits, stats: EvalStats):
         self.algebra, self.limits, self.stats = algebra, limits, stats
-        # id(node) -> (structural id, or None if never cached; free variables)
-        self.nodes: Dict[int, tuple] = {}
         self.cache: Dict[tuple, object] = {}
-        self._index(t, {})
-
-    def _index(self, t: Term, ids: Dict[tuple, int]):
-        """Enter t and its subterms in the node table; returns t's
-        structural id, free variables and whether it contains a binder."""
-        kids = [self._index(child, ids) for child in t.args]
-        sid = ids.setdefault((t.kind, t.name, tuple(k[0] for k in kids)), len(ids))
-        binder = t.kind in terms.BINDERS
-        free = frozenset().union(*(k[1] for k in kids))
-        if t.kind == "var":
-            free = frozenset([t.name])
-        elif binder:
-            free -= {t.name}
-        nested = binder or any(k[2] for k in kids)
-        cached = not (nested or t.kind == "var")
-        self.nodes[id(t)] = (sid if cached else None, tuple(sorted(free)))
-        return sid, free, nested
 
     def eval(self, t: Term, env):
-        sid, free = self.nodes[id(t)]
-        if sid is None:
+        if t.nested or t.kind == "var":
             return self._compute(t, env)
         try:
-            key = (sid,) + tuple([env[name] for name in free])
+            key = (t,) + tuple([env[name] for name in t.free])
         except KeyError:  # an unbound free variable: _compute reports it
             return self._compute(t, env)
         value = self.cache.get(key)

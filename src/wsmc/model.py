@@ -102,7 +102,7 @@ class GlcsModel:
         self._set_rules(tuple(map(self._check_rule, rules)))
 
     def _set_rules(self, rules: Tuple[Rule, ...]):
-        """Install rules that _check_rule passed."""
+        """Install rules that _check_rule, or the reader of parse_model, passed."""
         self.rules = rules
         self._lossy_rules = _uncovered(self.rules)
         self._steps = {(mode, owner): _grouped(tuple(  # the rules from owner's locations
@@ -364,8 +364,9 @@ class _Reader(regexes.RegexParser):
             seps.append(self.tokens[self.pos - 1])
             words.append(self.word())
         n = len(self.model.channels)
-        if len(words) > n and (n or any(words)):
-            _, sep, pos = seps[n]
+        room = n or int(words[:1] == [()])  # without channels, ':' takes no word
+        if len(words) > room:
+            _, sep, pos = seps[room]
             raise self.error("expected %s, found %r" % (terms.count(
                 n, "channel word", "channel words"), sep), pos)
         return Config(loc, tuple(words[:n]) + ((),) * (n - len(words)))
@@ -563,8 +564,9 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
 
     for lineno, rname, line in pending_regions:  # after "region", NAME and "="
         model.named_regions[rname] = read(_Reader.region, lineno, line, 3)
-    # after "rule"; one model, so the regions normalized while parsing stay in its memo
-    model._set_rules(tuple(model._check_rule(read(_Reader.rule, lineno, line, 1))
+    # after "rule"; the reader checks each rule's names, and reads its guard
+    # in the model's space, so the regions normalized while parsing stay in its memo
+    model._set_rules(tuple(read(_Reader.rule, lineno, line, 1)
                            for lineno, line in pending_rules))
     return model
 

@@ -6,8 +6,12 @@ A term is one node type, `Term(kind, name, args)`.  The kind is one of
 the binders "mu" and "nu"; the name is the variable, operator or binder
 name (None for the other kinds); the args are the children.  `Var`,
 `OpApp`, `Union`, ... `Nu` build one node each.  A Term is a value (see
-values.Value).  The one parser, `Parser`, reads formulas and, with CTL's
-prefix rules (compilers.parse_ctl), CTL.  It reads through `Cursor`, the
+values.Value) that also carries three facts, set once from its children
+when it is built: `free`, the sorted tuple of its free variables;
+`nested`, whether it contains a mu or nu; and its hash, so that hashing
+a term takes constant time and never recurses.  The one parser,
+`Parser`, reads formulas and, with CTL's prefix rules
+(compilers.parse_ctl), CTL.  It reads through `Cursor`, the
 one token cursor, which also serves the regex grammar (regexes) and the
 reader of region text, configurations and rules (model), so the errors
 of every syntax give their position in the text alike.  Parsing freshens
@@ -39,7 +43,8 @@ BINDERS = ("mu", "nu")
 
 
 class Term(Value):
-    __slots__ = _fields = ("kind", "name", "args")
+    _fields = ("kind", "name", "args")
+    __slots__ = _fields + ("free", "nested", "_hash")
 
     def __init__(self, kind: str, name: Optional[str] = None,
                  args: Tuple[Term, ...] = ()):
@@ -52,6 +57,14 @@ class Term(Value):
         self.kind = kind
         self.name = name
         self.args = args
+        free = {name} if kind == "var" else set().union(*(c.free for c in args))
+        binder = kind in BINDERS
+        self.free = tuple(sorted(free - {name} if binder else free))
+        self.nested = binder or any(c.nested for c in args)
+        self._hash = hash((kind, name, args))
+
+    def __hash__(self):
+        return self._hash
 
 
 def count(n: int, noun: str, nouns: str) -> str:
@@ -73,10 +86,7 @@ def Nu(var, body): return Term("nu", var, (body,))
 
 
 def free_vars(t: Term) -> set:
-    if t.kind == "var":
-        return {t.name}
-    out = set().union(*map(free_vars, t.args))
-    return out - {t.name} if t.kind in BINDERS else out
+    return set(t.free)
 
 
 def bound_vars(t: Term) -> List[str]:
@@ -296,9 +306,9 @@ class Parser(Cursor):
     END = "formula"
 
     def __init__(self, text, punctuation, error_class, binding):
-        if not text.strip():
-            raise error_class("empty formula")
         super().__init__(text, punctuation, error_class)
+        if self.peek()[0] is None:
+            raise self.error("empty formula", len(text))
         self.binding = binding  # maps operator name -> arity
 
     def parse(self):

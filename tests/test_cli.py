@@ -248,10 +248,12 @@ def test_formula_ending_early_exits_2_naming_its_end(capsys, formula, message):
     ("!(GOAL", "expected ')', found end of formula at position 6"),
     ("GOAL & )", "expected a formula, found ')' at position 7"),
     ("E(GOAL U @)", "unexpected character '@' at position 9"),
-    ("", "empty formula"),
-    ("   ", "empty formula"),
-    ("AG GOAL", "'AG' is outside the supported fragment (atoms, !, &, EX, E(_ U _))"),
-    ("U", "'U' is outside the supported fragment (atoms, !, &, EX, E(_ U _))"),
+    ("", "empty formula at position 0"),
+    ("   ", "empty formula at position 3"),
+    ("AG GOAL", "'AG' is outside the supported fragment (atoms, !, &, EX, E(_ U _)) "
+                "at position 0"),
+    ("U", "'U' is outside the supported fragment (atoms, !, &, EX, E(_ U _)) "
+          "at position 0"),
     ("AF GOAL", "refusing forall-eventually: inevitability (every run reaches "
                 "the target): the satisfying set is not effectively computable "
                 "for lossy channel systems"),
@@ -395,8 +397,8 @@ def test_fixture_outputs_are_deterministic(command):
      "argument --max-iter: expected an integer of at least 1, got '-1'"),
     (["check", "abp.lcs", "prestar", "--target", "GOAL", "--max-iter=-1"],
      "argument --max-iter: expected an integer of at least 1, got '-1'"),
-    (["eval", "abp.lcs", "--formula="], "empty formula"),
-    (["eval", "abp.lcs", "--formula=  "], "empty formula"),
+    (["eval", "abp.lcs", "--formula="], "empty formula at position 0"),
+    (["eval", "abp.lcs", "--formula=  "], "empty formula at position 2"),
     (["eval", "abp.lcs", "-f", "GOAL", "--max-iter", "\u00b2"],
      "argument --max-iter: expected an integer of at least 1, got '\u00b2'"),
 ])

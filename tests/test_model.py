@@ -91,14 +91,35 @@ def test_a_guard_needs_no_spaces_around_it():
     assert tight.rules[0].symbol == "a" and tight.rules[0].guard is not None
 
 
-def test_parse_model_checks_each_rule_once(monkeypatch):
+def spy_on_rule_checks(monkeypatch):
     checked = []
     check = GlcsModel._check_rule
     monkeypatch.setattr(GlcsModel, "_check_rule",
                         lambda self, rule: checked.append(rule) or check(self, rule))
+    return checked
+
+
+def test_parse_model_checks_each_rule_once(monkeypatch):
+    # the reader checks each rule's names at their position, and
+    # _check_rule does not check them again
+    checked = spy_on_rule_checks(monkeypatch)
     model = load_model(model_path("abp.lcs"))
-    assert len(checked) == len(model.rules) == 36
-    assert set(checked) == set(model.rules)
+    assert checked == [] and len(model.rules) == 36
+
+
+def test_api_model_checks_each_rule_once(monkeypatch):
+    parsed = load_model(model_path("abp.lcs"))
+    checked = spy_on_rule_checks(monkeypatch)
+    model = GlcsModel(parsed.alphabet, parsed.channels, parsed.locations,
+                      parsed.owners, parsed.rules, parsed.named_regions)
+    assert checked == list(model.rules) == list(parsed.rules)
+    for rule, message in [
+            (Rule("p", "r", SEND, "c", "a"), "rule endpoint 'r' is not a location"),
+            (Rule("p", "q", SEND, "d", "a"), "rule channel 'd' not declared"),
+            (Rule("p", "q", RECV, "c", "x"), "rule symbol 'x' not in alphabet")]:
+        with pytest.raises(ModelError) as info:
+            tiny_model([rule])
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", [

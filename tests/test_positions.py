@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from wsmc import WsmcError, cli, compilers, terms
 from wsmc.model import load_model, parse_config, parse_model, parse_region_text
 from wsmc.regexes import compile_regex
+from wsmc.regions import Config
 
 from conftest import model_path
 import test_fuzz
@@ -26,6 +27,7 @@ import test_fuzz
 ABP = model_path("abp.lcs")
 # a model file whose fifth line is the line under test
 HEAD = "alphabet: a b\nchannels: c d\nlocations: p q\nregion G = (p; a*; ())\n"
+NO_CHANNELS = "alphabet: a\nlocations: p q\n"
 
 
 def cli_error(argv):
@@ -64,6 +66,8 @@ SYNTAXES = {
                                         "--member", text]),
     "--from": lambda text: cli_error(["oracle", "reach", ABP, "--from", text,
                                       "--target", "GOAL", "--depth", "1"]),
+    "config without channels": lambda text: raised(
+        lambda t: parse_config(t, parse_model(NO_CHANNELS)), text),
     "region": model_line_error,
     "guard": model_line_error,
     "rule": model_line_error,
@@ -76,9 +80,13 @@ TABLE = [
     ("formula", "GOAL | (FOO", "unknown identifier 'FOO' at position 8", "FOO"),
     ("formula", "mu (X", "expected a variable after 'mu', found '(' at position 3", "("),
     ("formula", "GOAL &", "expected a formula, found end of formula at position 6", None),
+    ("formula", "  ", "empty formula at position 2", None),
     ("ctl", "E(GOAL U NOPE)", "unknown region atom 'NOPE' at position 9", "NOPE"),
     ("ctl", "E GOAL", "expected '(' after E, found 'GOAL' at position 2", "GOAL"),
     ("ctl", "!(GOAL", "expected ')', found end of formula at position 6", None),
+    ("ctl", "", "empty formula at position 0", None),
+    ("ctl", "E(GOAL U AG GOAL)", "'AG' is outside the supported fragment "
+                                 "(atoms, !, &, EX, E(_ U _)) at position 9", "AG"),
     ("regex", "m0 (a0|", "expected an expression, found end of input at position 7", None),
     ("regex", "m0 x", "symbol 'x' not in alphabet at position 3", "x"),
     ("regex", "m0 )", "unexpected ')' at position 3", ")"),
@@ -108,6 +116,10 @@ TABLE = [
     ("--member", "s0w0 ; m0", "unexpected ';' at position 5", ";"),
     ("--from", "s0w0 : m0 m0q", "symbol 'q' not in alphabet at position 12", "q"),
     ("--from", "s0w0 : m0 (", "unexpected '(' at position 10", "("),
+    ("config without channels", "p : , , ,",
+     "expected 0 channel words, found ',' at position 4", ","),
+    ("config without channels", "p : a", "expected 0 channel words, found ':' at position 2",
+     ":"),
     ("region", "region H = (p; a*; b", "expected ')', found end of input at position 20",
      None),
     ("region", "region H = (p; a*; b) + K", "unknown named region 'K' at position 24", "K"),
@@ -143,6 +155,11 @@ def test_the_table_covers_every_syntax():
     assert {row[0] for row in TABLE} == set(SYNTAXES)
 
 
+@pytest.mark.parametrize("text", ["p", "p :", "p : "])
+def test_a_configuration_without_channels_may_end_after_its_colon(text):
+    assert parse_config(text, parse_model(NO_CHANNELS)) == Config("p", ())
+
+
 def rule_line(n_channels):
     return test_fuzz.mostly(test_fuzz.rule(n_channels),
                             test_fuzz.junk.map(lambda text: "rule p -> " + text))
@@ -164,8 +181,8 @@ def read_rule_line(line, model, n_channels):
 
 # syntax -> (strategy of text over n channels, reader of the text over
 # the fuzzing model with n channels, whether every error must end with a
-# position: formulas and CTL also refuse empty text and goals outside
-# their fragment, as a whole)
+# position: formulas also refuse a bound variable under an odd number of
+# complements, and CTL forall-eventually goals, as a whole)
 CORPUS = {
     "formula": (lambda n: test_fuzz.formula,
                 lambda text, model, n: terms.parse_term(text, model.algebra()), False),
