@@ -6,15 +6,16 @@ and a canonical form: one interned Nfa per language, its minimal DFA
 with its table, held in one intern table; its transition triples are
 built from the table on their first read.  canonicalize is the one
 path to it from an NFA: the subset construction (subsets), then
-minimal_dfa, the one minimizer.  The boolean operations, the residuals
-and the decisions run on the operands' canonical forms: one
-breadth-first walk over the state tuples of any number of them
+minimal_dfa, the one minimizer.  The boolean operations, the residuals,
+the closures and the decisions run on the operands' canonical forms:
+one breadth-first walk over the state tuples of any number of them
 (_tuples) serves union_all, intersection, difference and left_residual
-(a product that is one of its operands returns it as it is), and
-subset walks state pairs to the first witness.  Only the rational
-constructions (union among them) and the closures build NFAs.  The
-region algebra writes tables for minimal_dfa and subsets, or for
-renumbered where its table is minimal already (see regions).
+(a product that is one of its operands returns it as it is), both
+subword closures are one subset construction off the table (_closure),
+and subset walks state pairs to the first witness.  Only the rational
+constructions (union among them) build NFAs.  The region algebra
+writes tables for minimal_dfa, or for renumbered where its table is
+minimal already (see regions).
 
 Both classes are plain classes with slots: an Alphabet is a value
 (values.Value), an Nfa equals only itself.
@@ -320,21 +321,34 @@ def right_residual(a: Nfa, b: Nfa) -> Nfa:
 # -- subword closures and kernels --------------------------------------
 
 def up_closure(a: Nfa, symbols: Optional[Sequence[str]] = None) -> Nfa:
-    """Superwords under the scattered-subword order: a self-loop on every
-    symbol, or on every one of symbols, at every state."""
-    loops = tuple((q, sym, q) for q in range(a.n_states)
-                  for sym in (a.alphabet.symbols if symbols is None else symbols))
-    return Nfa.derived(a.alphabet, a.n_states, a.initial, a.accepting,
-                       a.transitions + loops)
+    """Superwords, inserting only symbols (every symbol if None)."""
+    return _closure(a, symbols, True)
 
 
 def down_closure(a: Nfa, symbols: Optional[Sequence[str]] = None) -> Nfa:
-    """Subwords: an epsilon move beside every symbol move, or beside every
-    move on one of symbols."""
-    skips = tuple((p, EPSILON, q) for (p, x, q) in a.transitions
-                  if x is not EPSILON and (symbols is None or x in symbols))
-    return Nfa.derived(a.alphabet, a.n_states, a.initial, a.accepting,
-                       a.transitions + skips)
+    """Subwords, deleting only symbols (every symbol if None)."""
+    return _closure(a, symbols, False)
+
+
+def _closure(a: Nfa, symbols, up: bool) -> Nfa:
+    """The canonical form of a subword closure of a: the subset
+    construction straight off the table of a's canonical form, in which
+    its dead state, whose language is empty, is in no subset."""
+    dfa = canonicalize(a)
+    table, dead = dfa.table, dead_state(dfa)
+    if symbols is not None and not set(symbols) <= set(dfa.alphabet.symbols):
+        raise AutomatonError("closure symbols %r not in alphabet" % (tuple(symbols),))
+    closing = [symbols is None or x in symbols for x in dfa.alphabet.symbols]
+    if up:  # a closing move also keeps its state
+        moves = [[frozenset((t, p) if closing[x] else (t,)) - {dead}
+                  for x, t in enumerate(row)] for p, row in enumerate(table)]
+        start = frozenset([0]) - {dead}
+    else:  # a state stands for every state its closing moves reach
+        skips = [[t for x, t in enumerate(row) if closing[x]] for row in table]
+        below = [frozenset(reachable([p], skips.__getitem__)) - {dead}
+                 for p in range(dfa.n_states)]
+        moves, start = [[below[t] for t in row] for row in table], below[0]
+    return minimal_dfa(dfa.alphabet, *subsets(moves, start, dfa.accepting, len(closing)))
 
 
 def up_kernel(a: Nfa) -> Nfa:
@@ -394,32 +408,30 @@ def dead_state(dfa: Nfa) -> Optional[int]:
 # -- determinization, minimization, canonical form ---------------------
 
 def _determinize(a: Nfa):
-    """subsets of a's moves, closed under epsilon moves beforehand."""
-    syms = a.alphabet.symbols
-    index = {sym: i for i, sym in enumerate(syms)}
+    """subsets of a's moves, each target set closed under epsilon moves."""
+    index = {sym: i for i, sym in enumerate(a.alphabet.symbols)}
     eps = [[] for _ in range(a.n_states)]
-    succ = [[[] for _ in syms] for _ in range(a.n_states)]
+    succ = [[[] for _ in index] for _ in range(a.n_states)]
     for (p, x, q) in a.transitions:
-        if x is EPSILON:
-            eps[p].append(q)
-        else:
-            succ[p][index[x]].append(q)
-    moves = [[frozenset(targets) for targets in row] for row in succ]
-    start = frozenset(a.initial)
-    if any(eps):
-        closure = []
-        for q in range(a.n_states):
-            seen, stack = {q}, [q]
-            while stack:
-                for r in eps[stack.pop()]:
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            closure.append(frozenset(seen))
-        moves = [[frozenset().union(*[closure[r] for r in targets]) for targets in row]
-                 for row in moves]
-        start = frozenset().union(*[closure[q] for q in start])
-    return subsets(moves, start, a.accepting, len(syms))
+        (eps[p] if x is EPSILON else succ[p][index[x]]).append(q)
+
+    def closed(states):
+        return frozenset(reachable(states, eps.__getitem__))
+
+    return subsets([[closed(targets) for targets in row] for row in succ],
+                   closed(a.initial), a.accepting, len(index))
+
+
+def reachable(starts, successors) -> set:
+    """The states reachable from starts, where successors(state) gives
+    the states one move away."""
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for t in successors(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def subsets(moves, start: frozenset, accepting, n_symbols: int):

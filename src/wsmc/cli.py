@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except (WsmcError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except RecursionError:  # from any parser, or evaluating a deep term
+    except RecursionError:  # from a parser, or another walk of deep input
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
 

@@ -167,14 +167,18 @@ class EvalStats:
 
 
 def evaluate(t: Term, env, algebra: AlgebraBinding, limits: Optional[Limits] = None):
-    """Evaluate a term to a value of the algebra; returns (value, stats)."""
+    """Evaluate a term to a value of the algebra; returns (value, stats).
+    A term too deep for the interpreter's stack is refused."""
     limits = limits or Limits()
-    offenders = terms.check_guarded(t)
-    if offenders and limits.max_iter is None:
-        raise UnguardedTermError(offenders)
-    stats = EvalStats()
-    start = time.monotonic()
-    value = _Evaluation(algebra, limits, stats).eval(t, dict(env or {}))
+    try:
+        offenders = terms.check_guarded(t)
+        if offenders and limits.max_iter is None:
+            raise UnguardedTermError(offenders)
+        stats = EvalStats()
+        start = time.monotonic()
+        value = _Evaluation(algebra, limits, stats).eval(t, dict(env or {}))
+    except RecursionError:
+        raise EvaluationError("term is nested too deeply") from None
     stats.wall_time = time.monotonic() - start
     return value, stats
 

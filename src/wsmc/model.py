@@ -5,14 +5,14 @@ B), FIFO channels over a message alphabet, and transition rules that
 send, receive, or do nothing, each optionally guarded by a region
 evaluated on the pre-step configuration.  Message losses shrink channel
 contents to arbitrary subwords after each perfect step.  A perfect step
-through a rule is a block edit of a region's slice (RegionSpace.edit),
-which the model's region space memoizes.  The union of a region's
-perfect-step predecessors through every rule (GlcsModel.pre_perf), which
-every pre and wpre ends in, edits each target slice once per group of
-unguarded rules with the same target and edit (_grouped), and is
-memoized per model on the region's slices; new rules start a new memo.
-An owner's step, such as preA = confA & pre, steps only through the
-rules from the owner's locations, and its wpre complements only there.
+through a rule is a block edit of a region's slice, which the region
+space memoizes.  One loop (GlcsModel._step) unions the perfect steps of
+a region in both directions: each target slice edited backward once per
+group of unguarded rules with that target and edit (pre, wpre), or each
+source slice forward (post; _grouped).  It is memoized per model on the
+region's slices; new rules start new memos.  An owner's step, such as
+preA = confA & pre, steps only through the rules from the owner's
+locations, and its wpre complements only there.
 
 A lossy pre steps only upward-closed slices L, where the steps of rules
 between two locations nest: a receive gives a subset of L, a nop L, a
@@ -38,6 +38,7 @@ from .values import Value
 
 SEND, RECV, INTERNAL = "send", "recv", "internal"
 PERFECT, LOSSY = "perfect", "lossy"
+PRE, POST = "pre", "post"  # the two directions of a step
 
 # the built-in operators of a model's algebra: name -> (arity, function
 # of the model and the arguments); pre/wpre/post step lossily, their
@@ -105,11 +106,12 @@ class GlcsModel:
         """Install rules that _check_rule, or the reader of parse_model, passed."""
         self.rules = rules
         self._lossy_rules = _uncovered(self.rules)
-        self._steps = {(mode, owner): _grouped(tuple(  # the rules from owner's locations
+        self._steps = {(PRE, mode, owner): _grouped(PRE, tuple(  # from owner's locations
             rule for rule in mode_rules if owner in (None, self.owners.get(rule.source))))
             for mode, mode_rules in ((PERFECT, rules), (LOSSY, self._lossy_rules))
             for owner in (None, "A", "B")}
-        self._pre_perf: Dict[Optional[str], dict] = {None: {}, "A": {}, "B": {}}
+        self._steps[POST, PERFECT, None] = _grouped(POST, rules)
+        self._memos = {(direction, owner): {} for direction, _, owner in self._steps}
 
     def _check_rule(self, rule: Rule) -> Rule:
         """rule, once its names and guard are checked against the model."""
@@ -174,42 +176,44 @@ class GlcsModel:
         the rule's target with the rule's channel block edited (a receive
         prepends its symbol, a send drops it from the end), met with the
         guard."""
-        step = self.space.edit(region, rule.target, rule.source, _PRE_EDIT.get(rule.kind),
-                               rule.channel, rule.symbol)
+        step = self.space.edit(region, rule.target, rule.source,
+                               _EDITS[PRE].get(rule.kind), rule.channel, rule.symbol)
         return step if rule.guard is None else self.space.intersection(rule.guard, step)
 
     def pre_perf(self, region: Region) -> Region:
-        """Union over the rules into the locations of region.  Memoized
-        on the region's slices, since nested binders and later queries
-        step equal approximants again; new rules start a new memo."""
-        return self._pre_perf_through(PERFECT, None, region)
+        """Union over the rules into the locations of region."""
+        return self._step(PRE, PERFECT, None, region)
 
-    def _pre_perf_through(self, mode: str, owner: Optional[str], region: Region) -> Region:
-        """pre_perf of region, at owner's locations alone unless owner is
-        None, as the union of the mode's steps from there (see _grouped),
-        which must give the same region: the edit of a group once, into
-        each of its sources, and the guarded rules through pre_perf_rule."""
-        memo, key = self._pre_perf[owner], self.space.normalize(region).slices
-        step = memo.get(key)
-        if step is None:
-            (groups, guarded), slices = self._steps[mode, owner], []
-            for target, enc in region.slices:
-                for edit, sources in groups.get(target, {}).items():
+    def _step(self, direction: str, mode: str, owner: Optional[str],
+              region: Region) -> Region:
+        """The union of region's perfect-step predecessors (PRE) or
+        successors (POST) through the mode's rules from owner's locations
+        (all if owner is None; see _grouped).  Memoized per direction and
+        owner on the region's slices, as nested binders and later queries
+        step equal approximants again: a lossy pre steps only
+        upward-closed regions, where its rules give the perfect step."""
+        memo, key = self._memos[direction, owner], self.space.normalize(region).slices
+        result = memo.get(key)
+        if result is None:
+            (groups, guarded), slices = self._steps[direction, mode, owner], []
+            for anchor, enc in region.slices:
+                for edit, ends in groups.get(anchor, {}).items():
                     stepped = self.space.edited(enc, *edit)
                     if stepped.accepting:
-                        slices += [(source, stepped) for source in sources]
+                        slices += [(end, stepped) for end in ends]
+            through = self.pre_perf_rule if direction == PRE else self.post_perf_rule
             for rule in guarded:
-                slices += self.pre_perf_rule(rule, region).slices
-            step = memo[key] = self.space.union_of(slices)
-        return step
+                slices += through(rule, region).slices
+            result = memo[key] = self.space.union_of(slices)
+        return result
 
     def pre(self, region: Region, mode: str = LOSSY, owner: Optional[str] = None) -> Region:
         """Predecessors: the perfect ones of region or, when lossy, of its
         upward closure, to which covered rules add nothing.  Given an
         owner, only those at its locations: confA & pre for "A"."""
         _owner(owner)
-        return self._pre_perf_through(mode, owner, self.space.up_closure(region)
-                                      if _lossy(mode) else region)
+        return self._step(PRE, mode, owner, self.space.up_closure(region)
+                          if _lossy(mode) else region)
 
     def wpre(self, region: Region, mode: str = LOSSY, owner: Optional[str] = None) -> Region:
         """The complement of pre of the complement; given an owner, its
@@ -226,20 +230,13 @@ class GlcsModel:
         if rule.guard is not None:
             region = self.space.intersection(rule.guard, region)
         return self.space.edit(region, rule.source, rule.target,
-                               {SEND: "append", RECV: "behead"}.get(rule.kind),
-                               rule.channel, rule.symbol)
-
-    def post_perf(self, region: Region) -> Region:
-        """Union over the rules out of the locations of region."""
-        locs = self.space.normalize(region).encodings
-        return self.space.union(*[self.post_perf_rule(rule, region)
-                                  for rule in self.rules if rule.source in locs])
+                               _EDITS[POST].get(rule.kind), rule.channel, rule.symbol)
 
     def post(self, region: Region, mode: str = LOSSY) -> Region:
         """Successors: the perfect ones of region, closed downward when
         lossy."""
         lossy = _lossy(mode)
-        step = self.post_perf(region)
+        step = self._step(POST, PERFECT, None, region)
         return self.space.down_closure(step) if lossy else step
 
     # -- the configuration algebra for the fixpoint engine ---------------
@@ -446,7 +443,9 @@ def _identifiers(kind: str, names, earlier=()) -> Tuple[str, ...]:
 
 
 _RANK = {RECV: 0, INTERNAL: 1, SEND: 2}  # steps of an upward-closed slice by size
-_PRE_EDIT = {RECV: "prepend", SEND: "curtail"}  # see pre_perf_rule
+# the block edit of a rule's step backward (pre) and forward (post)
+_EDITS = {PRE: {RECV: "prepend", SEND: "curtail"},
+          POST: {RECV: "behead", SEND: "append"}}
 
 
 def _uncovered(rules: Tuple[Rule, ...]) -> Tuple[Rule, ...]:
@@ -466,15 +465,19 @@ def _uncovered(rules: Tuple[Rule, ...]) -> Tuple[Rule, ...]:
                               rule.symbol) not in unguarded))
 
 
-def _grouped(rules: Tuple[Rule, ...]):
-    """The unguarded rules grouped as {target: {edit: sources}}, each
-    source once and in rule order, and the guarded rules, which step
-    through pre_perf_rule: perfbench's tracer counts its calls."""
+def _grouped(direction: str, rules: Tuple[Rule, ...]):
+    """The unguarded rules grouped as {anchor: {edit: ends}}, each end
+    once and in rule order: a pre anchors on the target, a post on the
+    source.  Then the guarded rules, which step one at a time through
+    pre_perf_rule or post_perf_rule: perfbench's tracer counts the
+    former's calls."""
     groups: Dict[str, dict] = {}
     for rule in rules:
         if rule.guard is None:
-            edit = (_PRE_EDIT.get(rule.kind), rule.channel, rule.symbol)
-            groups.setdefault(rule.target, {}).setdefault(edit, {})[rule.source] = None
+            anchor, end = ((rule.target, rule.source) if direction == PRE
+                           else (rule.source, rule.target))
+            edit = (_EDITS[direction].get(rule.kind), rule.channel, rule.symbol)
+            groups.setdefault(anchor, {}).setdefault(edit, {})[end] = None
     return groups, tuple(rule for rule in rules if rule.guard is not None)
 
 
@@ -513,6 +516,7 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
         if not head:
             continue
         keyword, _, rest = head.partition(":")
+        keyword, word = keyword.rstrip(), head.split(None, 1)[0]
         try:
             if keyword in ("alphabet", "channels") and (
                     first_line.setdefault(keyword, lineno) != lineno):
@@ -532,8 +536,8 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                     _identifiers("location", [loc], owners)
                     locations.append(loc)
                     owners[loc] = owner
-            elif head.startswith("region "):
-                name_part, eq, _ = head[len("region "):].partition("=")
+            elif word == "region":
+                name_part, eq, _ = head[len(word):].partition("=")
                 if not eq:
                     raise ModelError("region needs 'name = expression'")
                 rname = _region_name(name_part.strip())
@@ -542,7 +546,7 @@ def parse_model(text: str, name: str = "<model>") -> GlcsModel:
                         raise ModelError("duplicate region %r (first declared on "
                                          "line %d)" % (rname, first))
                 pending_regions.append((lineno, rname, line))
-            elif head.startswith("rule "):
+            elif word == "rule":
                 pending_rules.append((lineno, line))
             else:
                 raise ModelError("unrecognized line")

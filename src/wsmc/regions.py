@@ -110,11 +110,12 @@ class RegionSpace:
     an equal region costs one lookup.  On a miss, a complement is stored
     both ways, and a closure also as the closure of itself.  The memo is
     never evicted.  It keys on the operands, which are interned and
-    small.  Unions, intersections and complements are product walks over
-    the operands' DFAs (automata.union_all, intersection, difference),
-    which build no NFA.  Atoms, block edits and up closures write tables
-    (see _join, _edit and _up); down closures canonicalize
-    automata.down_closure on the message symbols."""
+    small.  No operation builds an NFA.  Unions, intersections and
+    complements are product walks over the operands' DFAs
+    (automata.union_all, intersection, difference); both closures run a
+    subset construction off the slice's table (automata.up_closure and
+    down_closure, given the message symbols); atoms and block edits
+    write tables (see _join and _edit)."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -246,13 +247,14 @@ class RegionSpace:
     # -- closures and kernels -------------------------------------------
 
     def _map_encodings(self, a: Region, name: str, closure) -> Region:
-        """The canonical form closure(enc) of every encoding, memoized
-        under name; without channels there is no block to close."""
+        """closure(enc, message symbols) of every encoding, memoized under
+        name; without channels there is no block to close."""
         if not self.signature.channels:
             return self.normalize(a)
+        symbols = self.signature.alphabet.symbols
 
         def close(enc):  # a closure is idempotent
-            return self._apply((name, enc), lambda: closure(enc),
+            return self._apply((name, enc), lambda: closure(enc, symbols),
                                lambda closed: ((name, closed), closed))
 
         # a closure of a nonempty slice is nonempty
@@ -262,25 +264,12 @@ class RegionSpace:
             lambda closed: ((tag, closed.slices), closed))
 
     def up_closure(self, a: Region) -> Region:
-        """Superwords in every block: a self-loop on every message symbol
-        at every state; separators stay fixed."""
-        return self._map_encodings(a, "up", self._up)
-
-    def _up(self, enc: Nfa) -> Nfa:
-        """The subset construction straight off enc's table, where each
-        message move also keeps its state (the self-loops) and enc's
-        dead state, whose language is empty, is in no subset."""
-        dead, sep = automata.dead_state(enc), len(self.signature.alphabet.symbols)
-        moves = [[frozenset((t, p) if x < sep else (t,)) - {dead}
-                  for x, t in enumerate(row)] for p, row in enumerate(enc.table)]
-        return automata.minimal_dfa(enc.alphabet, *automata.subsets(
-            moves, frozenset([0]), enc.accepting, sep + 1))  # 0 is live
+        """Superwords in every block: separators stay fixed."""
+        return self._map_encodings(a, "up", automata.up_closure)
 
     def down_closure(self, a: Region) -> Region:
-        """Subwords in every block: an epsilon move beside every message
-        move; separators stay fixed."""
-        return self._map_encodings(a, "down", lambda enc: automata.canonicalize(
-            automata.down_closure(enc, self.signature.alphabet.symbols)))
+        """Subwords in every block: separators stay fixed."""
+        return self._map_encodings(a, "down", automata.down_closure)
 
     def up_kernel(self, a: Region) -> Region:
         return self.complement(self.down_closure(self.complement(a)))
@@ -316,7 +305,8 @@ class RegionSpace:
             dead, sep = automata.dead_state(enc), len(self.signature.alphabet.symbols)
             blocks, entries = [], [0]
             for _ in self.signature.channels:
-                blocks.append(_reachable(entries, lambda q: enc.table[q][:sep]) - {dead})
+                blocks.append(automata.reachable(
+                    entries, lambda q: enc.table[q][:sep]) - {dead})
                 entries = {enc.table[p][sep] for p in blocks[-1]} - {dead}
             return dead, blocks
         return self._apply(("blocks", enc), compute)
@@ -431,7 +421,7 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
 
     @functools.cache
     def rows_from(s, i):
-        states = _reachable([s], lambda q: table[q][:sep])
+        states = automata.reachable([s], lambda q: table[q][:sep])
         if i == last:
             final = states.intersection(enc.accepting)
             return [(channel(s, states, final),)] if final else []
@@ -445,18 +435,6 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
 
     rows = rows_from(0, 0) if last >= 0 else [()] if 0 in enc.accepting else []
     return tuple(sorted(rows, key=_row_order))
-
-
-def _reachable(starts, successors) -> set:
-    """The states reachable from starts, where successors(state) gives
-    the states one move away."""
-    seen, stack = set(starts), list(starts)
-    while stack:
-        for t in successors(stack.pop()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
 
 
 def _row_order(row: Row):

@@ -15,6 +15,19 @@ CLOSURE_ORACLES = ((automata.up_closure, oracle.in_up_closure),
                    (automata.down_kernel, oracle.in_down_kernel))
 
 
+def closure_by_moves(a, symbols, up):
+    """A subword closure of a built move by move, with no subset
+    construction of its own: a self-loop on each of symbols at every
+    state (up), or an epsilon move beside every move on one of them
+    (down)."""
+    if up:
+        extra = tuple((q, x, q) for q in range(a.n_states) for x in symbols)
+    else:
+        extra = tuple((p, None, q) for (p, x, q) in a.transitions if x in symbols)
+    return automata.canonicalize(Nfa(a.alphabet, a.n_states, a.initial, a.accepting,
+                                     a.transitions + extra))
+
+
 def model_path(name):
     return os.path.abspath(os.path.join(MODELS, name))
 
@@ -141,6 +154,10 @@ FIXTURE_COMMANDS = [
     # then append on the first of two
     ["eval", "token_game.lcs", "-f", "postp(TOKENS)"],
     ["eval", "abp.lcs", "-f", "postp(postp(CLEAN0))"],
+    # lossy post closes each step downward; kup is the dual of kdown
+    ["eval", "abp.lcs", "-f", "post(post(CLEAN0))"],
+    ["eval", "token_game.lcs", "-f", "post(TOKENS)"],
+    ["eval", "abp.lcs", "-f", "kup(!CLEAN0)"],
 ]
 
 

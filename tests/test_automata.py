@@ -7,7 +7,7 @@ from wsmc import automata, oracle
 from wsmc.automata import Alphabet, AutomatonError, Nfa
 from wsmc.regexes import compile_regex
 
-from conftest import CLOSURE_ORACLES, random_nfa
+from conftest import CLOSURE_ORACLES, closure_by_moves, random_nfa
 
 
 def lang(nfa, max_len=4):
@@ -145,6 +145,35 @@ def test_closure_characterization(ab, rng):
             for v in oracle.language_slice(automata.up_closure(a), 5)
             if oracle.is_subword(u, v)) if closed else True
         assert slice_closed
+
+
+def test_closures_insert_or_delete_only_the_given_symbols():
+    abc, rng = Alphabet(("a", "b", "c")), random.Random(3100)
+    choices = [(), ("a",), ("c",), ("a", "c"), ("b", "c"), None]
+    changed = 0
+    for _ in range(60):
+        a = random_nfa(rng, abc)
+        for symbols in choices:
+            every = abc.symbols if symbols is None else symbols
+            for up, closure in ((True, automata.up_closure),
+                                (False, automata.down_closure)):
+                closed = closure(a, symbols)
+                assert closed is closure_by_moves(a, every, up)
+                assert closed is automata.canonicalize(closed)
+                changed += closed is not automata.canonicalize(a)
+        # no symbols: the language as it is
+        assert automata.up_closure(a, ()) is automata.down_closure(a, ()) \
+            is automata.canonicalize(a)
+    assert changed >= 200
+    word = Nfa.word(abc, w("ab"))
+    assert automata.up_closure(word, ()) is automata.canonicalize(word)
+    assert automata.equal(automata.up_closure(word, ("c",)),
+                          compile_regex("c* a c* b c*", abc))
+    assert automata.equal(automata.down_closure(word, ("a",)),
+                          compile_regex("a? b", abc))
+    for closure in (automata.up_closure, automata.down_closure):
+        with pytest.raises(AutomatonError, match="not in alphabet"):
+            closure(word, ("a", "d"))
 
 
 def test_subword_membership(ab, rng):

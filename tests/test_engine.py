@@ -394,3 +394,23 @@ def test_compiled_game_terms_step_only_through_the_owners_operators():
         calls = [counting(prop.algebra, name) for name in unrestricted]
         prop.run()
         assert calls == [[]] * len(unrestricted), prop.name
+
+
+def test_a_term_nested_too_deeply_is_refused_with_one_error():
+    model = load_model(model_path("abp.lcs"))
+    algebra = model.algebra()
+
+    def term(depth):
+        body = Var("X")
+        for _ in range(depth):
+            body = Up(body)
+        return Mu("X", Union(OpApp("empty"), OpApp("pre", (body,))))
+
+    with pytest.raises(EvaluationError, match="^term is nested too deeply$"):
+        evaluate(term(3000), {}, algebra)
+    # the same term, shallow, evaluates, as does one after the refusal
+    value, stats = evaluate(term(50), {}, algebra)
+    assert model.space.is_empty(value) and stats.iterations == {"X": [1]}
+    goal = model.named_regions["GOAL"]
+    value, _ = evaluate(parse_term("mu X. GOAL | pre(up(X))", algebra), {}, algebra)
+    assert model.space.subset(goal, value) and value != goal

@@ -15,7 +15,8 @@ from wsmc.regions import Config, RegionError, RegionSpace
 from wsmc.terms import check_guarded, parse_term
 
 import record_abp_digests
-from conftest import BAD_RULES, config_region, model_path, random_model, random_region_for
+from conftest import (
+    BAD_RULES, config_region, model_path, random_model, random_nfa, random_region_for)
 
 AB = Alphabet(("a", "b"))
 
@@ -48,6 +49,28 @@ def test_parse_model_roundtrip():
     assert len(model.rules) == 3
     assert model.rules[1].guard is not None
     assert not model.game_mode
+
+
+def test_declaration_lines_take_any_whitespace():
+    canonical = parse_model("alphabet: a b\nchannels: c d\nlocations: p q[A]\n"
+                            "region R = (p; a*; b)\nrule p -> q : c!a guard R\n"
+                            "rule q -> p : nop\n")
+    for text in ("alphabet : a b\nchannels : c d\nlocations : p q[A]\n"
+                 "region\tR = (p; a*; b)\nrule\tp -> q : c!a guard R\n"
+                 "rule q -> p : nop\n",
+                 "alphabet\t:a b\nchannels\t:\tc d\n  locations \t: p\tq[A]\n"
+                 "region  R=(p; a*; b)\nrule \t p -> q : c!a guard R\n"
+                 "rule\tq -> p : nop\n"):
+        model = parse_model(text)
+        assert model.signature == canonical.signature
+        assert model.owners == canonical.owners
+        assert model.named_regions == canonical.named_regions
+        assert model.rules == canonical.rules
+    # a keyword is a whole word
+    for line in ("ruler p -> q : nop", "regions R = (p; a*; b)", "alphabets: a"):
+        with pytest.raises(ModelError, match="^m.lcs:4: unrecognized line$"):
+            parse_model("alphabet: a b\nchannels: c d\nlocations: p q\n" + line,
+                        name="m.lcs")
 
 
 def test_parse_model_errors_carry_line_numbers():
@@ -545,15 +568,15 @@ def test_perfect_steps_use_every_rule(monkeypatch):
                             ("wpre", LOSSY, model._lossy_rules)):
         copy = tiny_model(model.rules)  # with an empty step memo
         steps, edited = [], []
-        through, edit = copy._pre_perf_through, copy.space.edited
-        monkeypatch.setattr(copy, "_pre_perf_through",
-                            lambda *args: steps.append(args[:2]) or through(*args))
+        through, edit = copy._step, copy.space.edited
+        monkeypatch.setattr(copy, "_step",
+                            lambda *args: steps.append(args[:3]) or through(*args))
         monkeypatch.setattr(copy.space, "edited",
                             lambda enc, *e: edited.append(e) or edit(enc, *e))
         getattr(copy, op)(both, mode)
         # the (target, edit, source) groups the step derives from the rules,
         # each edit of a target slice made once
-        [(groups, guarded)] = [copy._steps[mode_owner] for mode_owner in steps]
+        [(groups, guarded)] = [copy._steps[step] for step in steps]
         assert guarded == ()
         stepped = [(target, e, source) for target, by_edit in groups.items()
                    for e, sources in by_edit.items() for source in sources]
@@ -676,7 +699,7 @@ def test_steps_refuse_a_region_of_another_signature():
     other = parse_model("alphabet: u v w\nchannels: d e\nlocations: p q\n")
     for model, foreign in ((abp, flags.space.full()), (shared, other.space.full())):
         rule = model.rules[0]
-        steps = [model.pre_perf, model.post_perf,
+        steps = [model.pre_perf,
                  lambda r: model.pre_perf_rule(rule, r),
                  lambda r: model.post_perf_rule(rule, r)]
         steps += [lambda r, op=op, mode=mode: op(r, mode)
@@ -756,7 +779,7 @@ def test_steps_share_block_edits_and_repeat_without_minimizing(monkeypatch):
     monkeypatch.setattr(space, "_edit",
                         lambda *args: edits.append(args[1]) or real_edit(*args))
     model.pre_perf(both)
-    model.post_perf(both)
+    model.post(both, PERFECT)
     # one block edit per (kind, channel, symbol, slice)
     assert sorted(edits) == ["append", "behead", "curtail", "prepend"]
     calls = [(op, mode) for op in (model.pre, model.post, model.wpre)
@@ -773,6 +796,37 @@ def test_steps_share_block_edits_and_repeat_without_minimizing(monkeypatch):
     for op, mode in calls:
         assert op(again, mode) == want[op, mode]
     assert minimized == []
+
+
+def test_operations_on_canonical_regions_build_no_nfa(monkeypatch):
+    rng = random.Random(5800)
+    for game in (False, True):
+        for _ in range(6):
+            model = random_model(rng, game=game)
+            space = model.space
+            atoms = [(rng.choice(model.locations), tuple(
+                automata.canonicalize(random_nfa(rng, model.alphabet, 3))
+                for _ in model.channels)) for _ in range(6)]
+            # from now on, no subset construction of an NFA
+            monkeypatch.setattr(automata, "_determinize",
+                                lambda a: pytest.fail("an NFA is determinized"))
+            atoms = [space.atom(loc, langs) for loc, langs in atoms]
+            regions = [space.union(*atoms[:3]), space.union(*atoms[3:]), atoms[0],
+                       space.empty(), space.full()]
+            for a, b in itertools.product(regions, repeat=2):
+                space.union(a, b), space.intersection(a, b), space.difference(a, b)
+                space.subset(a, b)
+            for r in regions:
+                for op in ("complement", "up_closure", "down_closure", "up_kernel",
+                           "down_kernel"):
+                    getattr(space, op)(r)
+                for mode in (LOSSY, PERFECT):
+                    model.post(r, mode)
+                    for owner in (None, "A", "B"):
+                        model.pre(r, mode, owner), model.wpre(r, mode, owner)
+                for rule in model.rules:
+                    model.pre_perf_rule(rule, r), model.post_perf_rule(rule, r)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name", ["abp.lcs", "abp4.lcs", "token_game.lcs", "flags.lcs"])

@@ -10,7 +10,8 @@ from wsmc.model import parse_model
 from wsmc.regexes import compile_regex
 from wsmc.regions import Config, Region, RegionError, RegionSpace, Signature
 
-from conftest import config_region, random_model, random_nfa, random_region_for
+from conftest import (
+    closure_by_moves, config_region, random_model, random_nfa, random_region_for)
 
 AB = Alphabet(("a", "b"))
 SIG = Signature(AB, ("c", "d"), ("p", "q"))
@@ -385,19 +386,6 @@ def test_closing_a_closed_region_minimizes_nothing(op, space, rng, monkeypatch):
         assert calls == []
 
 
-def closure_by_moves(enc, op):
-    """The closure of an encoding as the region algebra once built it on
-    its own: a self-loop on every message symbol at every state (up), or
-    an epsilon move beside every message move (down); # moves stay."""
-    if op == "up_closure":
-        extra = tuple((q, x, q) for q in range(enc.n_states)
-                      for x in enc.alphabet.symbols if x != "#")
-    else:
-        extra = tuple((p, None, q) for (p, x, q) in enc.transitions if x != "#")
-    return automata.canonicalize(Nfa(enc.alphabet, enc.n_states, enc.initial,
-                                     enc.accepting, enc.transitions + extra))
-
-
 @pytest.mark.parametrize("op", ["up_closure", "down_closure"])
 def test_closures_equal_the_closure_by_moves_on_every_encoding(op):
     rng = random.Random(5300)
@@ -408,7 +396,8 @@ def test_closures_equal_the_closure_by_moves_on_every_encoding(op):
             closed = getattr(model.space, op)(region).encodings
             assert closed.keys() == region.encodings.keys()
             for loc, enc in region.slices:
-                assert closed[loc] is closure_by_moves(enc, op)
+                assert closed[loc] is closure_by_moves(enc, model.alphabet.symbols,
+                                                       op == "up_closure")
 
 
 # -- channel-block edits --------------------------------------------------
@@ -605,8 +594,7 @@ def test_up_closures_and_inclusions_equal_their_nfa_constructions():
             closed = space.up_closure(region).encodings
             assert closed.keys() == region.encodings.keys()
             for loc, enc in region.slices:
-                assert closed[loc] is automata.canonicalize(
-                    automata.up_closure(enc, AB.symbols))
+                assert closed[loc] is closure_by_moves(enc, AB.symbols, True)
         encodings = [region.encodings["p"] for region in pool]
         for x, y in itertools.product(encodings, repeat=2):
             assert automata.subset(x, y) == (nfa_union([x, y]) is y)
