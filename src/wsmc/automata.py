@@ -12,10 +12,11 @@ one breadth-first walk over the state tuples of any number of them
 (_tuples) serves union_all, intersection, difference and left_residual
 (a product that is one of its operands returns it as it is), both
 subword closures are one subset construction off the table (_closure),
-and subset walks state pairs to the first witness.  Only the rational
-constructions (union among them) build NFAs.  The region algebra
-writes tables for minimal_dfa, or for renumbered where its table is
-minimal already (see regions).
+and subset walks state pairs to the first witness.  One breadth-first
+loop (_numbered) numbers the states of every automaton built here.
+Only the rational constructions (union among them) build NFAs.  The
+region algebra writes tables for minimal_dfa, or for renumbered where
+its table is minimal already (see regions).
 
 Both classes are plain classes with slots: an Alphabet is a value
 (values.Value), an Nfa equals only itself.
@@ -226,19 +227,8 @@ def _tuples(langs: Iterable[Nfa]):
     for d in dfas[1:]:
         _check_same_alphabet(dfas[0], d)
     tables = [d.table for d in dfas]
-    start = (0,) * len(dfas)
-    ids = {start: 0}
-    tuples, table = [start], []
-    for states in tuples:
-        row = []
-        for succ in zip(*[t[q] for t, q in zip(tables, states)]):
-            i = ids.get(succ)
-            if i is None:
-                i = ids[succ] = len(tuples)
-                tuples.append(succ)
-            row.append(i)
-        table.append(row)
-    return dfas, tuples, table
+    return (dfas, *_numbered((0,) * len(dfas), lambda states: zip(
+        *[t[q] for t, q in zip(tables, states)])))
 
 
 def _product(langs: Iterable[Nfa], keep) -> Nfa:
@@ -440,24 +430,31 @@ def subsets(moves, start: frozenset, accepting, n_symbols: int):
     result is complete (the empty subset is the dead state), its states
     in breadth-first order, and a subset of one state takes its row of
     moves as it is."""
-    ids, order, table, accepting_subsets = {start: 0}, [start], [], set()
-    for i, subset_state in enumerate(order):
-        if subset_state & accepting:
-            accepting_subsets.add(i)
+    def targets(subset_state):
         if len(subset_state) == 1:
-            targets = moves[next(iter(subset_state))]
-        else:
-            members = [moves[q] for q in subset_state]
-            targets = [frozenset().union(*[m[k] for m in members])
-                       for k in range(n_symbols)]
+            return moves[next(iter(subset_state))]
+        members = [moves[q] for q in subset_state]
+        return [frozenset().union(*[m[k] for m in members]) for k in range(n_symbols)]
+
+    order, table = _numbered(start, targets)
+    return table, {i for i, subset_state in enumerate(order) if subset_state & accepting}
+
+
+def _numbered(start, successors):
+    """The states reachable from start, numbered breadth-first in the
+    order successors(state) lists each state's targets, and the table of
+    their successor indices."""
+    ids, states, table = {start: 0}, [start], []
+    for state in states:
         row = []
-        for tgt in targets:
-            if tgt not in ids:
-                ids[tgt] = len(order)
-                order.append(tgt)
-            row.append(ids[tgt])
+        for t in successors(state):
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(states)
+                states.append(t)
+            row.append(i)
         table.append(tuple(row))
-    return table, accepting_subsets
+    return states, table
 
 
 # The one intern table, per process and never evicted: the canonical
@@ -519,11 +516,6 @@ def renumbered(alphabet: Alphabet, rows, accepting, start: int) -> Nfa:
     """The canonical form of a complete DFA that is minimal once the
     states start does not reach drop out: rows[state][symbol index] ->
     state, renumbered breadth-first from start in alphabet order."""
-    renum, order = {start: 0}, [start]
-    for q in order:
-        for t in rows[q]:
-            if t not in renum:
-                renum[t] = len(order)
-                order.append(t)
-    return _intern(alphabet, tuple(tuple([renum[t] for t in rows[q]]) for q in order),
-                   frozenset(renum[q] for q in accepting if q in renum))
+    order, table = _numbered(start, rows.__getitem__)
+    return _intern(alphabet, tuple(table),
+                   frozenset(i for i, q in enumerate(order) if q in accepting))

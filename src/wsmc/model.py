@@ -391,7 +391,7 @@ def _read(what, text: str, model: GlcsModel, keywords: int = 0):
     """what model's reader reads in text after its first keywords tokens."""
     reader = _Reader(text, model)
     reader.pos = keywords
-    return reader.end(what(reader))
+    return reader.read(what)
 
 
 def parse_config(text: str, model: GlcsModel) -> Config:

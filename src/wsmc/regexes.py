@@ -117,8 +117,8 @@ class RegexParser(terms.Cursor):
 
 def compile_regex(pattern: str, alphabet: Alphabet) -> Nfa:
     """Compile regex text into an NFA accepting exactly the denoted language."""
-    parser = RegexParser(pattern, _PUNCTUATION, RegexError, alphabet)
-    return parser.end(parser.alternation())
+    return RegexParser(pattern, _PUNCTUATION, RegexError, alphabet).read(
+        RegexParser.alternation)
 
 
 # -- regex regeneration from automata ----------------------------------
@@ -188,11 +188,7 @@ def _render(e, spaced, prec=0):
         body = joiner.join(_render(x, spaced, 2) for x in e[1])
         return "(" + body + ")" if prec > 1 else body
     if kind == "star":
-        inner = e[1]
-        body = _render(inner, spaced, 3)
-        if inner[0] in ("alt", "cat") :
-            body = "(" + _render(inner, spaced, 0) + ")"
-        return body + "*"
+        return _render(e[1], spaced, 3) + "*"
     raise RegexError("bad regex node %r" % (kind,))
 
 

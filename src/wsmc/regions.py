@@ -6,7 +6,8 @@ words w1 # w2 # ... # wc over the message alphabet plus the separator #,
 and the region keeps the canonical form of that language (see
 automata.canonicalize).  Equal regions are therefore equal values and print
 identically.  The encoding's layout is known here alone: a step of a
-channel system edits one channel's block of it (RegionSpace.edit).
+channel system edits one channel's block of it (RegionSpace.edit), and
+_decompose minimizes each block from its start state to print a slice.
 
 Signature, Product, Region and Config are values (values.Value): equal
 fields make equal objects, and objects of different classes are never
@@ -412,24 +413,22 @@ def _decompose(signature: Signature, enc: Nfa) -> Tuple[Row, ...]:
     table = enc.table
     sep = len(signature.alphabet.symbols)
     last = len(signature.channels) - 1
+    block = [row[:sep] for row in table]  # the moves inside a channel's block
 
-    def channel(s, states, final):
-        order = [s] + sorted(states - {s})
-        ids = {q: i for i, q in enumerate(order)}
-        sub = [[ids[t] for t in table[q][:sep]] for q in order]
-        return automata.minimal_dfa(signature.alphabet, sub, {ids[q] for q in final})
+    def channel(s, final):  # the language of the block from s into final
+        return automata.minimal_dfa(signature.alphabet, block, final, s)
 
     @functools.cache
     def rows_from(s, i):
-        states = automata.reachable([s], lambda q: table[q][:sep])
+        states = automata.reachable([s], block.__getitem__)
         if i == last:
             final = states.intersection(enc.accepting)
-            return [(channel(s, states, final),)] if final else []
+            return [(channel(s, final),)] if final else []
         out = []
         for t in sorted({table[q][sep] for q in states}):
             rest = rows_from(t, i + 1)
             if rest:
-                head = channel(s, states, [q for q in states if table[q][sep] == t])
+                head = channel(s, {q for q in states if table[q][sep] == t})
                 out.extend((head,) + row for row in rest)
         return out
 

@@ -288,8 +288,13 @@ class Cursor:
             raise self.found("expected %s" % (what or repr(kind)))
         return self.tokens[self.pos - 1]
 
-    def end(self, result):
-        """result, once every token is read."""
+    def read(self, grammar, *args):
+        """grammar(self, *args), once every token is read: the one entry
+        of every syntax.  Input too deep for the stack is refused whole."""
+        try:
+            result = grammar(self, *args)
+        except RecursionError:
+            raise self.error_class("input is nested too deeply") from None
         kind, value, pos = self.peek()
         if kind is not None:
             raise self.error("unexpected %r" % (value,), pos)
@@ -312,7 +317,7 @@ class Parser(Cursor):
         self.binding = binding  # maps operator name -> arity
 
     def parse(self):
-        return self.end(self.alternation(frozenset()))
+        return self.read(Parser.alternation, frozenset())
 
     def alternation(self, scope):
         t = self.conjunction(scope)

@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsmc import WsmcError, cli, compilers, terms
-from wsmc.model import load_model, parse_config, parse_model, parse_region_text
-from wsmc.regexes import compile_regex
+from wsmc.model import ModelError, load_model, parse_config, parse_model, parse_region_text
+from wsmc.regexes import RegexError, compile_regex
 from wsmc.regions import Config
 
 from conftest import model_path
 import test_fuzz
+from test_cli import DEEP
 
 ABP = model_path("abp.lcs")
 # a model file whose fifth line is the line under test
@@ -153,6 +154,22 @@ def test_every_syntax_names_the_position_of_its_errors(syntax, text, message, to
 
 def test_the_table_covers_every_syntax():
     assert {row[0] for row in TABLE} == set(SYNTAXES)
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (lambda t: terms.parse_term(t, {}), "up(" * 250 + "all" + ")" * 250, terms.TermError),
+    (lambda t: terms.parse_term(t, {}), "(" * DEEP + "all" + ")" * DEEP, terms.TermError),
+    (lambda t: compile_regex(t, load_model(ABP).alphabet), "(" * DEEP + "m0" + ")" * DEEP,
+     RegexError),
+    (lambda t: parse_region_text(t, load_model(ABP)),
+     "(s0w0; %sm0%s; ())" % ("(" * DEEP, ")" * DEEP), ModelError),
+    (compilers.parse_ctl, "!" * DEEP + "GOAL", compilers.CtlError),
+], ids=["formula-up", "formula", "regex", "region-text", "ctl"])
+def test_every_parser_refuses_input_nested_too_deeply_with_its_own_error(parse, text,
+                                                                         error):
+    with pytest.raises(WsmcError) as info:
+        parse(text)
+    assert type(info.value) is error and str(info.value) == "input is nested too deeply"
 
 
 @pytest.mark.parametrize("text", ["p", "p :", "p : "])
