@@ -20,8 +20,8 @@ send a superset, and a guard only shrinks a step.  So the lossy pre
 skips the rules an unguarded rule between the same locations covers
 (_uncovered); perfect steps keep every rule.
 
-Region text, configurations and rules are read by _Reader through
-terms.Cursor, the one token cursor of every syntax, formulas too.
+A model file's lines, region text and configurations are read by
+_Reader through terms.Cursor, the one token cursor of every syntax.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import functools
 from typing import Dict, List, Optional, Tuple
 
 from . import automata, regexes, terms
-from .automata import Alphabet, AutomatonError, Nfa, Word
+from .automata import Alphabet, Nfa, Word
 from .engine import AlgebraBinding
 from .errors import WsmcError
 from .regions import Config, Region, RegionSpace, Signature
@@ -276,24 +276,39 @@ class ConfigAlgebra(AlgebraBinding):
 
 # -- text formats ------------------------------------------------------
 
-_PUNCTUATION = frozenset({*"+();|*?.~:,!=", "{}", "->"})
+_PUNCTUATION = frozenset({*"+();|*?.~:,!=[]", "{}", "->"})
+# the keywords of a model file's declaration lines -> the kind of name each declares
+_DECLARES = {"alphabet": "symbol", "channels": "channel", "locations": "location"}
+# (a channel pattern's tokens, alphabet) -> its canonical form; models repeat
+# their patterns across regions and guards
+_PATTERNS: Dict[tuple, Nfa] = {}
 
 
 class _Reader(regexes.RegexParser):
-    """Region text, configurations and rules over model, with ModelErrors
-    at their position in text; a pattern is a regex, and a word is
-    identifiers split into symbols:
+    """A model file's lines, region text and configurations, with
+    ModelErrors at their position in text; a pattern is a regex, and a
+    word is identifiers split into symbols:
 
+        line   ::= "alphabet" ":" symbol+ | "channels" ":" channel*
+                 | "locations" ":" (location ["[" ("A" | "B") "]"])*
+                 | "region" name "=" region | "rule" rule
         region ::= "{}" | part ("+" part)*
         part   ::= NAME | "(" location (";" pattern)* ")"
         config ::= location [":" word ("," word)*]   (missing words are empty)
         rule   ::= location "->" location ":" (channel ("!" | "?") symbol | "nop")
                    ["guard" region]
+
+    A line declares the names it lists; its reader reads a region or
+    rule on once the file's declarations give its model (parse_model).
     """
 
-    def __init__(self, text: str, model: GlcsModel):
-        super().__init__(text, _PUNCTUATION, ModelError, model.alphabet)
-        self.model = model
+    def __init__(self, text: str, where: str = ""):  # where: "file:line: "
+        super().__init__(text, _PUNCTUATION, lambda msg: ModelError(where + msg), None)
+
+    def read_in(self, model: GlcsModel, grammar):
+        """grammar's reading of the rest of the text over model."""
+        self.model, self.alphabet = model, model.alphabet
+        return self.read(grammar)
 
     def name(self, names, message: str) -> str:
         """The next identifier, in names; any other token names ''."""
@@ -303,6 +318,43 @@ class _Reader(regexes.RegexParser):
             raise self.error(message % (value,), pos)
         self.pos += 1
         return value
+
+    def line(self, lineno: int, declared: Dict[str, tuple]):
+        """A model file's line into declared[keyword] = (the keyword's
+        first line, entries): a declaration's names as {name: owner}, a
+        region's reader as {name: (line, reader)}, or a rule's as
+        {line: reader}."""
+        _, keyword, pos = self.peek()
+        if keyword not in declared:
+            raise self.found("unrecognized line")
+        self.pos += 1
+        first, names = declared[keyword]
+        if first and keyword in ("alphabet", "channels"):
+            raise self.error("duplicate %s declaration (first declared on line %d)"
+                             % (keyword, first), pos)
+        declared[keyword] = (first or lineno, names)
+        if keyword == "rule":
+            names[lineno] = self
+        elif keyword == "region":
+            _, name, at = self.expect("ident", "a region name")
+            if name in RESERVED_NAMES:
+                raise self.error("region name %r is reserved" % (name,), at)
+            if name in names:
+                raise self.error("duplicate region %r (first declared on line %d)"
+                                 % (name, names[name][0]), at)
+            self.expect("=")
+            names[name] = (lineno, self)
+        else:
+            self.expect(":")
+            kind = _DECLARES[keyword]
+            while self.peek()[0] is not None or keyword == "alphabet" and not names:
+                _, name, at = self.expect("ident", "a %s name" % kind)
+                if name in names:
+                    raise self.error("duplicate %s %r" % (kind, name), at)
+                names[name] = None
+                if keyword == "locations" and self.accept("["):
+                    names[name] = self.name(("A", "B"), "owner must be A or B, got %r")
+                    self.expect("]")
 
     def region(self) -> Region:
         if self.peek()[0] is None:
@@ -332,20 +384,21 @@ class _Reader(regexes.RegexParser):
         return self.model.space.atom(loc, tuple(langs))
 
     def pattern(self) -> Nfa:
-        """The language of the tokens up to the next ";" or ")" outside
-        parentheses, compiled once per pattern text (_channel_language);
-        one that fails is read again in place, for the error's position."""
-        start, depth = self.pos, 0
-        while self.peek()[0] is not None and (depth or self.peek()[0] not in (";", ")")):
-            depth += {"(": 1, ")": -1}.get(self.peek()[0], 0)
-            self.pos += 1
-        text = self.text[self.tokens[start][2]:self.peek()[2]].rstrip()
-        try:
-            return _channel_language(text, self.alphabet)
-        except regexes.RegexError:
-            self.pos = start
-            self.alternation()
-            raise self.found("expected ';' or ')'")
+        """The canonical form of the regex up to the next ";" or ")"
+        outside parentheses, read in place once per tokens and alphabet."""
+        end, depth = self.pos, 0
+        while self.tokens[end][0] is not None and (
+                depth or self.tokens[end][0] not in (";", ")")):
+            depth += {"(": 1, ")": -1}.get(self.tokens[end][0], 0)
+            end += 1
+        key = (tuple(token[:2] for token in self.tokens[self.pos:end]), self.alphabet)
+        if key not in _PATTERNS:
+            lang = self.alternation()
+            if self.pos != end:
+                raise self.found("expected ';' or ')'")
+            _PATTERNS[key] = automata.canonicalize(lang)
+        self.pos = end
+        return _PATTERNS[key]
 
     def word(self) -> Word:
         out = []
@@ -387,29 +440,15 @@ class _Reader(regexes.RegexParser):
         return Rule(src, tgt, kind, chan, sym, guard)
 
 
-def _read(what, text: str, model: GlcsModel, keywords: int = 0):
-    """what model's reader reads in text after its first keywords tokens."""
-    reader = _Reader(text, model)
-    reader.pos = keywords
-    return reader.read(what)
-
-
 def parse_config(text: str, model: GlcsModel) -> Config:
     """Config text: "location : word, word, ..." with one word per channel."""
-    return _read(_Reader.config, text, model)
+    return _Reader(text).read_in(model, _Reader.config)
 
 
 def parse_region_text(text: str, model: GlcsModel) -> Region:
     """Region expressions: "{}" or atoms "(loc; regex; ...)" joined by "+";
     a bare identifier references a named region of the model."""
-    return _read(_Reader.region, text, model)
-
-
-@functools.lru_cache(maxsize=None)
-def _channel_language(pattern: str, alphabet: Alphabet) -> Nfa:
-    """The canonical form of a channel pattern, compiled once per process:
-    models repeat their patterns across regions and guards."""
-    return automata.canonicalize(regexes.compile_regex(pattern, alphabet))
+    return _Reader(text).read_in(model, _Reader.region)
 
 
 def region_to_text(region: Region, model: GlcsModel) -> str:
@@ -424,22 +463,16 @@ def region_to_text(region: Region, model: GlcsModel) -> str:
     return " + ".join(atoms)
 
 
-def _identifier(kind: str, name: str) -> str:
-    """A declared name must read back as one token of the formula,
+def _identifiers(kind: str, names) -> Tuple[str, ...]:
+    """Declared names, none of them twice, each one token of the formula,
     region and regex syntaxes: letters, digits and `_`."""
-    if not name or not all(ch.isalnum() or ch == "_" for ch in name):
-        raise ModelError("%s name %r must consist of letters, digits and '_'"
-                         % (kind, name))
-    return name
-
-
-def _identifiers(kind: str, names, earlier=()) -> Tuple[str, ...]:
-    """Declared names: identifiers, none of them twice or in earlier."""
-    names = tuple(_identifier(kind, name) for name in names)
     for i, name in enumerate(names):
-        if name in earlier or name in names[:i]:
+        if not name or not all(ch.isalnum() or ch == "_" for ch in name):
+            raise ModelError("%s name %r must consist of letters, digits and '_'"
+                             % (kind, name))
+        if name in names[:i]:
             raise ModelError("duplicate %s %r" % (kind, name))
-    return names
+    return tuple(names)
 
 
 _RANK = {RECV: 0, INTERNAL: 1, SEND: 2}  # steps of an upward-closed slice by size
@@ -493,85 +526,32 @@ def _owner(owner: Optional[str]):
 
 
 def _region_name(name: str) -> str:
-    """A region name must be an identifier that a formula gives no other
-    meaning."""
-    if _identifier("region", name) in RESERVED_NAMES:
+    """A region name: an identifier that a formula gives no other meaning."""
+    if _identifiers("region", (name,))[0] in RESERVED_NAMES:
         raise ModelError("region name %r is reserved" % (name,))
     return name
 
 
 def parse_model(text: str, name: str = "<model>") -> GlcsModel:
-    """Line-oriented model files; see the bundled models for examples."""
-    alphabet = None
-    channels: Tuple[str, ...] = ()
-    locations: List[str] = []
-    owners: Dict[str, Optional[str]] = {}
-    pending_regions: List[Tuple[int, str, str]] = []
-    pending_rules: List[Tuple[int, str]] = []  # line number and line
-    first_line: Dict[str, int] = {}  # of the alphabet and the channels line
-
+    """Line-oriented model files; see the bundled models for examples.
+    One _Reader reads each line once: the declarations first, then, over
+    the model they declare, the regions in file order and the rules."""
+    declared = {keyword: (0, {}) for keyword in (*_DECLARES, "region", "rule")}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]  # its reader counts positions in the line
-        head = line.strip()
-        if not head:
-            continue
-        keyword, _, rest = head.partition(":")
-        keyword, word = keyword.rstrip(), head.split(None, 1)[0]
-        try:
-            if keyword in ("alphabet", "channels") and (
-                    first_line.setdefault(keyword, lineno) != lineno):
-                raise ModelError("duplicate %s declaration (first declared on "
-                                 "line %d)" % (keyword, first_line[keyword]))
-            if keyword == "alphabet":
-                alphabet = Alphabet(tuple(_identifier("symbol", sym)
-                                          for sym in rest.split()))
-            elif keyword == "channels":
-                channels = _identifiers("channel", rest.split())
-            elif keyword == "locations":
-                for item in rest.split():
-                    loc, owner = item, None
-                    if item.endswith("]") and "[" in item:
-                        loc, _, owner = item[:-1].partition("[")
-                    _owner(owner)
-                    _identifiers("location", [loc], owners)
-                    locations.append(loc)
-                    owners[loc] = owner
-            elif word == "region":
-                name_part, eq, _ = head[len(word):].partition("=")
-                if not eq:
-                    raise ModelError("region needs 'name = expression'")
-                rname = _region_name(name_part.strip())
-                for first, earlier, _ in pending_regions:
-                    if earlier == rname:
-                        raise ModelError("duplicate region %r (first declared on "
-                                         "line %d)" % (rname, first))
-                pending_regions.append((lineno, rname, line))
-            elif word == "rule":
-                pending_rules.append((lineno, line))
-            else:
-                raise ModelError("unrecognized line")
-        except (ModelError, AutomatonError) as exc:
-            raise ModelError("%s:%d: %s" % (name, lineno, exc))
-
-    if alphabet is None:
-        raise ModelError("%s: missing alphabet declaration" % name)
-    if not locations:
-        raise ModelError("%s: missing locations declaration" % name)
-
-    model = GlcsModel(alphabet, channels, tuple(locations), owners, ())
-
-    def read(what, lineno, line, keywords):
-        try:
-            return _read(what, line, model, keywords)
-        except ModelError as exc:
-            raise ModelError("%s:%d: %s" % (name, lineno, exc))
-
-    for lineno, rname, line in pending_regions:  # after "region", NAME and "="
-        model.named_regions[rname] = read(_Reader.region, lineno, line, 3)
-    # after "rule"; the reader checks each rule's names, and reads its guard
-    # in the model's space, so the regions normalized while parsing stay in its memo
-    model._set_rules(tuple(read(_Reader.rule, lineno, line, 1)
-                           for lineno, line in pending_rules))
+        if line.strip():
+            _Reader(line, "%s:%d: " % (name, lineno)).line(lineno, declared)
+    symbols, channels, owners, regions, rules = (names for _, names in declared.values())
+    for keyword, names in (("alphabet", symbols), ("locations", owners)):
+        if not names:
+            raise ModelError("%s: missing %s declaration" % (name, keyword))
+    model = GlcsModel(Alphabet(tuple(symbols)), tuple(channels), tuple(owners), owners, ())
+    for rname, (_, reader) in regions.items():
+        model.named_regions[rname] = reader.read_in(model, _Reader.region)
+    # the reader checks each rule's names, and reads its guard in the model's
+    # space, so the regions normalized while parsing stay in its memo
+    model._set_rules(tuple(reader.read_in(model, _Reader.rule)
+                           for reader in rules.values()))
     return model
 
 

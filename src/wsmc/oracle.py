@@ -22,6 +22,7 @@ from . import terms
 
 MAX_LEN_CAP = 8
 MAX_LOSSY_SYMBOLS = 16
+MAX_EXPLORED = 5000  # configurations one bounded search may reach
 
 
 class OracleError(WsmcError):
@@ -235,13 +236,18 @@ def _layers(model: GlcsModel, start: Config, depth: int,
     """The configurations first reached in 0, 1, ..., depth lossy steps,
     one layer at a time.  A layer is yielded before it is expanded, each
     of its configurations keyed in succ to its successors; the layer at
-    `depth` is never expanded."""
+    `depth` is never expanded.  Refused once the search reaches more than
+    MAX_EXPLORED configurations, since a layer can grow exponentially."""
     layer, seen = {start}, {start}
     for _ in range(depth):
         yield layer
-        for c in layer:
+        expanded, layer = layer, set()
+        for c in expanded:
             succ[c] = lossy_successors(model, c)
-        layer = set().union(*(succ[c] for c in layer)) - seen
+            layer |= succ[c] - seen
+            if len(seen) + len(layer) > MAX_EXPLORED:
+                raise OracleError("the search from %s reaches more than the cap of "
+                                  "%d configurations" % (start.location, MAX_EXPLORED))
         seen |= layer
         if not layer:
             return

@@ -13,10 +13,10 @@ Grammar (whitespace insignificant):
         | IDENT            a symbol of the alphabet
 
 The grammar reads terms.tokenize's tokens through terms.Cursor, the one
-token cursor of formulas, CTL, region text, configurations and rules, so
-its errors end with their position as theirs do.  An identifier that is
-not an alphabet symbol is split greedily into symbols: "ab" over {a,b}
-means a.b.
+token cursor of formulas, CTL, model files, region text and
+configurations, so its errors end with their position as theirs do.
+An identifier that is not an alphabet symbol is split greedily into
+symbols: "ab" over {a,b} means a.b.
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ name (None for the other kinds); the args are the children.  `Var`,
 values.Value) that also carries three facts, set once from its children
 when it is built: `free`, the sorted tuple of its free variables;
 `nested`, whether it contains a mu or nu; and its hash, so that hashing
-a term takes constant time and never recurses.  The one parser,
+a term takes constant time and never recurses.  Equality and the checks
+walk a term without recursion too; the other walks refuse one too deep
+for the interpreter's stack with one TermError.  The one parser,
 `Parser`, reads formulas and, with CTL's prefix rules
-(compilers.parse_ctl), CTL.  It reads through `Cursor`, the
-one token cursor, which also serves the regex grammar (regexes) and the
-reader of region text, configurations and rules (model), so the errors
-of every syntax give their position in the text alike.  Parsing freshens
+(compilers.parse_ctl), CTL.  It reads through `Cursor`, the one token
+cursor, which also serves the regex grammar (regexes) and the reader of
+model files, region text and configurations (model), so the errors of
+every syntax give their position in the text alike.  Parsing freshens
 binder names so no two binders share a name and no name is both bound
 and free.
 Bound variables must sit under an even number of complements; mu-bound
@@ -34,6 +36,17 @@ from .values import Value
 
 class TermError(WsmcError):
     pass
+
+
+def _refusing_deep(walk):
+    """walk, which recurses, raising one TermError for a term too deep."""
+    @functools.wraps(walk)
+    def refusing(*args):
+        try:
+            return walk(*args)
+        except RecursionError:
+            raise TermError("term is nested too deeply") from None
+    return refusing
 
 
 # kind -> number of children; None for any number
@@ -66,6 +79,20 @@ class Term(Value):
     def __hash__(self):
         return self._hash
 
+    __repr__ = _refusing_deep(Value.__repr__)
+
+    def __eq__(self, other):
+        """Value equality, walked without recursion."""
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if type(b) is not Term or a._hash != b._hash or (
+                        a.kind, a.name, len(a.args)) != (b.kind, b.name, len(b.args)):
+                    return False
+                pairs += zip(a.args, b.args)
+        return True
+
 
 def count(n: int, noun: str, nouns: str) -> str:
     """n and the noun in the number n needs."""
@@ -90,10 +117,7 @@ def free_vars(t: Term) -> set:
 
 
 def bound_vars(t: Term) -> List[str]:
-    out = [t.name] if t.kind in BINDERS else []
-    for c in t.args:
-        out.extend(bound_vars(c))
-    return out
+    return [node.name for node in _subterms(t) if node.kind in BINDERS]
 
 
 def _fresh(name: str, taken) -> str:
@@ -105,6 +129,7 @@ def _fresh(name: str, taken) -> str:
     return fresh
 
 
+@_refusing_deep
 def rename_binders(t: Term, taken: set) -> Term:
     """Freshen binder names so all binders are distinct and avoid `taken`."""
 
@@ -121,6 +146,7 @@ def rename_binders(t: Term, taken: set) -> Term:
     return walk(t, {})
 
 
+@_refusing_deep
 def substitute(t: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding substitution; binders in copies get freshened."""
     # rename binders of t that clash with free variables of the replacement
@@ -140,21 +166,19 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
     return walk(t)
 
 
+@_refusing_deep
 def unfold(t: Term, binder: str) -> Term:
     """Unfold the named mu/nu subterm once: mu X.phi(X) -> mu X.phi(phi(X))."""
-    found = [False]
+    if binder not in bound_vars(t):
+        raise TermError("no binder named %r" % (binder,))
 
     def walk(node):
         if node.kind in BINDERS and node.name == binder:
-            found[0] = True
             body = node.args[0]
             return Term(node.kind, node.name, (substitute(body, binder, body),))
         return Term(node.kind, node.name, tuple(map(walk, node.args)))
 
-    out = walk(t)
-    if not found[0]:
-        raise TermError("no binder named %r" % (binder,))
-    return out
+    return walk(t)
 
 
 # -- well-formedness checks --------------------------------------------
@@ -162,8 +186,9 @@ def unfold(t: Term, binder: str) -> Term:
 def check_parity(t: Term):
     """Every bound variable must occur under an even number of complements
     between its binder and the occurrence."""
-
-    def walk(node, depth, bound):
+    todo = [(t, 0, {})]
+    while todo:
+        node, depth, bound = todo.pop()
         if node.kind == "var":
             if node.name in bound and (depth - bound[node.name]) % 2 != 0:
                 raise TermError(
@@ -173,10 +198,7 @@ def check_parity(t: Term):
             depth += 1
         elif node.kind in BINDERS:
             bound = {**bound, node.name: depth}
-        for c in node.args:
-            walk(c, depth, bound)
-
-    walk(t, 0, {})
+        todo += [(c, depth, bound) for c in reversed(node.args)]
 
 
 # binder kind -> the kinds that guard its variable
@@ -191,26 +213,20 @@ def check_guarded(t: Term) -> List[Tuple[str, str]]:
     downward operators.  Empty report means the term is guarded.
     """
     offenders = []
-
-    def walk(node):
-        if node.kind in BINDERS:
-            _scan(node.args[0], node.name, _GUARDS[node.kind], "")
-        for c in node.args:
-            walk(c)
-
-    def _scan(node, name, guards, path):
-        if node.kind in guards:
-            return  # every occurrence below is guarded
-        if node.kind == "var":
-            if node.name == name:
-                offenders.append((name, path or "."))
-            return
-        if node.kind in BINDERS and node.name == name:
-            return
-        for i, c in enumerate(node.args):
-            _scan(c, name, guards, "%s/%s[%d]" % (path, node.kind, i))
-
-    walk(t)
+    for binder in _subterms(t):
+        if binder.kind in BINDERS:
+            name, guards = binder.name, _GUARDS[binder.kind]
+            todo = [(binder.args[0], "")]
+            while todo:
+                node, path = todo.pop()
+                if node.kind == "var" and node.name == name:
+                    offenders.append((name, path or "."))
+                elif node.kind not in guards and not (
+                        node.kind in BINDERS and node.name == name):
+                    # below a guard every occurrence is guarded; below a
+                    # binder of name, none is free
+                    todo += reversed([(c, "%s/%s[%d]" % (path, node.kind, i))
+                                      for i, c in enumerate(node.args)])
     return offenders
 
 
@@ -253,9 +269,9 @@ def tokenize(text: str, punctuation: frozenset, error):
 class Cursor:
     """The one token cursor, over one tokenize pass of text, that the
     formula grammar (Parser), CTL (compilers), the regex grammar (regexes)
-    and the reader of region text, configurations and rules (model) read
-    through.  Its errors, of error_class, end with "at position N", N
-    counting in text."""
+    and the reader of model files, region text and configurations (model)
+    read through.  Its errors, of error_class, end with "at position N",
+    N counting in text."""
 
     END = "input"  # what the end token ends, in messages
 
@@ -411,11 +427,15 @@ _INFIX = {"union": "|", "intersection": "&"}
 
 
 def _subterms(t: Term):
-    yield t
-    for c in t.args:
-        yield from _subterms(c)
+    """t and its subterms in preorder, walked without recursion."""
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += reversed(node.args)
 
 
+@_refusing_deep
 def term_to_text(t: Term) -> str:
     """The formula text of t.  A bound variable and a nullary operator
     print alike, and the parser reads a name in a binder's scope as its

@@ -6,13 +6,14 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import wsmc
 from wsmc import cli, compilers
 from wsmc.model import load_model, region_to_text
-from wsmc.oracle import OracleError
+from wsmc.oracle import MAX_EXPLORED, OracleError
 from wsmc.regions import RegionError
 
 from conftest import BAD_RULES, FIXTURE_COMMANDS, fixture_argv, model_path
@@ -54,7 +55,7 @@ def test_duplicate_alphabet_symbol_exits_2_with_one_line(tmp_path, capsys):
     code = cli.main(["validate", str(bad)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: %s:1: alphabet symbols must be distinct\n" % bad
+    assert captured.err == "error: %s:1: duplicate symbol 'a' at position 12\n" % bad
 
 
 @pytest.mark.parametrize("name", ["all", "pre"])
@@ -65,7 +66,16 @@ def test_region_named_after_an_operator_exits_2(tmp_path, capsys, name):
     code = cli.main(["eval", str(bad), "-f", "all"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: %s:4: region name %r is reserved\n" % (bad, name)
+    assert captured.err == ("error: %s:4: region name %r is reserved at position 7\n"
+                            % (bad, name))
+
+
+# the kind of an unreadable name -> the error at its first character
+# that no name may hold
+UNREADABLE = {"symbol": "expected a symbol name, found '*'",
+              "channel": "expected '->'",  # the token that "-" may begin
+              "location": "expected a location name, found '.'",
+              "region": "expected '=', found '+'"}
 
 
 @pytest.mark.parametrize("lines, lineno, kind, name", [
@@ -83,9 +93,10 @@ def test_unreadable_model_name_exits_2_with_one_line(tmp_path, capsys, lines,
     code = cli.main(["validate", str(bad)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: %s:%d: %s name %r must consist of letters, digits and '_'\n"
-        % (bad, lineno, kind, name))
+    line = lines[lineno - 1]
+    position = line.index(name) + re.search(r"\W", name).start()
+    assert captured.err == "error: %s:%d: %s at position %d\n" % (
+        bad, lineno, UNREADABLE[kind], position)
 
 
 @pytest.mark.parametrize("rule, message", BAD_RULES)
@@ -195,6 +206,18 @@ def test_oracle_reach_expands_no_configuration_at_its_depth(capsys):
     assert cli.main(argv + ["1"]) == 2
     assert capsys.readouterr().err == (
         "error: a successor of s0w0 holds 17 channel symbols, over the cap of 16\n")
+
+
+def test_an_oracle_search_past_its_cap_exits_2_with_one_line_at_once(capsys):
+    # 4 180 configurations one lossy step from b0; their successors hold more
+    argv = ["oracle", "reach", model_path("token_game.lcs"), "--from",
+            "b0 : t n t n t n t n t n t n t n t", "--target", "{}", "--depth"]
+    assert run_cli(capsys, *argv, "1") == (0, "unknown\n")
+    start = time.monotonic()
+    assert cli.main(argv + ["2"]) == 2
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr() == ("", "error: the search from b0 reaches more than the "
+                                       "cap of %d configurations\n" % MAX_EXPLORED)
 
 
 @pytest.mark.parametrize("search", ["reach", "game"])

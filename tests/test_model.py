@@ -1,10 +1,11 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
-from wsmc import automata, compilers, model as model_module, oracle, regexes
+from wsmc import automata, compilers, model as model_module, oracle
 from wsmc.automata import Alphabet, Nfa
 from wsmc.engine import evaluate
 from wsmc.model import (
@@ -60,7 +61,9 @@ def test_declaration_lines_take_any_whitespace():
                  "rule q -> p : nop\n",
                  "alphabet\t:a b\nchannels\t:\tc d\n  locations \t: p\tq[A]\n"
                  "region  R=(p; a*; b)\nrule \t p -> q : c!a guard R\n"
-                 "rule\tq -> p : nop\n"):
+                 "rule\tq -> p : nop\n",
+                 "alphabet:a b\nchannels:c d\nlocations:p q [ A ]\n"
+                 "region R=(p; a*; b)\nrule p->q:c!a guard R\nrule q->p:nop\n"):
         model = parse_model(text)
         assert model.signature == canonical.signature
         assert model.owners == canonical.owners
@@ -68,9 +71,11 @@ def test_declaration_lines_take_any_whitespace():
         assert model.rules == canonical.rules
     # a keyword is a whole word
     for line in ("ruler p -> q : nop", "regions R = (p; a*; b)", "alphabets: a"):
-        with pytest.raises(ModelError, match="^m.lcs:4: unrecognized line$"):
+        with pytest.raises(ModelError) as info:
             parse_model("alphabet: a b\nchannels: c d\nlocations: p q\n" + line,
                         name="m.lcs")
+        assert str(info.value) == ("m.lcs:4: unrecognized line, found %r at position 0"
+                                   % line.split()[0].rstrip(":"))
 
 
 def test_parse_model_errors_carry_line_numbers():
@@ -95,7 +100,11 @@ def test_parse_model_rejects_duplicate_declarations(lines, lineno, message):
     text = "\n".join(["alphabet: a"] + lines[:1] + ["locations: p"] + lines[1:])
     with pytest.raises(ModelError) as info:
         parse_model(text, name="m.lcs")
-    assert str(info.value) == "m.lcs:%d: %s" % (lineno, message)
+    # at the last occurrence in the line of the name quoted, or of the keyword
+    quoted = re.search(r"'(.*)'", message)
+    token = quoted.group(1) if quoted else message.split()[1]
+    position = text.splitlines()[lineno - 1].rindex(token)
+    assert str(info.value) == "m.lcs:%d: %s at position %d" % (lineno, message, position)
 
 
 @pytest.mark.parametrize("rule, message", BAD_RULES)
@@ -153,7 +162,7 @@ def test_parse_model_rejects_reserved_region_names(name):
     text = "alphabet: a\nchannels: c\nlocations: p\nregion %s = (p; a)" % name
     with pytest.raises(ModelError) as info:
         parse_model(text, name="m.lcs")
-    assert str(info.value) == "m.lcs:4: region name %r is reserved" % (name,)
+    assert str(info.value) == "m.lcs:4: region name %r is reserved at position 7" % (name,)
 
 
 # -- models built through the API obey the rules of the model syntax ------
@@ -208,7 +217,7 @@ def test_empty_region_expressions_and_atoms_are_refused(text, message):
     ("region G = ", "empty region expression (the empty region is written {}) "
                     "at position 11"),
     ("region G = (p; a) +", "empty region atom, found end of input at position 19"),
-    ("region G", "region needs 'name = expression'"),
+    ("region G", "expected '=', found end of input at position 8"),
     ("rule p -> p : nop guard (p; a) + + (p; ())",
      "empty region atom, found '+' at position 33"),
     ("region G = (p; a|)", "expected an expression, found ')' at position 17"),
@@ -722,25 +731,32 @@ def test_api_model_refuses_a_guard_of_another_signature():
 
 
 def test_a_pattern_repeated_across_regions_is_compiled_once(monkeypatch):
-    model_module._channel_language.cache_clear()
-    compiled = []
-    real = regexes.compile_regex
-    monkeypatch.setattr(regexes, "compile_regex",
-                        lambda pattern, alphabet: compiled.append(pattern)
-                        or real(pattern, alphabet))
+    compiled = []  # the tokens of each pattern whose canonical form is built
+
+    class Patterns(dict):
+        def __setitem__(self, key, value):
+            compiled.append(" ".join(value for _, value in key[0]))
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(model_module, "_PATTERNS", Patterns())
     text = ("alphabet: a b\nchannels: c d\nlocations: p q\n"
             "region R = (p; a*; b) + (q; a*; b) + (q; b; a*)\n"
             "region S = (p; a*; ()) + R\n"
             "rule p -> q : c!a guard (q; b; b)\n"
             "rule q -> p : nop guard (p; a*; b)\n")
     first = parse_model(text)
-    assert sorted(compiled) == ["()", "a*", "b"]
+    assert sorted(compiled) == ["( )", "a *", "b"]
     second = parse_model(text)
-    assert sorted(compiled) == ["()", "a*", "b"]
+    assert sorted(compiled) == ["( )", "a *", "b"]
     assert second.named_regions == first.named_regions
+    # a pattern that fails to end at its ';' or ')' is stored nowhere
+    for _ in range(2):
+        with pytest.raises(ModelError, match=r"^expected ';' or '\)', found ','"):
+            parse_region_text("(p; a*, b; b)", first)
+    assert sorted(compiled) == ["( )", "a *", "b"]
     # the alphabet is part of the key
     parse_model(text.replace("alphabet: a b", "alphabet: a b x"))
-    assert sorted(compiled) == ["()", "()", "a*", "a*", "b", "b"]
+    assert sorted(compiled) == ["( )", "( )", "a *", "a *", "b", "b"]
 
 
 def test_parse_model_builds_one_region_space(monkeypatch):

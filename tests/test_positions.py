@@ -1,11 +1,12 @@
 """Every syntax names the place of its errors the same way.
 
 Formulas, CTL, regexes, region text (`--target`, `--cond`, a model's
-`region` and `guard`), configurations (`--member`, `--from`) and rule
-lines all read through the one token cursor, `terms.Cursor`.  A parse or
-name error ends with "at position N", N counting in the text the user
-typed (in a model file: in the line, after `file:line:`).  The text at N
-begins with the token the message names, or N is the text's length.
+`region` and `guard`), configurations (`--member`, `--from`) and every
+line of a model file all read through the one token cursor,
+`terms.Cursor`.  A parse or name error ends with "at position N", N
+counting in the text the user typed (in a model file: in the line,
+after `file:line:`).  The text at N begins with the token the message
+names, or N is the text's length.
 """
 
 import contextlib
@@ -47,6 +48,19 @@ def model_line_error(line):
     return message[len("m.lcs:5: "):]
 
 
+def declaration_error(line):
+    """The error of line, a declaration read in place of HEAD's line of
+    its keyword."""
+    lines = HEAD.splitlines()
+    at = [head.split(":")[0] for head in lines].index(line.split()[0].rstrip(":"))
+    lines[at] = line
+    with pytest.raises(WsmcError) as info:
+        parse_model("\n".join(lines) + "\n", name="m.lcs")
+    message, prefix = str(info.value), "m.lcs:%d: " % (at + 1)
+    assert message.startswith(prefix)
+    return message[len(prefix):]
+
+
 def raised(parse, text):
     with pytest.raises(WsmcError) as info:
         parse(text)
@@ -69,6 +83,8 @@ SYNTAXES = {
                                       "--target", "GOAL", "--depth", "1"]),
     "config without channels": lambda text: raised(
         lambda t: parse_config(t, parse_model(NO_CHANNELS)), text),
+    "declaration": declaration_error,
+    "line": model_line_error,
     "region": model_line_error,
     "guard": model_line_error,
     "rule": model_line_error,
@@ -121,6 +137,33 @@ TABLE = [
      "expected 0 channel words, found ',' at position 4", ","),
     ("config without channels", "p : a", "expected 0 channel words, found ':' at position 2",
      ":"),
+    ("declaration", "alphabet: a a", "duplicate symbol 'a' at position 12", "a"),
+    ("declaration", "alphabet: x* y", "expected a symbol name, found '*' at position 11",
+     "*"),
+    ("declaration", "alphabet:", "expected a symbol name, found end of input at position 9",
+     None),
+    ("declaration", "channels: c c", "duplicate channel 'c' at position 12", "c"),
+    ("declaration", "channels: c-1", "expected '->' at position 11", "-"),
+    ("declaration", "locations: p q p", "duplicate location 'p' at position 15", "p"),
+    ("declaration", "locations: p q.1", "expected a location name, found '.' at position 14",
+     "."),
+    ("declaration", "locations: p[C] q", "owner must be A or B, got 'C' at position 13", "C"),
+    ("declaration", "locations: p[A q", "expected ']', found 'q' at position 15", "q"),
+    ("declaration", "locations p q", "expected ':', found 'p' at position 10", "p"),
+    ("line", "alphabet: b", "duplicate alphabet declaration (first declared on line 1) "
+                            "at position 0", "alphabet"),
+    ("line", "  channels: e", "duplicate channels declaration (first declared on line 2) "
+                              "at position 2", "channels"),
+    ("line", "locations: r q", "duplicate location 'q' at position 13", "q"),
+    ("line", "regions H = {}", "unrecognized line, found 'regions' at position 0",
+     "regions"),
+    ("line", "  -> q", "unrecognized line, found '->' at position 2", "->"),
+    ("region", "region pre = {}", "region name 'pre' is reserved at position 7", "pre"),
+    ("region", "region G = {}", "duplicate region 'G' (first declared on line 4) "
+                                "at position 7", "G"),
+    ("region", "region H+K = {}", "expected '=', found '+' at position 8", "+"),
+    ("region", "region H", "expected '=', found end of input at position 8", None),
+    ("region", "region = {}", "expected a region name, found '=' at position 7", "="),
     ("region", "region H = (p; a*; b", "expected ')', found end of input at position 20",
      None),
     ("region", "region H = (p; a*; b) + K", "unknown named region 'K' at position 24", "K"),
@@ -189,7 +232,24 @@ def fuzz_model_text(n_channels):
         "region SAFE = GOAL", "rule p -> q : nop"]) + "\n"
 
 
-def read_rule_line(line, model, n_channels):
+def declaration_line(n_channels):
+    """A line after the fuzzing model's declarations: locations, new or
+    not, with owners well formed or not; a region's head; a second
+    alphabet or channels line; or junk after a keyword."""
+    location = st.tuples(st.sampled_from(["s", "t", "p", "s.1", "t-1", ""]),
+                         st.sampled_from(["", "[A]", " [ B ]", "[C]", "[A", "[]"]))
+    head = st.tuples(st.sampled_from(["H", "K", "GOAL", "pre", "", "H+K"]),
+                     st.sampled_from(["=", " = ", "", ":"]))
+    return st.one_of(
+        st.lists(location.map("".join), max_size=3).map(
+            lambda names: "locations: " + " ".join(names)),
+        st.tuples(head, test_fuzz.region(n_channels)).map(
+            lambda t: "region %s%s%s" % (t[0][0], t[0][1], t[1])),
+        st.tuples(st.sampled_from(["alphabet", "channels", "locations", "region",
+                                   "regions", ""]), test_fuzz.junk).map(" ".join))
+
+
+def read_model_line(line, model, n_channels):
     try:
         parse_model(fuzz_model_text(n_channels) + line + "\n", name="m.lcs")
     except WsmcError as exc:
@@ -210,7 +270,8 @@ CORPUS = {
     "region": (test_fuzz.region, lambda text, model, n: parse_region_text(text, model),
                True),
     "config": (test_fuzz.config, lambda text, model, n: parse_config(text, model), True),
-    "rule": (rule_line, read_rule_line, True),
+    "rule": (rule_line, read_model_line, True),
+    "declaration": (declaration_line, read_model_line, True),
 }
 
 

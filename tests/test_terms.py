@@ -180,6 +180,47 @@ def test_a_deep_term_hashes_and_names_its_free_variables_without_recursion():
     assert free_vars(t) == {"X"}
 
 
+def up_chain(depth, inner=Var("X")):
+    for _ in range(depth):
+        inner = Up(inner)
+    return inner
+
+
+def finishes_or_refuses(walk, t):
+    """walk(t), or None where it refuses t with one TermError."""
+    try:
+        return walk(t)
+    except TermError as exc:
+        assert str(exc) == "term is nested too deeply"
+
+
+def test_a_deep_term_compares_and_checks_and_every_walk_finishes_or_refuses():
+    t, twin = up_chain(3000), up_chain(3000)
+    assert t == twin and t != up_chain(2999) and t != up_chain(3000, Var("Y"))
+    assert terms.bound_vars(Mu("X", t)) == ["X"]
+    check_parity(Mu("X", t))
+    assert check_guarded(Mu("X", Union(Var("X"), t))) == [("X", "/union[0]")]
+    assert check_guarded(Nu("X", Not(t))) == [("X", "/not[0]" + "/up[0]" * 3000)]
+    for walk in (repr, term_to_text, lambda t: rename_binders(t, set()),
+                 lambda t: substitute(t, "X", Var("Y")), lambda t: unfold(Mu("X", t), "X")):
+        finishes_or_refuses(walk, t)
+
+
+def test_the_deepest_term_the_parser_returns_compares_and_prints_or_is_refused():
+    for depth in range(400, 0, -1):
+        text = "mu X. " + "up(" * depth + "X" + ")" * depth
+        try:
+            t = parse(text)
+            break
+        except TermError as exc:
+            assert str(exc) == "input is nested too deeply"
+    assert t == parse(text) and t == Mu("X", up_chain(depth)) and depth > 100
+    assert check_guarded(t) == []
+    assert finishes_or_refuses(term_to_text, t) in (None, text)
+    printed = finishes_or_refuses(repr, t)
+    assert printed is None or printed.startswith("Term(kind='mu', name='X', args=(Term(")
+
+
 def test_rename_binders_freshens_clashes():
     t = Mu("X", Union(Var("X"), Mu("X", Up(Var("X")))))
     fresh = rename_binders(t, set())
